@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
-    Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Implies,
-    Not, Or, TrueF, Until, desugar, is_ground,
+    Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Not, Or,
+    TrueF, Until, _children, _subformulas, desugar, is_ground,
 )
 from .semantics import sat_table
 
@@ -43,31 +43,17 @@ def extract_aps(f: Formula) -> list[Formula]:
     aps = []
 
     def walk(g):
-        if isinstance(g, Atom):
+        if isinstance(g, Exists) and not isinstance(g.body, Atom):
+            raise OutOfScopeError(
+                "neighbor predicate with a non-atomic body has no letter encoding; "
+                "use the type-II route for an outer neighbor predicate"
+            )
+        if isinstance(g, (Atom, Exists)):
             if g not in aps:
                 aps.append(g)
-        elif isinstance(g, Exists):
-            if not isinstance(g.body, Atom):
-                raise OutOfScopeError(
-                    "neighbor predicate with a non-atomic body has no letter encoding; "
-                    "use the type-II route for an outer neighbor predicate"
-                )
-            if g not in aps:
-                aps.append(g)
-        elif isinstance(g, (TrueF, FalseF)):
-            pass
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Until):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Eventually, Always)):
-            walk(g.sub)
         else:
-            raise TypeError(f"not a formula node: {g!r}")
+            for h in _children(g):
+                walk(h)
 
     walk(f)
     return aps
@@ -391,21 +377,8 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
 
 
 def _all_bounds(f):
-    if isinstance(f, (Eventually, Always)):
-        b = f.bound
-        vals = [v for v in ((b.lo, b.hi) if b else ()) if v is not None]
-        return vals + _all_bounds(f.sub)
-    if isinstance(f, Until):
-        b = f.bound
-        vals = [v for v in ((b.lo, b.hi) if b else ()) if v is not None]
-        return vals + _all_bounds(f.left) + _all_bounds(f.right)
-    if isinstance(f, Not):
-        return _all_bounds(f.sub)
-    if isinstance(f, (And, Or)):
-        return _all_bounds(f.left) + _all_bounds(f.right)
-    if isinstance(f, Exists):
-        return _all_bounds(f.body)
-    return []
+    return [v for g in _subformulas(f) if isinstance(g, (Eventually, Always, Until)) and g.bound
+            for v in (g.bound.lo, g.bound.hi) if v is not None]
 
 
 def _state_text(state):

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -25,7 +24,7 @@ from .errors import GtlError, InfeasibleError
 from .formula import parse, print_formula
 from .graph import load_graph, load_trajectories, save_trajectories
 from .identify import identify as identify_op
-from .prior import PriorModel, compute_ig, load_prior, satisfaction_probability
+from .prior import compute_ig, load_prior
 from .semantics import coverage, misclassification_rate, sat_signature, sat_vector
 from .templates import load_templates
 
@@ -98,7 +97,6 @@ _common = [
     click.option("--out", type=click.Path(), default=None, help="write the report here as well"),
     click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json"),
     click.option("--seed", type=int, default=None, help="RNG seed (falls back to GTL_SEED, then 0)"),
-    click.option("--workers", type=int, default=1, help="parallel workers for per-node computations"),
 ]
 
 
@@ -121,7 +119,7 @@ def cli():
 @click.option("--node", default=None, help="restrict output to one node")
 @click.option("--per-node", is_flag=True, help="include the full per-node satisfaction table")
 @common_options
-def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed, workers):
+def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
     """Evaluate a formula on trajectories: signatures, coverage, and MR."""
     started = time.perf_counter()
     f = parse(formula)
@@ -150,7 +148,7 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed, wor
 @click.option("--L", "horizon", type=int, default=None)
 @click.option("--dot", "dot_path", type=click.Path(), default=None)
 @common_options
-def dfa_cmd(formula, horizon, dot_path, out, fmt, seed, workers):
+def dfa_cmd(formula, horizon, dot_path, out, fmt, seed):
     """Build the automaton of a formula and optionally export DOT."""
     started = time.perf_counter()
     f = parse(formula)
@@ -174,27 +172,15 @@ def dfa_cmd(formula, horizon, dot_path, out, fmt, seed, workers):
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--formula", required=True)
 @common_options
-def ig_cmd(prior_path, graph_path, formula, out, fmt, seed, workers):
+def ig_cmd(prior_path, graph_path, formula, out, fmt, seed):
     """Information gain of a formula under a prior."""
     started = time.perf_counter()
     g = load_graph(graph_path)
     prior = load_prior(prior_path, g)
     f = parse(formula)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            probs = dict(zip(g.nodes, pool.map(
-                lambda v: satisfaction_probability(prior, f, v), g.nodes)))
-        import math
-        from .formula import FalseF, TrueF, desugar
-        trivial = isinstance(desugar(f), (TrueF, FalseF))
-        igs = {v: 0.0 if (trivial or p <= 0) else -math.log(p) / prior.L
-               for v, p in probs.items()}
-        result = {"probabilities": probs, "info_gain": igs,
-                  "average_ig": sum(igs.values()) / len(igs), "units": "nats per time step"}
-    else:
-        rep = compute_ig(prior, f)
-        result = {"probabilities": rep.probabilities, "info_gain": rep.info_gain,
-                  "average_ig": rep.average_ig, "units": rep.units}
+    rep = compute_ig(prior, f)
+    result = {"probabilities": rep.probabilities, "info_gain": rep.info_gain,
+              "average_ig": rep.average_ig, "units": rep.units}
     result["formula"] = print_formula(f)
     _emit(_report("ig", {"formula": formula}, _seed(seed), started, result), out, fmt)
 
@@ -209,7 +195,7 @@ def ig_cmd(prior_path, graph_path, formula, out, fmt, seed, workers):
 @click.option("--budget", type=int, default=500, show_default=True)
 @common_options
 def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget,
-                 out, fmt, seed, workers):
+                 out, fmt, seed):
     """Identify coverage-feasible, information-maximal template parameters."""
     started = time.perf_counter()
     g = load_graph(graph_path) if graph_path else None
@@ -257,7 +243,7 @@ def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget,
 @click.option("--eta", type=int, default=3, show_default=True)
 @click.option("--mhat", type=float, default=0.1, show_default=True)
 @common_options
-def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, out, fmt, seed, workers):
+def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, out, fmt, seed):
     """Infer a classifying formula from labeled trajectories."""
     started = time.perf_counter()
     g = load_graph(graph_path) if graph_path else None
@@ -291,7 +277,7 @@ def gen_group():
 @click.option("--n", type=int, default=10, show_default=True)
 @click.option("--L", "horizon", type=int, default=12, show_default=True)
 @common_options
-def gen_swarm_cmd(n, horizon, out, fmt, seed, workers):
+def gen_swarm_cmd(n, horizon, out, fmt, seed):
     """Density trajectories satisfying the swarm constraint."""
     started = time.perf_counter()
     sc = SwarmScenario(L=horizon, seed=_seed(seed))
@@ -310,7 +296,7 @@ def gen_swarm_cmd(n, horizon, out, fmt, seed, workers):
 @click.option("--npos", type=int, default=5, show_default=True)
 @click.option("--nneg", type=int, default=5, show_default=True)
 @common_options
-def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, fmt, seed, workers):
+def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, fmt, seed):
     """Labeled dataset split by a planted separator formula."""
     started = time.perf_counter()
     g = load_graph(graph_path)
@@ -330,7 +316,7 @@ def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, fmt, seed,
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--n", type=int, default=16, show_default=True)
 @common_options
-def gen_prior_sample_cmd(prior_path, graph_path, n, out, fmt, seed, workers):
+def gen_prior_sample_cmd(prior_path, graph_path, n, out, fmt, seed):
     """Independent draws from a prior model."""
     started = time.perf_counter()
     g = load_graph(graph_path)

@@ -21,6 +21,7 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -176,6 +177,97 @@ class Always(Formula):
 
 TRUE = TrueF()
 FALSE = FalseF()
+
+
+# ---------------------------------------------------------------------------
+# structure: the only place that knows which fields are subformulas or slots.
+# Node kinds are matched exactly; formula nodes are not meant to be subclassed.
+
+def _children(f):
+    """Direct subformulas of f, in slot order."""
+    cls = type(f)
+    if cls is And or cls is Or or cls is Implies or cls is Until:
+        return (f.left, f.right)
+    if cls is Not or cls is Eventually or cls is Always:
+        return (f.sub,)
+    if cls is Exists:
+        return (f.body,)
+    if cls is Atom or cls is TrueF or cls is FalseF:
+        return ()
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _rebuild(f, sub, param):
+    """f with each direct subformula g replaced by sub(g) and each parameter
+    slot p by param(p, kind); literal slots are kept.
+
+    Slots are visited before subformulas, both in slot order.  A node whose
+    parts all come back unchanged is returned as is, so a pass that changes
+    nothing allocates nothing.
+    """
+    cls = type(f)
+    if cls is Atom:
+        t = param(f.threshold, "continuous") if isinstance(f.threshold, Param) else f.threshold
+        return f if t is f.threshold else Atom(f.op, t)
+    if cls is Exists:
+        count = param(f.count, "integer") if isinstance(f.count, Param) else f.count
+        chain, i = f.chain, 0
+        for e in f.chain:
+            if isinstance(e.threshold, Param):
+                t = param(e.threshold, "continuous")
+                if t is not e.threshold:
+                    chain = chain[:i] + (EdgeAtom(e.op, t),) + chain[i + 1:]
+            i += 1
+        body = sub(f.body)
+        if count is f.count and chain is f.chain and body is f.body:
+            return f
+        return Exists(count, chain, body)
+    if cls is And or cls is Or or cls is Implies:
+        left, right = sub(f.left), sub(f.right)
+        return f if left is f.left and right is f.right else cls(left, right)
+    if cls is Not:
+        s = sub(f.sub)
+        return f if s is f.sub else Not(s)
+    if cls is Eventually or cls is Always or cls is Until:
+        b = f.bound
+        if b is not None:
+            lo = param(b.lo, "integer") if isinstance(b.lo, Param) else b.lo
+            hi = param(b.hi, "integer") if isinstance(b.hi, Param) else b.hi
+            if lo is not b.lo or hi is not b.hi:
+                b = Bound(lo, hi)
+        if cls is Until:
+            left, right = sub(f.left), sub(f.right)
+            if left is f.left and right is f.right and b is f.bound:
+                return f
+            return Until(left, right, b)
+        s = sub(f.sub)
+        return f if s is f.sub and b is f.bound else cls(s, b)
+    if cls is TrueF or cls is FalseF:
+        return f
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _subformulas(f):
+    """f and all its subformulas, in pre-order."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack.extend(reversed(_children(g)))
+    return out
+
+
+def _map_params(f, param):
+    """f with every parameter slot p replaced by param(p, kind)."""
+
+    def sub(g):
+        return _rebuild(g, sub, param)
+
+    return sub(f)
+
+
+def _keep(p, kind):
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -435,87 +527,36 @@ class ParamInfo:
     kind: str  # "continuous" | "integer"
 
 
-def _walk_values(f):
-    """Yield (value, kind) for every literal-or-parameter slot of f."""
-    if isinstance(f, Atom):
-        yield f.threshold, "continuous"
-    elif isinstance(f, Exists):
-        yield f.count, "integer"
-        for e in f.chain:
-            yield e.threshold, "continuous"
-        yield from _walk_values(f.body)
-    elif isinstance(f, Not):
-        yield from _walk_values(f.sub)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _walk_values(f.left)
-        yield from _walk_values(f.right)
-    elif isinstance(f, Until):
-        if f.bound:
-            for v in (f.bound.lo, f.bound.hi):
-                if v is not None:
-                    yield v, "integer"
-        yield from _walk_values(f.left)
-        yield from _walk_values(f.right)
-    elif isinstance(f, (Eventually, Always)):
-        if f.bound:
-            for v in (f.bound.lo, f.bound.hi):
-                if v is not None:
-                    yield v, "integer"
-        yield from _walk_values(f.sub)
-
-
 def free_parameters(f: Formula) -> dict[str, ParamInfo]:
     """Free parameters in slot order; raises if a name is reused."""
     out = {}
-    for value, kind in _walk_values(f):
-        if isinstance(value, Param):
-            if value.name in out:
-                raise InputError(f"parameter {value.name!r} used in more than one position")
-            out[value.name] = ParamInfo(value.name, kind)
+
+    def note(p, kind):
+        if p.name in out:
+            raise InputError(f"parameter {p.name!r} used in more than one position")
+        out[p.name] = ParamInfo(p.name, kind)
+        return p
+
+    _map_params(f, note)
     return out
 
 
-def _subst_value(value, kind, valuation):
-    if not isinstance(value, Param):
-        return value
-    if value.name not in valuation:
-        raise UsageError(f"missing value for parameter {value.name!r}")
-    x = valuation[value.name]
+def _subst_value(p, kind, valuation):
+    if p.name not in valuation:
+        raise UsageError(f"missing value for parameter {p.name!r}")
+    x = valuation[p.name]
+    if not math.isfinite(x):
+        raise UsageError(f"parameter {p.name!r} needs a finite value, got {x}")
     if kind == "integer":
         if abs(x - round(x)) > 1e-9:
-            raise UsageError(f"parameter {value.name!r} needs an integral value, got {x}")
+            raise UsageError(f"parameter {p.name!r} needs an integral value, got {x}")
         return int(round(x))
     return float(x)
 
 
 def instantiate(f: Formula, valuation: Mapping[str, float]) -> Formula:
     """Replace every parameter position with its value from the valuation."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.op, _subst_value(f.threshold, "continuous", valuation))
-    if isinstance(f, Exists):
-        chain = tuple(EdgeAtom(e.op, _subst_value(e.threshold, "continuous", valuation)) for e in f.chain)
-        return Exists(_subst_value(f.count, "integer", valuation), chain, instantiate(f.body, valuation))
-    if isinstance(f, Not):
-        return Not(instantiate(f.sub, valuation))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(instantiate(f.left, valuation), instantiate(f.right, valuation))
-    if isinstance(f, Until):
-        return Until(instantiate(f.left, valuation), instantiate(f.right, valuation), _subst_bound(f.bound, valuation))
-    if isinstance(f, Eventually):
-        return Eventually(instantiate(f.sub, valuation), _subst_bound(f.bound, valuation))
-    if isinstance(f, Always):
-        return Always(instantiate(f.sub, valuation), _subst_bound(f.bound, valuation))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _subst_bound(bound, valuation):
-    if bound is None:
-        return None
-    lo = _subst_value(bound.lo, "integer", valuation) if bound.lo is not None else None
-    hi = _subst_value(bound.hi, "integer", valuation) if bound.hi is not None else None
-    return Bound(lo, hi)
+    return _map_params(f, lambda p, kind: _subst_value(p, kind, valuation))
 
 
 def is_ground(f: Formula) -> bool:
@@ -524,36 +565,7 @@ def is_ground(f: Formula) -> bool:
 
 def rename_parameters(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename free parameters; names absent from the mapping are kept."""
-
-    def ren(value):
-        if isinstance(value, Param):
-            return Param(mapping.get(value.name, value.name))
-        return value
-
-    def ren_bound(bound):
-        if bound is None:
-            return None
-        return Bound(ren(bound.lo) if bound.lo is not None else None,
-                     ren(bound.hi) if bound.hi is not None else None)
-
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.op, ren(f.threshold))
-    if isinstance(f, Exists):
-        chain = tuple(EdgeAtom(e.op, ren(e.threshold)) for e in f.chain)
-        return Exists(ren(f.count), chain, rename_parameters(f.body, mapping))
-    if isinstance(f, Not):
-        return Not(rename_parameters(f.sub, mapping))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(rename_parameters(f.left, mapping), rename_parameters(f.right, mapping))
-    if isinstance(f, Until):
-        return Until(rename_parameters(f.left, mapping), rename_parameters(f.right, mapping), ren_bound(f.bound))
-    if isinstance(f, Eventually):
-        return Eventually(rename_parameters(f.sub, mapping), ren_bound(f.bound))
-    if isinstance(f, Always):
-        return Always(rename_parameters(f.sub, mapping), ren_bound(f.bound))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _map_params(f, lambda p, kind: Param(mapping.get(p.name, p.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,47 +578,29 @@ def desugar(f: Formula) -> Formula:
     single-sided bounds and no Implies nodes; it is the semantic ground truth
     for paired-bound operators.
     """
-    if isinstance(f, (TrueF, FalseF, Atom)):
+    if isinstance(f, (Atom, TrueF, FalseF)):
         return f
-    if isinstance(f, Exists):
-        return Exists(f.count, f.chain, desugar(f.body))
-    if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
     if isinstance(f, Implies):
         return Or(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, (Eventually, Always)):
-        sub = desugar(f.sub)
-        ctor = type(f)
-        bound = f.bound
-        if bound is not None and bound.paired:
-            # split before normalizing: a paired zero lower bound still
-            # contributes its unbounded half (G[>=0] is G, not vacuous)
-            return And(ctor(sub, _norm_bound(Bound(bound.lo, None))),
-                       ctor(sub, Bound(None, bound.hi)))
-        return ctor(sub, _norm_bound(bound))
-    if isinstance(f, Until):
-        left, right = desugar(f.left), desugar(f.right)
-        bound = f.bound
-        if bound is not None and bound.paired:
-            return And(Until(left, right, _norm_bound(Bound(bound.lo, None))),
-                       Until(left, right, Bound(None, bound.hi)))
-        return Until(left, right, _norm_bound(bound))
-    raise TypeError(f"not a formula node: {f!r}")
+    g = _rebuild(f, desugar, _keep)
+    if not isinstance(g, (Eventually, Always, Until)) or g.bound is None:
+        return g
+    b = g.bound
+    if b.paired:
+        # split before normalizing: a paired zero lower bound still
+        # contributes its unbounded half (G[>=0] is G, not vacuous)
+        kind, kids = type(g), _children(g)
+        return And(kind(*kids, bound=_norm_bound(Bound(b.lo, None))),
+                   kind(*kids, bound=Bound(None, b.hi)))
+    norm = _norm_bound(b)
+    return g if norm is b else type(g)(*_children(g), bound=norm)
 
 
 def _norm_bound(bound):
-    if bound is None:
+    """A single-sided bound, or None if it is empty or a vacuous >=0."""
+    if (bound.lo is None or bound.lo == 0) and bound.hi is None:
         return None
-    lo = bound.lo
-    if lo == 0:
-        lo = None
-    if lo is None and bound.hi is None:
-        return None
-    return Bound(lo, bound.hi)
+    return bound
 
 
 def nnf(f: Formula) -> Formula:
@@ -732,19 +726,7 @@ def formula_size(f: Formula) -> int:
     Paired time bounds contribute nothing (they are counted as written,
     not as their desugared conjunction).
     """
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return 0
-    if isinstance(f, Exists):
-        return formula_size(f.body)
-    if isinstance(f, Not):
-        return formula_size(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, Until):
-        return formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, (Eventually, Always)):
-        return formula_size(f.sub)
-    raise TypeError(f"not a formula node: {f!r}")
+    return sum(isinstance(g, (And, Or, Implies)) for g in _subformulas(f))
 
 
 @dataclass(frozen=True)
@@ -753,30 +735,6 @@ class Subtype:
     typeII: bool
     cosafe: bool
     safe: bool
-
-
-def _contains_exists(f):
-    if isinstance(f, Exists):
-        return True
-    if isinstance(f, Not):
-        return _contains_exists(f.sub)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return _contains_exists(f.left) or _contains_exists(f.right)
-    if isinstance(f, (Eventually, Always)):
-        return _contains_exists(f.sub)
-    return False
-
-
-def _exists_bodies_atomic(f):
-    if isinstance(f, Exists):
-        return isinstance(f.body, Atom)
-    if isinstance(f, Not):
-        return _exists_bodies_atomic(f.sub)
-    if isinstance(f, (And, Or, Implies, Until)):
-        return _exists_bodies_atomic(f.left) and _exists_bodies_atomic(f.right)
-    if isinstance(f, (Eventually, Always)):
-        return _exists_bodies_atomic(f.sub)
-    return True
 
 
 def _is_cosafe(f):
@@ -833,6 +791,6 @@ def classify_subtype(f: Formula) -> Subtype:
     predicate wrapping a neighbor-free formula.
     """
     n = nnf(f)
-    type1 = _exists_bodies_atomic(n)
-    type2 = isinstance(n, Exists) and not _contains_exists(n.body)
+    type1 = all(isinstance(g.body, Atom) for g in _subformulas(n) if isinstance(g, Exists))
+    type2 = isinstance(n, Exists) and not any(isinstance(g, Exists) for g in _subformulas(n.body))
     return Subtype(typeI=type1, typeII=type2, cosafe=_is_cosafe(n), safe=_is_safe(n))

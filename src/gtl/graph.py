@@ -164,6 +164,8 @@ class GraphTemporalTrajectory:
             raise InputError("trajectory length L must be >= 1")
         if edge_labels.shape != (graph.n_edges, L):
             raise InputError("edge_labels must have shape (|E|, L)")
+        if not (np.isfinite(node_labels).all() and np.isfinite(edge_labels).all()):
+            raise InputError("node and edge labels must be finite")
         self.graph = graph
         self.L = L
         self.node_labels = node_labels
@@ -285,15 +287,22 @@ def neighbor_op(
     return {g.nodes[i] for i in np.nonzero(reached)[0]}
 
 
-def load_graph(path) -> LabeledGraph:
+def _read_json(path):
+    """The parsed content of a JSON file; malformed content is an input error."""
     with open(path) as fh:
-        return LabeledGraph.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def load_graph(path) -> LabeledGraph:
+    return LabeledGraph.from_json_dict(_read_json(path))
 
 
 def load_trajectories(path, graph: LabeledGraph | None = None) -> list[GraphTemporalTrajectory]:
     """Load a trajectory file or trajectory-set file (JSON array)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, list):
         out = []
         for d in data:

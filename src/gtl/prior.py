@@ -10,7 +10,6 @@ Information gain is reported in nats per time step.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .formula import (
     Atom, Exists, FalseF, Formula, Not, TrueF, classify_subtype, desugar,
     is_ground,
 )
-from .graph import LabeledGraph, NodeProposition
+from .graph import LabeledGraph, NodeProposition, _read_json
 
 #: running totals used by the complexity tests; see reset_counters().
 counters = {"transition_evals": 0}
@@ -109,8 +108,7 @@ class PriorModel:
 
 
 def load_prior(path, graph: LabeledGraph) -> PriorModel:
-    with open(path) as fh:
-        return PriorModel.from_json_dict(json.load(fh), graph)
+    return PriorModel.from_json_dict(_read_json(path), graph)
 
 
 # ---------------------------------------------------------------------------

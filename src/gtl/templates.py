@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .formula import Formula, free_parameters, instantiate, parse, print_formula
+from .graph import _read_json
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class Template:
 
 def load_templates(path) -> list[Template]:
     """Load one template or a JSON array of templates."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict):
         data = [data]
     return [Template.from_json_dict(d) for d in data]

@@ -8,7 +8,8 @@ import pytest
 from gtl import __version__
 from gtl.cli import main
 from gtl.formula import parse
-from gtl.graph import GraphTemporalTrajectory, LabeledGraph, save_trajectories
+from gtl.graph import GraphTemporalTrajectory, LabeledGraph, load_graph, save_trajectories
+from gtl.prior import compute_ig, load_prior
 from gtl.templates import ParamSpec, Template, save_templates
 
 from conftest import two_bin_prior
@@ -80,6 +81,23 @@ class TestEval:
                       str(tmp_path / "nope.json"), "--formula", "x <= 1")
         assert code == 1
 
+    @pytest.mark.parametrize("bad, command", [
+        ("trajs", ("eval", "--trajectories", "{trajs}", "--formula", "x <= 1")),
+        ("graph", ("eval", "--trajectories", "{trajs}", "--graph", "{graph}",
+                   "--formula", "x <= 1")),
+        ("prior", ("ig", "--prior", "{prior}", "--graph", "{graph}",
+                   "--formula", "x <= 1")),
+        ("trajs", ("identify", "--trajectories", "{trajs}", "--prior", "{prior}",
+                   "--templates", "{templates}")),
+        ("templates", ("classify", "--trajectories", "{trajs}",
+                       "--templates", "{templates}")),
+    ])
+    def test_malformed_json_exit_one(self, workspace, capsys, bad, command):
+        workspace[bad].write_text('{"nodes": [')
+        code = main([arg.format(**workspace) for arg in command])
+        assert code == 1
+        assert "error [input]: malformed JSON" in capsys.readouterr().err
+
     def test_unknown_flag_exit_one(self, workspace, capsys):
         code, _ = run(capsys, "eval", "--trajectories", str(workspace["trajs"]),
                       "--formula", "x <= 1", "--bogus")
@@ -105,15 +123,15 @@ class TestDfaIg:
         assert rep["result"]["average_ig"] > 0
         assert set(rep["result"]["info_gain"]) == {"a", "b", "c"}
 
-    def test_ig_workers_agree(self, workspace, capsys):
-        _, out1 = run(capsys, "ig", "--prior", str(workspace["prior"]),
-                      "--graph", str(workspace["graph"]),
-                      "--formula", "F x >= 1.5")
-        _, out2 = run(capsys, "ig", "--prior", str(workspace["prior"]),
-                      "--graph", str(workspace["graph"]),
-                      "--formula", "F x >= 1.5", "--workers", "3")
-        a, b = json.loads(out1)["result"], json.loads(out2)["result"]
-        assert a["info_gain"] == b["info_gain"]
+    def test_ig_matches_compute_ig(self, workspace, capsys):
+        _, out = run(capsys, "ig", "--prior", str(workspace["prior"]),
+                     "--graph", str(workspace["graph"]),
+                     "--formula", "F x >= 1.5")
+        prior = load_prior(workspace["prior"], load_graph(workspace["graph"]))
+        want = compute_ig(prior, parse("F x >= 1.5"))
+        got = json.loads(out)["result"]
+        assert got["probabilities"] == want.probabilities
+        assert got["info_gain"] == want.info_gain
 
 
 class TestIdentify:

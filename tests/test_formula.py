@@ -1,15 +1,20 @@
 """Language module: parsing, printing, parameters, polarity, size, subtypes."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtl.errors import InputError, ParseError, UsageError
 from gtl.formula import (
     Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, FALSE, Implies,
-    Not, Or, Param, TRUE, Until, classify_subtype, desugar, formula_size,
-    free_parameters, instantiate, is_ground, nnf, parse, polarity,
-    print_formula, rename_parameters,
+    Not, Or, Param, TRUE, Until, _children, classify_subtype, desugar,
+    formula_size, free_parameters, instantiate, is_ground, nnf, parse,
+    polarity, print_formula, rename_parameters,
 )
+
+from conftest import random_formula
 
 
 class TestParsePrint:
@@ -93,6 +98,13 @@ class TestParameters:
     def test_instantiate_rejects_fractional_integer(self):
         with pytest.raises(UsageError):
             instantiate(parse("F[<=?i] x >= 1"), {"i": 2.5})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("text", ["x >= ?c", "F[<=?i] x >= 1"])
+    def test_instantiate_rejects_non_finite(self, text, bad):
+        name = next(iter(free_parameters(parse(text))))
+        with pytest.raises(UsageError):
+            instantiate(parse(text), {name: bad})
 
     def test_instantiate_missing_value(self):
         with pytest.raises(UsageError):
@@ -205,3 +217,75 @@ class TestSizeAndSubtype:
         assert formula_size(TRUE) == 0
         s = classify_subtype(FALSE)
         assert s.cosafe and s.safe
+
+
+# ---------------------------------------------------------------------------
+# properties of the structural traversal, over ground and parameterized trees
+
+def random_template(rng, depth, names):
+    """A random formula whose slots are parameters about half the time, with
+    paired bounds and multi-hop neighbor chains."""
+    def slot(literal):
+        if rng.random() < 0.5:
+            names.append(f"p{len(names)}")
+            return Param(names[-1])
+        return literal
+
+    if depth == 0:
+        if rng.random() < 0.4:
+            chain = tuple(EdgeAtom(rng.choice(["<=", ">="]), slot(1.5))
+                          for _ in range(rng.choice([1, 2, 3])))
+            return Exists(slot(2), chain, Atom("<=", slot(0.5)))
+        return Atom(rng.choice(["<=", ">="]), slot(0.25))
+    kind = rng.choice(["not", "and", "or", "impl", "F", "G", "U", "E"])
+    a = random_template(rng, depth - 1, names)
+    if kind == "not":
+        return Not(a)
+    if kind == "E":
+        return Exists(slot(1), (EdgeAtom("<=", slot(1.0)),), a)
+    if kind in ("and", "or", "impl", "U"):
+        b = random_template(rng, depth - 1, names)
+        if kind != "U":
+            return {"and": And, "or": Or, "impl": Implies}[kind](a, b)
+    lo, hi = rng.choice([(None, 3), (1, None), (0, 2), (1, 3), (0, None)])
+    bound = Bound(None if lo is None else slot(lo), None if hi is None else slot(hi))
+    if kind == "U":
+        return Until(a, b, bound)
+    return (Eventually if kind == "F" else Always)(a, bound)
+
+
+def corpus():
+    rng = random.Random(5)
+    out = [random_formula(rng, depth) for depth in (1, 2, 3, 4) for _ in range(40)]
+    out += [random_template(rng, depth, []) for depth in (1, 2, 3) for _ in range(60)]
+    return out
+
+
+def valuation_for(f, rng):
+    return {n: rng.randint(1, 3) if p.kind == "integer" else rng.uniform(0.0, 2.0)
+            for n, p in free_parameters(f).items()}
+
+
+class TestTraversal:
+    def test_size_counts_printed_connectives(self):
+        for f in corpus():
+            text = print_formula(f)
+            assert formula_size(f) == text.count("&") + text.count("|") + text.count("->"), text
+
+    def test_rename_and_instantiate(self):
+        rng = random.Random(6)
+        for f in corpus():
+            names = list(free_parameters(f))
+            mapping = {n: f"r_{n}" for n in names}
+            renamed = rename_parameters(f, mapping)
+            assert list(free_parameters(renamed)) == [mapping[n] for n in names]
+            assert rename_parameters(renamed, {new: old for old, new in mapping.items()}) == f
+            val = valuation_for(f, rng)
+            ground = instantiate(f, val)
+            assert instantiate(renamed, {mapping[n]: x for n, x in val.items()}) == ground
+            assert free_parameters(ground) == {}, print_formula(f)
+
+    @pytest.mark.parametrize("thing", [None, 3, "x <= 1", Bound(1, 2), EdgeAtom("<=", 1)])
+    def test_children_rejects_non_nodes(self, thing):
+        with pytest.raises(TypeError):
+            _children(thing)

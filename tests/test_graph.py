@@ -52,6 +52,15 @@ class TestTrajectory:
         with pytest.raises(InputError):
             GraphTemporalTrajectory(g, np.zeros((2, 0)), np.zeros((1, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_labels(self, bad):
+        # a NaN label would be false for both x <= c and x >= c
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        with pytest.raises(InputError):
+            GraphTemporalTrajectory(g, [[bad], [0.5]], [[1.0]])
+        with pytest.raises(InputError):
+            GraphTemporalTrajectory(g, [[0.5], [0.5]], [[bad]])
+
     def test_one_based_time(self):
         g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
         t = GraphTemporalTrajectory(g, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]])

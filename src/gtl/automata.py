@@ -14,9 +14,8 @@ node propositions or neighbor-count predicates applied to one proposition.
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,7 +284,6 @@ class Dfa:
     transitions: np.ndarray  # (K, 2^|aps|) int
     accepting: np.ndarray  # (K,) bool
     initial: int = 0
-    state_labels: list = field(default_factory=list)
 
     @property
     def n_states(self):
@@ -371,26 +369,13 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
         trans.append(row)
     transitions = np.array(trans, dtype=np.int64).reshape(len(order), n_letters)
     accepting = np.array([_empty_state(s) for s in order], dtype=bool)
-    dfa = Dfa(aps=aps, transitions=transitions, accepting=accepting, initial=0,
-              state_labels=[_state_text(s) for s in order])
+    dfa = Dfa(aps=aps, transitions=transitions, accepting=accepting, initial=0)
     return minimize(dfa), aps
 
 
 def _all_bounds(f):
     return [v for g in _subformulas(f) if isinstance(g, (Eventually, Always, Until)) and g.bound
             for v in (g.bound.lo, g.bound.hi) if v is not None]
-
-
-def _state_text(state):
-    if state == TRUE_DNF:
-        return "TRUE"
-    if state == FALSE_DNF:
-        return "FALSE"
-    parts = []
-    for clause in sorted(state, key=lambda c: sorted(str(l) for l in c)):
-        lits = [("" if s else "!") + str(g) for g, s in sorted(clause, key=str)]
-        parts.append(" & ".join(lits))
-    return " | ".join(f"({p})" for p in parts)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -410,7 +395,6 @@ def minimize(dfa: Dfa) -> Dfa:
     trans = dfa.transitions[reach]
     trans = np.vectorize(remap.get)(trans) if len(reach) else trans
     acc = dfa.accepting[reach]
-    labels = [dfa.state_labels[q] for q in reach] if dfa.state_labels else []
 
     n = len(reach)
     block = [1 if acc[q] else 0 for q in range(n)]
@@ -428,16 +412,13 @@ def minimize(dfa: Dfa) -> Dfa:
     k = max(block) + 1
     new_trans = np.zeros((k, dfa.n_letters), dtype=np.int64)
     new_acc = np.zeros(k, dtype=bool)
-    new_labels = [""] * k
     for q in range(n):
         b = block[q]
         new_acc[b] = acc[q]
-        if labels:
-            new_labels[b] = labels[q]
         for a in range(dfa.n_letters):
             new_trans[b, a] = block[int(trans[q, a])]
     return Dfa(aps=dfa.aps, transitions=new_trans, accepting=new_acc,
-               initial=block[remap[dfa.initial]], state_labels=new_labels)
+               initial=block[remap[dfa.initial]])
 
 
 def run_word(dfa: Dfa, word) -> bool:

@@ -12,17 +12,14 @@ join the pool so that either class can carry the positive signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError, UsageError
-from .formula import (
-    And, Formula, Not, Or, formula_size, free_parameters, print_formula,
-    rename_parameters,
-)
+from .formula import And, Formula, Not, Or, formula_size, print_formula, rename_parameters
 from .semantics import misclassification_rate
-from .templates import ParamSpec, Template
+from .templates import Template
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,7 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
 
     stage1 = []
     for i, t in enumerate(pool):
-        theta, mr = pso_minimize_mr(t, data, PsoConfig(
-            swarm=cfg.swarm, iterations=cfg.iterations, inertia=cfg.inertia,
-            cognitive=cfg.cognitive, social=cfg.social, seed=cfg.seed + i))
+        theta, mr = pso_minimize_mr(t, data, replace(cfg, seed=cfg.seed + i))
         stage1.append({"name": t.name or print_formula(t.formula),
                        "template": t, "theta": theta, "mr": mr})
         consider(t.instantiate(theta), mr, "primitive")
@@ -219,10 +214,7 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
                 grew = True
                 if reoptimize:
                     theta, mr = pso_minimize_mr(
-                        tpl, data, PsoConfig(
-                            swarm=cfg.swarm, iterations=cfg.iterations,
-                            inertia=cfg.inertia, cognitive=cfg.cognitive,
-                            social=cfg.social, seed=cfg.seed + 1000 + arity),
+                        tpl, data, replace(cfg, seed=cfg.seed + 1000 + arity),
                         warm_starts=[warm])
                 else:
                     theta, mr = warm, misclassification_rate(

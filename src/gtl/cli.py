@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import click
 
 from . import __version__
-from .automata import label_word, to_dfa
+from .automata import to_dfa
 from .classify import PsoConfig, infer_classifier
 from .datagen import SwarmScenario, gen_planted, gen_swarm, sample_prior
 from .errors import GtlError, InfeasibleError
@@ -259,9 +260,9 @@ def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, out, fmt, seed
         "stage1": res.stage1,
         "search_log": res.search_log,
     }
-    config = {"mth": mth, "eta": eta, "mhat": mhat, "pso": {
-        "swarm": cfg.swarm, "iterations": cfg.iterations, "inertia": cfg.inertia,
-        "cognitive": cfg.cognitive, "social": cfg.social}}
+    # the seed is reported once, at the top level of the report
+    pso = {k: v for k, v in asdict(cfg).items() if k != "seed"}
+    config = {"mth": mth, "eta": eta, "mhat": mhat, "pso": pso}
     _emit(_report("classify", config, _seed(seed), started, result), out, fmt)
     if not res.success:
         raise InfeasibleError(f"no formula reached MR <= {mth} "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .formula import Always, And, Atom, Bound, EdgeAtom, Exists, Implies, parse
+from .formula import Always, Atom, Bound, EdgeAtom, Exists, Implies
 from .graph import GraphTemporalTrajectory, LabeledGraph
 from .prior import PriorModel
 from .semantics import sat_vector

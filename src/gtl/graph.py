@@ -67,7 +67,7 @@ class LabeledGraph:
     """Static undirected graph with opaque string node and edge ids.
 
     Node pairs carry at most one edge and self-loops are rejected.
-    Adjacency lists are precomputed for O(deg) neighbor hops.
+    Adjacency lists serve `neighbor_op`, the per-edge reference walk.
     """
 
     def __init__(self, nodes: Sequence[str], edges: Sequence[tuple[str, str, str]]):
@@ -173,7 +173,6 @@ class GraphTemporalTrajectory:
         self.node_labels.setflags(write=False)
         self.edge_labels.setflags(write=False)
         self.label = label  # classification label +1/-1 or None
-        self._sat_cache = {}
 
     def node_label(self, v: str, k: int) -> float:
         self._check_time(k)
@@ -233,32 +232,27 @@ class GraphTemporalTrajectory:
         return f"GraphTemporalTrajectory(L={self.L}{tag})"
 
 
-def hop_matrix(traj: GraphTemporalTrajectory, prop: EdgeProposition, k: int) -> np.ndarray:
-    """Boolean |V|x|V| matrix: H[a, b] iff an edge {a, b} satisfies prop at time k."""
-    traj._check_time(k)
-    g = traj.graph
-    H = np.zeros((g.n_nodes, g.n_nodes), dtype=bool)
-    if g.n_edges == 0:
-        return H
-    ok = np.array([prop.holds(x) for x in traj.edge_labels[:, k - 1]])
-    ends = g.edge_ends[ok]
-    H[ends[:, 0], ends[:, 1]] = True
-    H[ends[:, 1], ends[:, 0]] = True
-    return H
-
-
-def reach_matrix(traj: GraphTemporalTrajectory, chain: Sequence[EdgeProposition], k: int) -> np.ndarray:
-    """R[v, u] iff u is reachable from {v} through the chain at time k.
+def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeProposition]) -> np.ndarray:
+    """R[t, v, u] iff u is reachable from {v} through the chain under column t
+    of the (|E|, T) edge-label block.
 
     The chain is applied first element first; each hop deduplicates, and a
     node may re-enter the set through one of its neighbors.
     """
     if len(chain) < 1:
         raise InputError("neighbor chain must have length >= 1")
-    R = hop_matrix(traj, chain[0], k)
-    for prop in chain[1:]:
-        H = hop_matrix(traj, prop, k)
-        R = (R.astype(np.uint8) @ H.astype(np.uint8)) > 0
+    edge_labels = np.asarray(edge_labels, dtype=float)
+    if edge_labels.ndim != 2 or edge_labels.shape[0] != graph.n_edges:
+        raise InputError("edge_labels must have shape (|E|, T)")
+    T, V = edge_labels.shape[1], graph.n_nodes
+    a, b = graph.edge_ends.T
+    R = None
+    for prop in chain:
+        t, j = np.nonzero(prop.holds(edge_labels).T)
+        H = np.zeros((T, V, V), dtype=bool)
+        H[t, a[j], b[j]] = True
+        H[t, b[j], a[j]] = True
+        R = H if R is None else R @ H  # boolean product: OR of ANDs, no count to overflow
     return R
 
 
@@ -268,23 +262,24 @@ def neighbor_op(
     k: int,
     chain: Sequence[EdgeProposition],
 ) -> set[str]:
-    """Nodes reachable from `sources` through the edge-proposition chain at time k."""
+    """Nodes reachable from `sources` through the edge-proposition chain at time k.
+
+    A set walk over the adjacency lists, one edge test at a time: the
+    reference that the tests hold `reach` to.
+    """
+    traj._check_time(k)
+    if len(chain) < 1:
+        raise InputError("neighbor chain must have length >= 1")
     g = traj.graph
-    idx = []
+    frontier = set()
     for v in sources:
         if v not in g.node_index:
             raise InputError(f"unknown node id {v!r}")
-        idx.append(g.node_index[v])
-    if not idx:
-        traj._check_time(k)
-        if len(chain) < 1:
-            raise InputError("neighbor chain must have length >= 1")
-        return set()
-    R = reach_matrix(traj, chain, k)
-    reached = np.zeros(g.n_nodes, dtype=bool)
-    for i in idx:
-        reached |= R[i]
-    return {g.nodes[i] for i in np.nonzero(reached)[0]}
+        frontier.add(g.node_index[v])
+    y = traj.edge_labels[:, k - 1]
+    for prop in chain:
+        frontier = {u for i in frontier for j, u in g.adjacency[i] if prop.holds(y[j])}
+    return {g.nodes[i] for i in frontier}
 
 
 def _read_json(path):

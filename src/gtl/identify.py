@@ -13,13 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError, UsageError
 from .formula import polarity, print_formula
 from .prior import PriorModel, compute_ig
 from .semantics import coverage
-from .templates import ParamSpec, Template
+from .templates import Template
 
 _ROUND = 12  # normalized coordinates are rounded to stabilize set membership
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import extract_aps, to_dfa
+from .automata import to_dfa
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
     Atom, Exists, FalseF, Formula, Not, TrueF, classify_subtype, desugar,
     is_ground,
 )
-from .graph import LabeledGraph, NodeProposition, _read_json
+from .graph import LabeledGraph, NodeProposition, _read_json, reach
 
 #: running totals used by the complexity tests; see reset_counters().
 counters = {"transition_evals": 0}
@@ -137,19 +137,10 @@ def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
     g = prior.graph
     if v not in g.node_index:
         raise InputError(f"unknown node id {v!r}")
+    labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
     props = [e.prop() if hasattr(e, "prop") else e for e in chain]
-    frontier = {g.node_index[v]}
-    for prop in props:
-        nxt = set()
-        for j, eid in enumerate(g.edges):
-            if prop.holds(prior.static_edge_labels[eid]):
-                ia, ib = g.edge_ends[j]
-                if ia in frontier:
-                    nxt.add(int(ib))
-                if ib in frontier:
-                    nxt.add(int(ia))
-        frontier = nxt
-    return [g.nodes[i] for i in sorted(frontier)]
+    row = reach(g, labels.reshape(g.n_edges, 1), props)[0, g.node_index[v]]
+    return [g.nodes[i] for i in np.flatnonzero(row)]
 
 
 def _poisson_binomial_tail(probs, n: int) -> float:

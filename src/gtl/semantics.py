@@ -1,7 +1,8 @@
 """Finite-trace satisfaction semantics for GTL formulas.
 
 Evaluation is table-based: for a trajectory and a parameter-free formula we
-compute one |V| x L boolean table per subformula, memoized on the trajectory.
+compute one |V| x L boolean table per subformula, memoized for the length of
+one call and then dropped.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -19,18 +20,25 @@ from .formula import (
     Always, And, Atom, Eventually, Exists, FalseF, Formula, Implies, Not, Or,
     TrueF, Until, desugar, is_ground,
 )
-from .graph import GraphTemporalTrajectory, reach_matrix
+from .graph import GraphTemporalTrajectory, reach
 
 
 def sat_table(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
     """Boolean table T with T[v, k-1] iff (traj, v, k) |= f."""
+    return next(_tables([traj], f))
+
+
+def _tables(trajectories, f):
+    """The table of f on each trajectory in turn.
+
+    Groundness is checked and f desugared once per call; each table is
+    evaluated with a memo of its own, so nothing outlives the call.
+    """
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
-    key = desugar(f)
-    cache = traj._sat_cache
-    if key not in cache:
-        cache[key] = _eval(traj, key, cache)
-    return cache[key]
+    g = desugar(f)
+    for traj in trajectories:
+        yield _eval(traj, g, {})
 
 
 def _eval(traj, f, cache):
@@ -45,8 +53,7 @@ def _eval(traj, f, cache):
     if isinstance(f, FalseF):
         return np.zeros((V, L), dtype=bool)
     if isinstance(f, Atom):
-        x = traj.node_labels
-        return x <= f.threshold if f.op == "<=" else x >= f.threshold
+        return f.prop().holds(traj.node_labels)
     if isinstance(f, Not):
         return ~rec(f.sub)
     if isinstance(f, And):
@@ -56,14 +63,9 @@ def _eval(traj, f, cache):
     if isinstance(f, Implies):
         return ~rec(f.left) | rec(f.right)
     if isinstance(f, Exists):
-        body = rec(f.body)
-        chain = [e.prop() for e in f.chain]
-        out = np.zeros((V, L), dtype=bool)
-        for k in range(1, L + 1):
-            R = reach_matrix(traj, chain, k)
-            counts = R @ body[:, k - 1].astype(np.int64)
-            out[:, k - 1] = counts >= f.count
-        return out
+        R = reach(traj.graph, traj.edge_labels, [e.prop() for e in f.chain])
+        counts = (R & rec(f.body).T[:, None, :]).sum(axis=2)  # (L, V)
+        return (counts >= f.count).T
     if isinstance(f, Eventually):
         return _eventually(rec(f.sub), f.bound)
     if isinstance(f, Always):
@@ -144,11 +146,9 @@ def coverage(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> flo
     if not trajectories:
         raise UsageError("coverage of an empty trajectory set is undefined")
     graph = trajectories[0].graph
-    total = 0
-    for t in trajectories:
-        if t.graph is not graph:
-            raise InputError("all trajectories must share one graph")
-        total += int(sat_vector(t, f).sum())
+    if any(t.graph is not graph for t in trajectories):
+        raise InputError("all trajectories must share one graph")
+    total = sum(int(tab[:, 0].sum()) for tab in _tables(trajectories, f))
     return total / (graph.n_nodes * len(trajectories))
 
 
@@ -156,11 +156,10 @@ def misclassification_rate(trajectories: Sequence[GraphTemporalTrajectory], f: F
     """Fraction of (trajectory, node) pairs whose signature disagrees with the label."""
     if not trajectories:
         raise UsageError("misclassification rate of an empty dataset is undefined")
-    graph = trajectories[0].graph
+    if any(t.label not in (1, -1) for t in trajectories):
+        raise InputError("every trajectory needs a classification label of +1 or -1")
     wrong = 0
-    for t in trajectories:
-        if t.label not in (1, -1):
-            raise InputError("every trajectory needs a classification label of +1 or -1")
-        sig = np.where(sat_vector(t, f), 1, -1)
+    for t, tab in zip(trajectories, _tables(trajectories, f)):
+        sig = np.where(tab[:, 0], 1, -1)
         wrong += int((sig != t.label).sum())
-    return wrong / (graph.n_nodes * len(trajectories))
+    return wrong / (trajectories[0].graph.n_nodes * len(trajectories))

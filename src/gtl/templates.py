@@ -9,7 +9,8 @@ neighbor-count predicate around a temporal formula).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import InputError
 from .formula import Formula, free_parameters, instantiate, parse, print_formula
@@ -25,6 +26,8 @@ class ParamSpec:
     def __post_init__(self):
         if self.kind not in ("continuous", "integer"):
             raise InputError(f"unknown parameter kind {self.kind!r}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise InputError(f"parameter range [{self.min}, {self.max}] must be finite")
         if not self.min <= self.max:
             raise InputError(f"empty parameter range [{self.min}, {self.max}]")
 
@@ -39,7 +42,6 @@ class ParamSpec:
         """Admissible values for integer parameters."""
         if self.kind != "integer":
             raise InputError("grid() is only defined for integer parameters")
-        import math
         lo = math.ceil(self.min - 1e-9)
         hi = math.floor(self.max + 1e-9)
         return list(range(lo, hi + 1))

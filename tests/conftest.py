@@ -195,6 +195,14 @@ def random_formula(rng, depth, allow_exists=True):
     return Until(a, b, bound)
 
 
+def random_graph(rng, n_nodes, p_edge):
+    """Nodes n0.. with each possible edge present with probability p_edge."""
+    nodes = [f"n{i}" for i in range(n_nodes)]
+    edges = [(f"e{i}_{j}", nodes[i], nodes[j]) for i in range(n_nodes)
+             for j in range(i + 1, n_nodes) if rng.random() < p_edge]
+    return LabeledGraph(nodes, edges)
+
+
 def random_trajectory(rng_np, g, L, edge_scale=3.0):
     return GraphTemporalTrajectory(
         g, rng_np.random((g.n_nodes, L)), rng_np.random((g.n_edges, L)) * edge_scale)

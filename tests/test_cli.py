@@ -179,6 +179,14 @@ class TestClassify:
         r1, r2 = json.loads(out1)["result"], json.loads(out2)["result"]
         assert r1["formula"] == r2["formula"]
 
+    def test_infinite_box_exit_one(self, workspace, capsys):
+        workspace["templates"].write_text(
+            '{"formula": "F x >= ?c", "params": {"c": {"min": -Infinity, "max": Infinity}}}')
+        code = main(["classify", "--trajectories", str(workspace["trajs"]),
+                     "--templates", str(workspace["templates"])])
+        assert code == 1
+        assert "error [input]" in capsys.readouterr().err
+
     def test_failure_exit_two(self, workspace, capsys):
         save_templates(workspace["templates"], [
             Template(parse("F x >= ?c"),

@@ -1,6 +1,7 @@
-"""Graph core: construction, trajectories, hop/reach operators, IO."""
+"""Graph core: construction, trajectories, reach and neighbor operators, IO."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from gtl.errors import InputError, RangeError
 from gtl.graph import (
     EdgeProposition, GraphTemporalTrajectory, LabeledGraph, NodeProposition,
-    hop_matrix, load_graph, load_trajectories, neighbor_op, reach_matrix,
-    save_trajectories,
+    load_graph, load_trajectories, neighbor_op, reach, save_trajectories,
 )
+
+from conftest import random_graph
 
 
 class TestLabeledGraph:
@@ -96,22 +98,56 @@ class TestPropositions:
 
 
 class TestHopReach:
-    def test_hop_matrix_six_node(self, six_node):
+    def test_one_hop_six_node(self, six_node):
         # one hop from v4 across edges with y <= 1 reaches exactly {v1, v5}
-        H = hop_matrix(six_node, EdgeProposition("<=", 1), 1)
+        R = reach(six_node.graph, six_node.edge_labels, (EdgeProposition("<=", 1),))
+        assert R.shape == (1, 6, 6) and R.dtype == bool
         i = six_node.graph.node_index
-        row = H[i["v4"]]
+        row = R[0, i["v4"]]
         got = {v for v in six_node.graph.nodes if row[i[v]]}
         assert got == {"v1", "v5"}
-        assert not H[i["v4"], i["v4"]]
+        assert not row[i["v4"]]
 
     def test_reach_two_hops(self, six_node):
         # two hops over (y <= 1) from v4: second hop from {v1, v5}
         chain = (EdgeProposition("<=", 1), EdgeProposition("<=", 1))
-        R = reach_matrix(six_node, chain, 1)
+        R = reach(six_node.graph, six_node.edge_labels, chain)
         i = six_node.graph.node_index
-        got = {v for v in six_node.graph.nodes if R[i["v4"]][i[v]]}
+        got = {v for v in six_node.graph.nodes if R[0, i["v4"], i[v]]}
         assert got == {"v2", "v4"}  # hops may revisit the start node
+
+    def test_path_counts_do_not_wrap(self):
+        # 256 two-hop paths join each pair of distinct nodes of K_258, which
+        # an 8-bit path count wraps to 0
+        g = LabeledGraph.complete([f"n{i}" for i in range(258)])
+        R = reach(g, np.ones((g.n_edges, 1)), [EdgeProposition("<=", 1)] * 2)
+        assert R.all()
+
+    def test_rejects_bad_input(self, six_node):
+        g, y = six_node.graph, six_node.edge_labels
+        with pytest.raises(InputError):
+            reach(g, y, ())
+        with pytest.raises(InputError):
+            reach(g, y[:-1], (EdgeProposition("<=", 1),))
+
+    def test_differential_against_neighbor_op(self):
+        # reach is vectorized over edges and times; neighbor_op walks the
+        # adjacency lists one edge at a time
+        rng = random.Random(3)
+        rng_np = np.random.default_rng(3)
+        for case in range(60):
+            g = random_graph(rng, rng.randint(1, 7), 0.0 if case < 5 else rng.random())
+            T = rng.randint(1, 4)
+            traj = GraphTemporalTrajectory(g, np.zeros((g.n_nodes, T)),
+                                           np.round(rng_np.random((g.n_edges, T)) * 3, 1))
+            chain = [EdgeProposition(rng.choice(["<=", ">="]), rng.choice([0.5, 1.5, 2.5]))
+                     for _ in range(rng.randint(1, 3))]
+            R = reach(g, traj.edge_labels, chain)
+            assert R.shape == (T, g.n_nodes, g.n_nodes)
+            for k in range(1, T + 1):
+                for vi, v in enumerate(g.nodes):
+                    got = {g.nodes[u] for u in np.flatnonzero(R[k - 1, vi])}
+                    assert got == neighbor_op(traj, [v], k, chain), (case, k, v)
 
     def test_neighbor_op(self, six_node):
         got = neighbor_op(six_node, ["v4"], 1, (EdgeProposition("<=", 1),))

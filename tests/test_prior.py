@@ -8,14 +8,14 @@ import pytest
 
 from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.formula import parse
-from gtl.graph import LabeledGraph, NodeProposition
+from gtl.graph import EdgeProposition, LabeledGraph, NodeProposition, reach
 from gtl.prior import (
     PriorModel, atom_probability, compute_ig, counters, exists_probability,
     letter_distribution, load_prior, reset_counters, satisfaction_probability,
     static_reach,
 )
 
-from conftest import prob_oracle, two_bin_prior
+from conftest import prob_oracle, random_graph, two_bin_prior
 
 
 def one_node_prior(L=2):
@@ -86,6 +86,20 @@ class TestStaticReach:
         # asking for 3 of 2 reachable nodes is impossible
         p = exists_probability(prior, 3, chain, parse("x <= 1").prop(), "v4", 1)
         assert p == 0.0
+
+    def test_equals_reach_row(self):
+        rng = np.random.default_rng(5)
+        for n, p_edge in [(1, 0.0), (4, 0.0), (5, 0.5), (6, 0.8), (7, 1.0)]:
+            g = random_graph(rng, n, p_edge)
+            y = np.round(rng.random(g.n_edges) * 3, 1)
+            prior = two_bin_prior(g, 1, edge_labels=dict(zip(g.edges, y)))
+            for hops in (1, 2, 3):
+                chain = [EdgeProposition(str(rng.choice(["<=", ">="])), float(rng.choice([1.0, 2.0])))
+                         for _ in range(hops)]
+                R = reach(g, y.reshape(g.n_edges, 1), chain)
+                for vi, v in enumerate(g.nodes):
+                    want = [g.nodes[u] for u in np.flatnonzero(R[0, vi])]
+                    assert static_reach(prior, v, chain) == want
 
 
 class TestLetterDistribution:

@@ -1,10 +1,13 @@
 """Finite-trace satisfaction semantics, tables, coverage, misclassification."""
 
+import math
+
 import numpy as np
 import pytest
 
+import gtl.semantics
 from gtl.errors import InputError, UsageError
-from gtl.formula import parse
+from gtl.formula import Atom, EdgeAtom, Exists, desugar, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import (
     coverage, misclassification_rate, sat, sat_signature, sat_table,
@@ -106,6 +109,39 @@ class TestTables:
         assert tab.shape == (3, 3) and tab.dtype == bool
         assert sat_signature(path3, f, "a") == (1 if tab[0, 0] else -1)
         assert sat_signature(path3, parse("FALSE"), "a") == -1
+
+    def test_no_state_outlives_the_call(self, path3):
+        f = parse("F[>=1][<=2] E 1 via (y <= 1) : x >= 0.5")
+        before = {k: (id(v), repr(v)) for k, v in vars(path3).items()}
+        tab = sat_table(path3, f)
+        want = tab.copy()
+        assert {k: (id(v), repr(v)) for k, v in vars(path3).items()} == before
+        tab[:] = ~tab  # a caller's edit of a returned table
+        assert np.array_equal(sat_table(path3, f), want)
+
+    @pytest.mark.parametrize("f", [
+        Atom("<=", math.nan), Atom(">=", math.inf), Atom("<=", -math.inf),
+        Exists(1, (EdgeAtom("<=", 1.0),), Atom(">=", math.nan)),
+    ])
+    def test_non_finite_threshold_rejected(self, path3, f):
+        # built by hand: the parser and instantiate never produce these
+        with pytest.raises(InputError):
+            sat_table(path3, f)
+
+    def test_one_check_per_query(self, path3, monkeypatch):
+        calls = []
+
+        def counting_desugar(f):
+            calls.append(f)
+            return desugar(f)
+
+        monkeypatch.setattr(gtl.semantics, "desugar", counting_desugar)
+        pos = GraphTemporalTrajectory(path3.graph, path3.node_labels,
+                                      path3.edge_labels, label=1)
+        f = parse("F x >= 0.8")
+        coverage([path3] * 4, f)
+        misclassification_rate([pos] * 4, f)
+        assert len(calls) == 2
 
     def test_sat_vector_is_time_one_row(self, path3):
         f = parse("G x <= 1")

@@ -1,5 +1,7 @@
 """Template boxes, JSON IO, and the built-in library."""
 
+import json
+
 import pytest
 
 from gtl.errors import InputError
@@ -26,6 +28,13 @@ class TestParamSpec:
             ParamSpec(2.0, 1.0, "continuous")
         with pytest.raises(InputError):
             ParamSpec(0, 1, "boolean")
+
+    @pytest.mark.parametrize("lo, hi", [("-Infinity", "1"), ("0", "Infinity"),
+                                        ("-Infinity", "Infinity"), ("NaN", "1")])
+    def test_non_finite_range_rejected(self, lo, hi):
+        text = '{"formula": "x >= ?c", "params": {"c": {"min": %s, "max": %s}}}' % (lo, hi)
+        with pytest.raises(InputError, match="finite"):
+            Template.from_json_dict(json.loads(text))
 
 
 class TestTemplate:

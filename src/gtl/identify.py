@@ -221,7 +221,7 @@ class IdentifyReport:
 
 
 def identify(trajectories, prior: PriorModel, templates, p_th: float = 0.98,
-             eps: float = 0.05, budget: int = 500, cap: int = 10 ** 6) -> IdentifyReport:
+             eps: float = 0.05, budget: int = 500) -> IdentifyReport:
     """Per template: approximate the minimal coverage-feasible front, then
     return the front point with maximal average information gain."""
     if not 0 < p_th <= 1:
@@ -230,13 +230,13 @@ def identify(trajectories, prior: PriorModel, templates, p_th: float = 0.98,
         raise InputError("eps must be in (0, 1)")
     if not trajectories:
         raise UsageError("empty trajectory set")
-    results = [_identify_one(trajectories, prior, t, p_th, eps, budget, cap)
+    results = [_identify_one(trajectories, prior, t, p_th, eps, budget)
                for t in templates]
     results.sort(key=lambda r: (not r.feasible, -r.average_ig))
     return IdentifyReport(results=results)
 
 
-def _identify_one(trajs, prior, template, p_th, eps, budget, cap):
+def _identify_one(trajs, prior, template, p_th, eps, budget):
     res = TemplateResult(template=template, feasible=False)
     try:
         names, pinned = _axes(template)
@@ -308,17 +308,12 @@ def _identify_one(trajs, prior, template, p_th, eps, budget, cap):
         res.achieved_gap = max(_gap_to_front(k, front) for k in knees)
         res.approximate = res.achieved_gap > eps
 
-    front = _minimal(sat_pts)
-    if res.achieved_gap == float("inf"):
-        knees = knee_points(unsat_pts, z=z) if unsat_pts else [zero]
-        res.achieved_gap = max(_gap_to_front(k, front) for k in knees)
-
     best = None
     for omega in sorted(front):
         theta = map_pi_inv(omega, box, pols, names)
         theta.update(pinned)
         f = template.instantiate(theta)
-        rep = compute_ig(prior, f, cap=cap)
+        rep = compute_ig(prior, f)
         if best is None or rep.average_ig > best[0] + 1e-15:
             best = (rep.average_ig, omega, theta, f, rep)
     avg_ig, omega, theta, f, rep = best

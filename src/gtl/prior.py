@@ -26,6 +26,8 @@ from .graph import LabeledGraph, NodeProposition, _read_json, reach
 
 #: running totals used by the complexity tests; see reset_counters().
 counters = {"transition_evals": 0}
+#: DP states above which a joint letter distribution assumes independence
+MAX_DP_STATES = 10 ** 6
 
 
 def reset_counters():
@@ -74,6 +76,7 @@ class PriorModel:
                 raise InputError(f"prior is missing an edge label for {e!r}")
 
     def node_pmf(self, v: str) -> np.ndarray:
+        _check_node(self, v)
         p = self.pmf.get(v)
         if p is None:
             if self.default_pmf is None:
@@ -114,6 +117,11 @@ def load_prior(path, graph: LabeledGraph) -> PriorModel:
 # ---------------------------------------------------------------------------
 # predicate probabilities
 
+def _check_node(prior, v):
+    if v not in prior.graph.node_index:
+        raise InputError(f"unknown node id {v!r}")
+
+
 def _bin_fraction(lo, hi, prop: NodeProposition) -> float:
     """Fraction of the interval [lo, hi) inside the proposition's region."""
     if prop.op == "<=":
@@ -134,9 +142,8 @@ def atom_probability(prior: PriorModel, prop, v: str, k: int) -> float:
 
 def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
     """Nodes reachable from v through the chain under the static edge labels."""
+    _check_node(prior, v)
     g = prior.graph
-    if v not in g.node_index:
-        raise InputError(f"unknown node id {v!r}")
     labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
     props = [e.prop() if hasattr(e, "prop") else e for e in chain]
     row = reach(g, labels.reshape(g.n_edges, 1), props)[0, g.node_index[v]]
@@ -170,15 +177,22 @@ def exists_probability(prior: PriorModel, n: int, chain, prop, v: str, k: int) -
 # ---------------------------------------------------------------------------
 # joint letter distribution
 
-def letter_distribution(prior: PriorModel, aps, v: str, k: int,
-                        cap: int = 10 ** 6) -> np.ndarray:
+def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     """Exact joint distribution over predicate bitmasks at (v, k).
 
     Factors over the nodes the predicates touch; predicates sharing nodes
-    stay exactly correlated.  Above the DP state-space cap, falls back to
+    stay exactly correlated.  Above MAX_DP_STATES DP states, falls back to
     predicate independence with a warning.
     """
-    n_ap = len(aps)
+    _check_node(prior, v)
+    if not 1 <= k <= prior.L:
+        raise InputError(f"time index {k} outside 1..{prior.L}")
+    return _letters(prior, aps, v)(k)
+
+
+def _letters(prior, aps, v):
+    """k -> letter_distribution(prior, aps, v, k), with the reach sets, the
+    DP slots and the fallback decision made once for every time step."""
     bare = []  # (ap index, NodeProposition)
     exist = []  # (ap index, N, reach list, NodeProposition)
     for i, ap in enumerate(aps):
@@ -193,12 +207,12 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int,
     states = 1 << len(bare)
     for _, n, reach, _ in exist:
         states *= min(n, len(reach)) + 1
-    if states > cap:
+    if states > MAX_DP_STATES:
         warnings.warn(
-            f"joint letter distribution needs {states} DP states (cap {cap}); "
+            f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
             "falling back to predicate independence"
         )
-        return _independent_letters(prior, aps, bare, exist, v, k)
+        return lambda k: _independent_letters(prior, aps, bare, exist, v, k)
 
     # per involved node: distribution over the local truth vector of all
     # propositions that touch it
@@ -211,43 +225,46 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int,
     for j, (_, _, reach, prop) in enumerate(exist):
         for u in reach:
             node_props[u].append(("count", j, prop))
-
     caps = [min(n, len(reach)) for _, n, reach, _ in exist]
-    dp = {(0,) * (len(bare) + len(exist)): 1.0}
-    for u in involved:
-        props = node_props[u]
-        if not props:
-            continue
-        local = _local_truth_distribution(prior, u, k, [p for _, _, p in props])
-        new = {}
-        for state, mass in dp.items():
-            for truth, q in local:
-                if q == 0.0:
-                    continue
-                s = list(state)
-                for (kind, j, _), t in zip(props, truth):
-                    if not t:
-                        continue
-                    if kind == "bare":
-                        s[j] = 1
-                    else:
-                        slot = len(bare) + j
-                        s[slot] = min(s[slot] + 1, caps[j])
-                key = tuple(s)
-                new[key] = new.get(key, 0.0) + mass * q
-        dp = new
 
-    out = np.zeros(1 << n_ap)
-    for state, mass in dp.items():
-        letter = 0
-        for j, (i, _) in enumerate(bare):
-            if state[j]:
-                letter |= 1 << i
-        for j, (i, n, reach, _) in enumerate(exist):
-            if len(reach) >= n and state[len(bare) + j] >= caps[j]:
-                letter |= 1 << i
-        out[letter] += mass
-    return out
+    def at(k):
+        dp = {(0,) * (len(bare) + len(exist)): 1.0}
+        for u in involved:
+            props = node_props[u]
+            if not props:
+                continue
+            local = _local_truth_distribution(prior, u, k, [p for _, _, p in props])
+            new = {}
+            for state, mass in dp.items():
+                for truth, q in local:
+                    if q == 0.0:
+                        continue
+                    s = list(state)
+                    for (kind, j, _), t in zip(props, truth):
+                        if not t:
+                            continue
+                        if kind == "bare":
+                            s[j] = 1
+                        else:
+                            slot = len(bare) + j
+                            s[slot] = min(s[slot] + 1, caps[j])
+                    key = tuple(s)
+                    new[key] = new.get(key, 0.0) + mass * q
+            dp = new
+
+        out = np.zeros(1 << len(aps))
+        for state, mass in dp.items():
+            letter = 0
+            for j, (i, _) in enumerate(bare):
+                if state[j]:
+                    letter |= 1 << i
+            for j, (i, n, reach, _) in enumerate(exist):
+                if len(reach) >= n and state[len(bare) + j] >= caps[j]:
+                    letter |= 1 << i
+            out[letter] += mass
+        return out
+
+    return at
 
 
 def _local_truth_distribution(prior, u, k, props):
@@ -282,45 +299,32 @@ def _independent_letters(prior, aps, bare, exist, v, k):
 # ---------------------------------------------------------------------------
 # satisfaction probability (backward DFA recursion)
 
-def _dfa_probability(prior: PriorModel, f: Formula, v: str, cap: int) -> float:
-    """P over the prior that the word of (v, 1..L) is accepted by f's DFA."""
-    dfa, aps = to_dfa(f, prior.L)
-    n_letters = dfa.n_letters
-    u = dfa.accepting.astype(float)
-    for ell in range(prior.L, 0, -1):
-        dist = letter_distribution(prior, aps, v, ell, cap=cap)
-        nxt = np.zeros(dfa.n_states)
-        for q in range(dfa.n_states):
-            nxt[q] = float(np.dot(dist, u[dfa.transitions[q]]))
-        counters["transition_evals"] += dfa.n_states * n_letters
-        u = nxt
-    return float(u[dfa.initial])
-
-
-def satisfaction_probability(prior: PriorModel, f: Formula, v: str,
-                             cap: int = 10 ** 6) -> float:
+def satisfaction_probability(prior: PriorModel, f: Formula, v: str) -> float:
     """Exact probability that a prior-drawn trajectory satisfies f at (v, 1)."""
+    return _probabilities(prior, f, [v])[v]
+
+
+def _probabilities(prior, f, nodes) -> dict:
+    """{v: P(f at (v, 1))} for every node: f is checked, desugared and
+    classified once, and one DFA serves every node."""
+    for v in nodes:
+        _check_node(prior, v)
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
     g = desugar(f)
-    if isinstance(g, TrueF):
-        return 1.0
-    if isinstance(g, FalseF):
-        return 0.0
+    if isinstance(g, (TrueF, FalseF)):
+        return dict.fromkeys(nodes, 1.0 if isinstance(g, TrueF) else 0.0)
     sub = classify_subtype(g)
     if sub.typeII:
-        root = g
-        if not isinstance(root, Exists):
+        if not isinstance(g, Exists):
             raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
-        inner = root.body
-        reach = static_reach(prior, v, root.chain)
-        n = int(root.count)
-        if len(reach) < n:
-            return 0.0
-        betas = [_inner_probability(prior, inner, u, cap) for u in reach]
-        return _poisson_binomial_tail(betas, n)
+        reaches = {v: static_reach(prior, v, g.chain) for v in nodes}
+        betas = _inner_probabilities(prior, g.body, classify_subtype(g.body),
+                                     sorted({u for r in reaches.values() for u in r}))
+        return {v: _poisson_binomial_tail([betas[u] for u in r], int(g.count))
+                for v, r in reaches.items()}
     if sub.typeI:
-        return _inner_probability(prior, g, v, cap)
+        return _inner_probabilities(prior, g, sub, nodes)
     raise OutOfScopeError(
         "satisfaction probability supports only formulas whose neighbor "
         "predicates wrap atoms, or one outer neighbor predicate over a "
@@ -328,16 +332,27 @@ def satisfaction_probability(prior: PriorModel, f: Formula, v: str,
     )
 
 
-def _inner_probability(prior, f, v, cap):
-    sub = classify_subtype(f)
-    if sub.cosafe:
-        return _dfa_probability(prior, f, v, cap)
-    if sub.safe:
-        return 1.0 - _dfa_probability(prior, Not(f), v, cap)
-    raise OutOfScopeError(
-        "formula is neither syntactically co-safe nor safe; its satisfaction "
-        "is not decidable on finite prefixes"
-    )
+def _inner_probabilities(prior, f, sub, nodes):
+    """{v: P} through f's DFA if f is co-safe, else as 1 - P(!f) through the
+    DFA of !f if f is safe."""
+    if not (sub.cosafe or sub.safe):
+        raise OutOfScopeError(
+            "formula is neither syntactically co-safe nor safe; its satisfaction "
+            "is not decidable on finite prefixes"
+        )
+    dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
+    probs = {v: _acceptance(prior, dfa, aps, v) for v in nodes}
+    return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
+
+
+def _acceptance(prior, dfa, aps, v) -> float:
+    """P over the prior that the word of (v, 1..L) is accepted by dfa."""
+    letters = _letters(prior, aps, v)
+    u = dfa.accepting.astype(float)
+    for ell in range(prior.L, 0, -1):
+        u = u[dfa.transitions] @ letters(ell)
+        counters["transition_evals"] += dfa.n_states * dfa.n_letters
+    return float(u[dfa.initial])
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +366,18 @@ class InfoGainReport:
     units: str = "nats per time step"
 
 
-def compute_ig(prior: PriorModel, f: Formula, nodes=None,
-               cap: int = 10 ** 6) -> InfoGainReport:
+def compute_ig(prior: PriorModel, f: Formula, nodes=None) -> InfoGainReport:
     """Per-node and average information gain of observing that f holds.
 
     IG_v = -ln(P_v)/L; tautologies, contradictions, and zero-probability
     formulas yield 0.
     """
-    if nodes is None:
-        nodes = list(prior.graph.nodes)
-    else:
-        nodes = list(nodes)
-        for v in nodes:
-            if v not in prior.graph.node_index:
-                raise InputError(f"unknown node id {v!r}")
-        if not nodes:
-            raise UsageError("empty node subset")
-    g = desugar(f)
-    trivial = isinstance(g, (TrueF, FalseF))
-    probs, igs = {}, {}
-    for v in nodes:
-        p = satisfaction_probability(prior, f, v, cap=cap)
-        probs[v] = p
-        igs[v] = 0.0 if (trivial or p <= 0.0) else -math.log(p) / prior.L
+    nodes = list(prior.graph.nodes if nodes is None else nodes)
+    if not nodes:
+        raise UsageError("empty node subset")
+    probs = _probabilities(prior, f, nodes)
+    # P = 1 exactly (tautologies among them) gains 0, not -0
+    igs = {v: 0.0 if p <= 0.0 or p == 1.0 else -math.log(p) / prior.L
+           for v, p in probs.items()}
     avg = sum(igs.values()) / len(nodes)
     return InfoGainReport(probabilities=probs, info_gain=igs, average_ig=avg)

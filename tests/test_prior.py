@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import gtl.prior
+from gtl.automata import to_dfa
 from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.formula import parse
 from gtl.graph import EdgeProposition, LabeledGraph, NodeProposition, reach
@@ -15,12 +17,19 @@ from gtl.prior import (
     static_reach,
 )
 
-from conftest import prob_oracle, random_graph, two_bin_prior
+from conftest import prob_oracle, prob_oracle_all, random_graph, two_bin_prior
 
 
 def one_node_prior(L=2):
     g = LabeledGraph(["a"], [])
     return two_bin_prior(g, L)
+
+
+def default_pmf_prior(L=2):
+    """Every node on one shared pmf, so no node id is looked up in pmf."""
+    g = LabeledGraph(["a"], [])
+    return PriorModel(g, L, ((0.0, 1.0), (1.0, 2.0)), {}, {},
+                      default_pmf=np.array([0.5, 0.5]))
 
 
 class TestPriorModel:
@@ -70,6 +79,10 @@ class TestAtomProbability:
     def test_time_bounds_checked(self):
         with pytest.raises(InputError):
             atom_probability(one_node_prior(), parse("x <= 1"), "a", 3)
+
+    def test_unknown_node_rejected_with_default_pmf(self):
+        with pytest.raises(InputError):
+            atom_probability(default_pmf_prior(), parse("x <= 1"), "zzz", 1)
 
 
 class TestStaticReach:
@@ -131,6 +144,29 @@ class TestLetterDistribution:
         assert dist[1] == pytest.approx(0.25)
         assert dist.sum() == pytest.approx(1.0)
 
+    def test_independence_fallback(self, six_node, monkeypatch):
+        prior = two_bin_prior(
+            six_node.graph, 1,
+            edge_labels={e: six_node.edge_label(e, 1)
+                         for e in six_node.graph.edges})
+        aps = [parse("x <= 0.6"), parse("E 2 via (y <= 1) : x >= 1")]
+        monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 1)
+        with pytest.warns(UserWarning, match="independence"):
+            dist = letter_distribution(prior, aps, "v4", 1)
+        p0 = atom_probability(prior, aps[0], "v4", 1)
+        p1 = 0.25  # both of v4's two reached nodes at x >= 1
+        assert np.allclose(dist, [(1 - p0) * (1 - p1), p0 * (1 - p1),
+                                  (1 - p0) * p1, p0 * p1])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_time_outside_horizon_rejected(self, k):
+        with pytest.raises(InputError):
+            letter_distribution(one_node_prior(L=2), [parse("x <= 1.5")], "a", k)
+
+    def test_unknown_node_rejected_with_default_pmf(self):
+        with pytest.raises(InputError):
+            letter_distribution(default_pmf_prior(), [parse("x <= 1.5")], "zzz", 1)
+
 
 class TestSatisfactionProbability:
     def test_boundary_atom_spot_value(self):
@@ -173,9 +209,28 @@ class TestSatisfactionProbability:
                      "E 2 via (y <= 1) : G x <= 1.5",
                      "E 2 via (y <= 1) via (y <= 1) : F[<=1] x >= 0.8"]:
             f = parse(text)
-            got = satisfaction_probability(prior, f, "b")
-            want = prob_oracle(prior, f, "b")
-            assert got == pytest.approx(want, abs=1e-10), text
+            want = prob_oracle_all(prior, f)
+            probs = compute_ig(prior, f).probabilities
+            for v in g.nodes:
+                got = satisfaction_probability(prior, f, v)
+                assert got == pytest.approx(want[v], abs=1e-10), (text, v)
+                assert probs[v] == got, (text, v)
+
+    def test_type_two_out_of_scope_body_rejected_at_every_node(self):
+        # c reaches nothing, yet the body is still neither co-safe nor safe
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b")])
+        prior = two_bin_prior(g, 2)
+        f = parse("E 1 via (y <= 1) : (F x >= 1 & G x <= 1.5)")
+        for v in g.nodes:
+            with pytest.raises(OutOfScopeError):
+                satisfaction_probability(prior, f, v)
+        with pytest.raises(OutOfScopeError):
+            compute_ig(prior, f, nodes=["c"])
+
+    def test_unknown_node_rejected_with_default_pmf(self):
+        for text in ["F x >= 1", "TRUE"]:
+            with pytest.raises(InputError):
+                satisfaction_probability(default_pmf_prior(), parse(text), "zzz")
 
     def test_out_of_fragment_rejected(self):
         prior = one_node_prior()
@@ -200,6 +255,50 @@ class TestCounters:
 
         e1, e2 = evals(4), evals(8)
         assert e2 == 2 * e1
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("text", [
+        "G (x >= 1 -> F[<=1] x <= 0.5)",  # type-I, safe: the DFA of its negation
+        "F E 1 via (y <= 1) : x >= 1",  # type-I with a neighbor letter
+        "E 1 via (y <= 1) : G x <= 1.5",  # type-II: one DFA for every reached node
+    ])
+    def test_one_dfa_and_one_desugar_per_call(self, monkeypatch, text):
+        calls = {"to_dfa": 0, "desugar": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(gtl.prior, name, counting(name, getattr(gtl.prior, name)))
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = two_bin_prior(g, 3, rng_np=np.random.default_rng(3))
+        f = parse(text)
+        compute_ig(prior, f)
+        assert calls == {"to_dfa": 1, "desugar": 1}
+        satisfaction_probability(prior, f, "b")
+        assert calls == {"to_dfa": 2, "desugar": 2}
+
+    def test_matches_per_state_recursion(self):
+        """The vectorized recursion against the per-state loop it replaced."""
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = two_bin_prior(g, 4, rng_np=np.random.default_rng(8),
+                              edge_labels={"e1": 1.0, "e2": 2.0})
+        for text in ["F[<=2] x >= 1", "x <= 0.5 U x >= 1",
+                     "F (x >= 1 & E 1 via (y <= 2) : x <= 0.8)"]:
+            f = parse(text)
+            dfa, aps = to_dfa(f)
+            for v in g.nodes:
+                u = dfa.accepting.astype(float)
+                for k in range(prior.L, 0, -1):
+                    dist = letter_distribution(prior, aps, v, k)
+                    u = np.array([np.dot(dist, u[dfa.transitions[q]])
+                                  for q in range(dfa.n_states)])
+                assert satisfaction_probability(prior, f, v) == \
+                    pytest.approx(u[dfa.initial], abs=1e-12), (text, v)
 
 
 class TestInfoGain:

@@ -21,7 +21,7 @@ from . import __version__
 from .automata import to_dfa
 from .classify import PsoConfig, infer_classifier
 from .datagen import SwarmScenario, gen_planted, gen_swarm, sample_prior
-from .errors import GtlError, InfeasibleError
+from .errors import GtlError, InfeasibleError, UsageError
 from .formula import parse, print_formula
 from .graph import load_graph, load_trajectories, save_trajectories
 from .identify import identify as identify_op
@@ -201,6 +201,8 @@ def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget,
     started = time.perf_counter()
     g = load_graph(graph_path) if graph_path else None
     trajs = load_trajectories(traj_path, g)
+    if not trajs:
+        raise UsageError("identification needs at least one trajectory")
     prior = load_prior(prior_path, trajs[0].graph)
     templates = load_templates(tpl_path)
     report = identify_op(trajs, prior, templates, p_th=pth, eps=eps, budget=budget)
@@ -345,7 +347,7 @@ def main(argv=None):
         return 1
     except click.exceptions.Abort:
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         click.echo(f"error [input]: {exc}", err=True)
         return 1
     return 0

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InputError, RangeError
 
+#: what reading a JSON document of the wrong shape raises
+_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+
 
 @dataclass(frozen=True)
 class EdgeProposition:
@@ -73,6 +76,8 @@ class LabeledGraph:
     def __init__(self, nodes: Sequence[str], edges: Sequence[tuple[str, str, str]]):
         """edges: iterable of (edge_id, end1, end2)."""
         nodes = list(nodes)
+        if not nodes:
+            raise InputError("a graph needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise InputError("duplicate node ids")
         self.nodes = tuple(nodes)
@@ -128,10 +133,12 @@ class LabeledGraph:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LabeledGraph":
         try:
-            nodes = d["nodes"]
+            nodes = list(d["nodes"])
             edges = [(e["id"], e["ends"][0], e["ends"][1]) for e in d["edges"]]
-        except (KeyError, IndexError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
+        if not all(isinstance(x, str) for x in nodes + [x for e in edges for x in e]):
+            raise InputError("malformed graph JSON: node and edge ids must be strings")
         return cls(nodes, edges)
 
     @classmethod
@@ -199,6 +206,8 @@ class GraphTemporalTrajectory:
 
     @classmethod
     def from_json_dict(cls, d: Mapping, graph: LabeledGraph | None = None) -> "GraphTemporalTrajectory":
+        if not isinstance(d, Mapping):
+            raise InputError("malformed trajectory JSON: expected an object")
         if graph is None:
             g = d.get("graph")
             if isinstance(g, str):
@@ -218,13 +227,13 @@ class GraphTemporalTrajectory:
                 )
             else:
                 edge_labels = np.zeros((0, L))
-        except (KeyError, ValueError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"malformed trajectory JSON: {exc}") from exc
         label = d.get("label")
         if label is not None:
+            if isinstance(label, bool) or label not in (1, -1):
+                raise InputError(f"classification label must be 1 or -1, got {label!r}")
             label = int(label)
-            if label not in (1, -1):
-                raise InputError(f"classification label must be 1 or -1, got {label}")
         return cls(graph, node_labels, edge_labels, label=label)
 
     def __repr__(self):
@@ -287,7 +296,7 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad syntax or encoding; deep nesting
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 

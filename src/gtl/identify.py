@@ -183,7 +183,7 @@ def knee_points(unsat_points, z=None, cap: int = 100_000) -> list:
 
 def _gap_to_front(point, front) -> float:
     """How far the satisfying front sits above the point (one-sided, min over front)."""
-    return min(max((ti - si if ti > si else 0.0) for si, ti in zip(point, t))
+    return min(max(((ti - si if ti > si else 0.0) for si, ti in zip(point, t)), default=0.0)
                for t in front)
 
 
@@ -321,7 +321,7 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     res.formula = f
     res.valuation = theta
     res.omega = omega
-    res.coverage = known[omega] if omega in known else coverage(trajs, f)
+    res.coverage = known[omega]
     res.average_ig = avg_ig
     res.info_gain = rep.info_gain
     res.front = [list(w) for w in sorted(front)]

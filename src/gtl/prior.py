@@ -22,7 +22,7 @@ from .formula import (
     Atom, Exists, FalseF, Formula, Not, TrueF, classify_subtype, desugar,
     is_ground,
 )
-from .graph import LabeledGraph, NodeProposition, _read_json, reach
+from .graph import _MALFORMED, LabeledGraph, NodeProposition, _read_json, reach
 
 #: running totals used by the complexity tests; see reset_counters().
 counters = {"transition_evals": 0}
@@ -69,7 +69,7 @@ class PriorModel:
             p = self.node_pmf(v)
             if p.shape != (self.L, B):
                 raise InputError(f"pmf for {v!r} must have shape ({self.L}, {B})")
-            if (p < 0).any() or (abs(p.sum(axis=1) - 1.0) > 1e-9).any():
+            if not np.isfinite(p).all() or (p < 0).any() or (abs(p.sum(axis=1) - 1.0) > 1e-9).any():
                 raise InputError(f"pmf for {v!r} is not a probability vector")
         for e in self.graph.edges:
             if e not in self.static_edge_labels:
@@ -90,11 +90,11 @@ class PriorModel:
             L = int(d["L"])
             bins = tuple((float(lo), float(hi)) for lo, hi in d["bins"])
             edge_labels = {str(k): float(x) for k, x in d["edge_labels"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            pmf = {v: np.asarray(rows, dtype=float) for v, rows in d.get("pmf", {}).items()}
+            default = d.get("default_pmf")
+            default = np.asarray(default, dtype=float) if default is not None else None
+        except _MALFORMED as exc:
             raise InputError(f"malformed prior file: {exc}") from exc
-        pmf = {v: np.asarray(rows, dtype=float) for v, rows in d.get("pmf", {}).items()}
-        default = d.get("default_pmf")
-        default = np.asarray(default, dtype=float) if default is not None else None
         return cls(graph=graph, L=L, bins=bins, pmf=pmf,
                    static_edge_labels=edge_labels, default_pmf=default)
 
@@ -143,11 +143,16 @@ def atom_probability(prior: PriorModel, prop, v: str, k: int) -> float:
 def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
     """Nodes reachable from v through the chain under the static edge labels."""
     _check_node(prior, v)
+    return _static_reaches(prior, chain)[v]
+
+
+def _static_reaches(prior, chain) -> dict:
+    """{v: static_reach(prior, v, chain)} for every node, from one reach array."""
     g = prior.graph
     labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
     props = [e.prop() if hasattr(e, "prop") else e for e in chain]
-    row = reach(g, labels.reshape(g.n_edges, 1), props)[0, g.node_index[v]]
-    return [g.nodes[i] for i in np.flatnonzero(row)]
+    R = reach(g, labels.reshape(g.n_edges, 1), props)[0]
+    return {v: [g.nodes[i] for i in np.flatnonzero(row)] for v, row in zip(g.nodes, R)}
 
 
 def _poisson_binomial_tail(probs, n: int) -> float:
@@ -187,19 +192,25 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     _check_node(prior, v)
     if not 1 <= k <= prior.L:
         raise InputError(f"time index {k} outside 1..{prior.L}")
-    return _letters(prior, aps, v)(k)
+    return _letters(prior, aps, v, _chain_reaches(prior, aps))(k)
 
 
-def _letters(prior, aps, v):
-    """k -> letter_distribution(prior, aps, v, k), with the reach sets, the
-    DP slots and the fallback decision made once for every time step."""
+def _chain_reaches(prior, aps) -> dict:
+    """{chain: _static_reaches(prior, chain)} for each distinct Exists chain."""
+    chains = {ap.chain for ap in aps if isinstance(ap, Exists)}
+    return {chain: _static_reaches(prior, chain) for chain in chains}
+
+
+def _letters(prior, aps, v, reaches):
+    """k -> letter_distribution(prior, aps, v, k); the reach sets (rows of
+    _chain_reaches), DP slots and fallback decision are made once for all k."""
     bare = []  # (ap index, NodeProposition)
     exist = []  # (ap index, N, reach list, NodeProposition)
     for i, ap in enumerate(aps):
         if isinstance(ap, Atom):
             bare.append((i, ap.prop()))
         elif isinstance(ap, Exists):
-            reach = static_reach(prior, v, ap.chain)
+            reach = reaches[ap.chain][v]
             exist.append((i, int(ap.count), reach, ap.body.prop()))
         else:
             raise UsageError(f"not an atomic predicate: {ap}")
@@ -318,11 +329,11 @@ def _probabilities(prior, f, nodes) -> dict:
     if sub.typeII:
         if not isinstance(g, Exists):
             raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
-        reaches = {v: static_reach(prior, v, g.chain) for v in nodes}
+        reaches = _static_reaches(prior, g.chain)
         betas = _inner_probabilities(prior, g.body, classify_subtype(g.body),
-                                     sorted({u for r in reaches.values() for u in r}))
-        return {v: _poisson_binomial_tail([betas[u] for u in r], int(g.count))
-                for v, r in reaches.items()}
+                                     sorted({u for v in nodes for u in reaches[v]}))
+        return {v: _poisson_binomial_tail([betas[u] for u in reaches[v]], int(g.count))
+                for v in nodes}
     if sub.typeI:
         return _inner_probabilities(prior, g, sub, nodes)
     raise OutOfScopeError(
@@ -341,13 +352,14 @@ def _inner_probabilities(prior, f, sub, nodes):
             "is not decidable on finite prefixes"
         )
     dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
-    probs = {v: _acceptance(prior, dfa, aps, v) for v in nodes}
+    reaches = _chain_reaches(prior, aps)
+    probs = {v: _acceptance(prior, dfa, aps, v, reaches) for v in nodes}
     return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
 
 
-def _acceptance(prior, dfa, aps, v) -> float:
+def _acceptance(prior, dfa, aps, v, reaches) -> float:
     """P over the prior that the word of (v, 1..L) is accepted by dfa."""
-    letters = _letters(prior, aps, v)
+    letters = _letters(prior, aps, v, reaches)
     u = dfa.accepting.astype(float)
     for ell in range(prior.L, 0, -1):
         u = u[dfa.transitions] @ letters(ell)

@@ -1,8 +1,13 @@
 """Finite-trace satisfaction semantics for GTL formulas.
 
-Evaluation is table-based: for a trajectory and a parameter-free formula we
-compute one |V| x L boolean table per subformula, memoized for the length of
-one call and then dropped.
+Evaluation is table-based and works on a whole trajectory set at once: a
+query stacks the node labels of its N trajectories into one (N, |V|, L)
+array and their edge labels into one (|E|, N*L) block, then computes one
+(N, |V|, L) boolean table per subformula, memoized for the length of the
+call and then dropped.  A neighbor predicate makes one `reach` call per
+query over the whole block and holds its (N*L, |V|, |V|) reach array for
+the rest of the call.  All trajectories of a set share one graph and one
+horizon L.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -17,110 +22,83 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import (
-    Always, And, Atom, Eventually, Exists, FalseF, Formula, Implies, Not, Or,
-    TrueF, Until, desugar, is_ground,
+    Always, And, Atom, Eventually, Exists, FalseF, Formula, Not, Or, TrueF,
+    Until, desugar, is_ground,
 )
 from .graph import GraphTemporalTrajectory, reach
 
 
 def sat_table(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
     """Boolean table T with T[v, k-1] iff (traj, v, k) |= f."""
-    return next(_tables([traj], f))
+    return _table([traj], f)[0]
 
 
-def _tables(trajectories, f):
-    """The table of f on each trajectory in turn.
+def _table(trajectories, f):
+    """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f.
 
-    Groundness is checked and f desugared once per call; each table is
-    evaluated with a memo of its own, so nothing outlives the call.
+    The set and f are checked, f desugared and the labels stacked once per
+    call; each subformula is evaluated once for the whole set.
     """
+    graph, L = trajectories[0].graph, trajectories[0].L
+    if any(t.graph is not graph or t.L != L for t in trajectories):
+        raise InputError("all trajectories must share one graph and one horizon L")
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
-    g = desugar(f)
-    for traj in trajectories:
-        yield _eval(traj, g, {})
+    x = np.array([t.node_labels for t in trajectories])
+    y = np.concatenate([t.edge_labels for t in trajectories], axis=1)
+    return _eval(graph, x, y, desugar(f), {})
 
 
-def _eval(traj, f, cache):
+def _eval(graph, x, y, f, cache):
     def rec(g):
         if g not in cache:
-            cache[g] = _eval(traj, g, cache)
+            cache[g] = _eval(graph, x, y, g, cache)
         return cache[g]
 
-    V, L = traj.graph.n_nodes, traj.L
     if isinstance(f, TrueF):
-        return np.ones((V, L), dtype=bool)
+        return np.ones(x.shape, dtype=bool)
     if isinstance(f, FalseF):
-        return np.zeros((V, L), dtype=bool)
+        return np.zeros(x.shape, dtype=bool)
     if isinstance(f, Atom):
-        return f.prop().holds(traj.node_labels)
+        return f.prop().holds(x)
     if isinstance(f, Not):
         return ~rec(f.sub)
     if isinstance(f, And):
         return rec(f.left) & rec(f.right)
     if isinstance(f, Or):
         return rec(f.left) | rec(f.right)
-    if isinstance(f, Implies):
-        return ~rec(f.left) | rec(f.right)
     if isinstance(f, Exists):
-        R = reach(traj.graph, traj.edge_labels, [e.prop() for e in f.chain])
-        counts = (R & rec(f.body).T[:, None, :]).sum(axis=2)  # (L, V)
-        return (counts >= f.count).T
+        N, V, L = x.shape
+        R = reach(graph, y, [e.prop() for e in f.chain]).reshape(N, L, V, V)
+        counts = (R & rec(f.body).transpose(0, 2, 1)[:, :, None, :]).sum(axis=3)  # (N, L, V)
+        return (counts >= f.count).transpose(0, 2, 1)
     if isinstance(f, Eventually):
-        return _eventually(rec(f.sub), f.bound)
+        return _until(None, rec(f.sub), f.bound)
     if isinstance(f, Always):
-        return ~_eventually(~rec(f.sub), f.bound)
+        return ~_until(None, ~rec(f.sub), f.bound)
     if isinstance(f, Until):
         return _until(rec(f.left), rec(f.right), f.bound)
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _window(L, k, bound):
-    """Future indices (0-based, inclusive) the quantifier at time k ranges over."""
-    lo = k if bound is None or bound.lo is None else k + bound.lo
-    hi = L - 1 if bound is None or bound.hi is None else min(k + bound.hi, L - 1)
-    return lo, hi
-
-
-def _eventually(tab, bound):
-    V, L = tab.shape
-    out = np.zeros((V, L), dtype=bool)
-    for k in range(L):
-        lo, hi = _window(L, k, bound)
-        if lo <= hi:
-            out[:, k] = tab[:, lo : hi + 1].any(axis=1)
-    return out
-
-
 def _until(a, b, bound):
-    V, L = a.shape
-    # unbounded recursion: U[k] = a[k] & (b[k] | U[k+1])
-    u = np.zeros((V, L), dtype=bool)
-    u[:, L - 1] = a[:, L - 1] & b[:, L - 1]
-    for k in range(L - 2, -1, -1):
-        u[:, k] = a[:, k] & (b[:, k] | u[:, k + 1])
-    if bound is None:
-        return u
-    out = np.zeros((V, L), dtype=bool)
-    prefix_all = np.cumsum(~a, axis=1)  # count of !a in a[:, :k+1]
-    for k in range(L):
-        lo = k if bound.lo is None else k + bound.lo
-        if bound.lo is not None:
-            # a must hold on [k, lo-1] and the unbounded until must hold at lo
-            if lo > L - 1:
-                continue
-            holds = prefix_all[:, lo - 1] - (prefix_all[:, k - 1] if k > 0 else 0) == 0 if lo > k else True
-            out[:, k] = u[:, lo] & holds
-        else:
-            hi = min(k + bound.hi, L - 1)
-            # witness k' in [k, hi] with b[k'] and a on [k, k']
-            acc = np.zeros(V, dtype=bool)
-            a_run = np.ones(V, dtype=bool)
-            for kp in range(k, hi + 1):
-                a_run &= a[:, kp]
-                acc |= a_run & b[:, kp]
-            out[:, k] = acc
-    return out
+    """Table of a U b under a single-sided bound, or of F b if a is None.
+
+    At time k a witness of b is sought in [k+lo, min(k+hi, j-1, L-1)], where
+    j is the first index >= k at which a fails; the hits in each window are
+    a difference of one cumulative sum of b along time.
+    """
+    L = b.shape[-1]
+    k = np.arange(L)
+    lo = np.minimum(k + (0 if bound is None or bound.lo is None else bound.lo), L)
+    hi = np.minimum(k + (L if bound is None or bound.hi is None else bound.hi), L - 1)
+    c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
+    np.cumsum(b, axis=-1, out=c[..., 1:])
+    if a is None:
+        return (lo <= hi) & (c[..., hi + 1] > c[..., lo])
+    fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
+    hi = np.minimum(hi, fails - 1)
+    return (lo <= hi) & (np.take_along_axis(c, hi + 1, axis=-1) > c[..., lo])
 
 
 def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:
@@ -145,11 +123,8 @@ def coverage(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> flo
     """Averaged proportion of nodes at which f holds across the set."""
     if not trajectories:
         raise UsageError("coverage of an empty trajectory set is undefined")
-    graph = trajectories[0].graph
-    if any(t.graph is not graph for t in trajectories):
-        raise InputError("all trajectories must share one graph")
-    total = sum(int(tab[:, 0].sum()) for tab in _tables(trajectories, f))
-    return total / (graph.n_nodes * len(trajectories))
+    sat1 = _table(trajectories, f)[:, :, 0]
+    return int(np.count_nonzero(sat1)) / sat1.size
 
 
 def misclassification_rate(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> float:
@@ -158,8 +133,6 @@ def misclassification_rate(trajectories: Sequence[GraphTemporalTrajectory], f: F
         raise UsageError("misclassification rate of an empty dataset is undefined")
     if any(t.label not in (1, -1) for t in trajectories):
         raise InputError("every trajectory needs a classification label of +1 or -1")
-    wrong = 0
-    for t, tab in zip(trajectories, _tables(trajectories, f)):
-        sig = np.where(tab[:, 0], 1, -1)
-        wrong += int((sig != t.label).sum())
-    return wrong / (trajectories[0].graph.n_nodes * len(trajectories))
+    positive = np.array([t.label == 1 for t in trajectories])
+    sat1 = _table(trajectories, f)[:, :, 0]
+    return int(np.count_nonzero(sat1 != positive[:, None])) / sat1.size

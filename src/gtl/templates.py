@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .formula import Formula, free_parameters, instantiate, parse, print_formula
-from .graph import _read_json
+from .graph import _MALFORMED, _read_json
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Template:
                 n: ParamSpec(float(s["min"]), float(s["max"]), s.get("kind", "continuous"))
                 for n, s in d["params"].items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"malformed template: {exc}") from exc
         return cls(formula=f, box=box, name=d.get("name", ""))
 
@@ -103,6 +103,8 @@ def load_templates(path) -> list[Template]:
     data = _read_json(path)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise InputError("a template file holds one template object or a list of them")
     return [Template.from_json_dict(d) for d in data]
 
 

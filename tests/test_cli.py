@@ -1,9 +1,13 @@
 """Command-line interface: reports, exit codes, seeds, file IO."""
 
+import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gtl import __version__
 from gtl.cli import main
@@ -98,6 +102,12 @@ class TestEval:
         assert code == 1
         assert "error [input]: malformed JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exit_one(self, workspace, capsys):
+        workspace["trajs"].write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["eval", "--trajectories", str(workspace["trajs"]), "--formula", "x <= 1"])
+        assert code == 1
+        assert "error [input]: malformed JSON" in capsys.readouterr().err
+
     def test_unknown_flag_exit_one(self, workspace, capsys):
         code, _ = run(capsys, "eval", "--trajectories", str(workspace["trajs"]),
                       "--formula", "x <= 1", "--bogus")
@@ -145,6 +155,15 @@ class TestIdentify:
         rep = json.loads(out)
         assert rep["result"]["best"] is not None
         assert rep["result"]["results"][0]["feasible"]
+
+    def test_empty_trajectory_list_exit_one(self, workspace, capsys):
+        workspace["trajs"].write_text("[]")
+        code = main(["identify", "--trajectories", str(workspace["trajs"]),
+                     "--graph", str(workspace["graph"]),
+                     "--prior", str(workspace["prior"]),
+                     "--templates", str(workspace["templates"])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [usage]")
 
     def test_infeasible_exit_two(self, workspace, capsys):
         # demanding coverage 1.0 of F x >= 2 is impossible on labels in [0, 2)
@@ -240,3 +259,75 @@ class TestSeedFallback:
         code, out = run(capsys, "--help")
         assert code == 0
         assert "identify" in out
+
+
+# ---------------------------------------------------------------------------
+# exit codes on malformed input
+
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-100, 100)
+           | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6))
+_JSON = st.recursive(_LEAVES, lambda sub: st.lists(sub, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), sub, max_size=4),
+                     max_leaves=8)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one node, picked by a random walk from the root, replaced by
+    a random JSON value or dropped from its parent."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        out = copy.copy(doc)
+        if draw(st.integers(0, 4)) == 0:
+            del out[key]
+        else:
+            out[key] = draw(_mutated(doc[key]))
+        return out
+    return draw(_JSON)
+
+
+_FORMULA_CHARS = "xy<=>0123456789.?c! &|->()[]FGUE via:TRUEFALS "
+# command -> files it reads and whether it takes a formula
+_COMMANDS = {
+    "eval": (("trajs", "graph"), True),
+    "ig": (("prior", "graph"), True),
+    "identify": (("trajs", "prior", "templates"), False),
+    "classify": (("trajs", "templates"), False),
+}
+_ARGS = {
+    "eval": ["--trajectories", "{trajs}", "--graph", "{graph}", "--node", "a", "--per-node"],
+    "ig": ["--prior", "{prior}", "--graph", "{graph}"],
+    "identify": ["--trajectories", "{trajs}", "--prior", "{prior}",
+                 "--templates", "{templates}", "--pth", "0.5", "--budget", "8"],
+    "classify": ["--trajectories", "{trajs}", "--templates", "{templates}",
+                 "--mhat", "0.5", "--eta", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_input_exits_cleanly(workspace, capsys, command, data):
+    files, takes_formula = _COMMANDS[command]
+    paths = dict(workspace)
+    bad = data.draw(st.sampled_from(files + ("formula",) if takes_formula else files))
+    formula = "F x >= 1"
+    if bad == "formula":
+        formula = data.draw(st.text(_FORMULA_CHARS, max_size=30)
+                            | st.builds(lambda a, b: a + formula + b,
+                                        st.text(_FORMULA_CHARS, max_size=3),
+                                        st.text(_FORMULA_CHARS, max_size=3)))
+    else:
+        doc = json.loads(workspace[bad].read_text())
+        text = data.draw(st.builds(json.dumps, _mutated(doc)) | st.text(max_size=20))
+        paths[bad] = workspace["out"].with_name(f"bad_{bad}.json")
+        paths[bad].write_text(text)
+    argv = [command] + [a.format(**paths) for a in _ARGS[command]]
+    if takes_formula:
+        argv += ["--formula", formula]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code and not err.startswith(("Error:", "Usage:")):  # click's own usage errors
+        assert re.fullmatch(r"error \[[a-z]+\]: [^\n]*\n", err), err

@@ -30,6 +30,7 @@ class TestLabeledGraph:
         (["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")]),
         (["a", "b"], [("e1", "a", "a")]),
         (["a", "b"], [("e1", "a", "zzz")]),
+        ([], []),  # coverage and MR divide by the node count
     ])
     def test_rejects_malformed(self, nodes, edges):
         with pytest.raises(InputError):
@@ -80,12 +81,21 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             t.node_labels[0, 0] = 2.0
 
-    def test_bad_class_label(self):
+    @pytest.mark.parametrize("label", [2, "pos", [1], 1.5, True])
+    def test_bad_class_label(self, label):
         g = LabeledGraph(["a"], [])
         d = GraphTemporalTrajectory(g, [[1.0]], np.zeros((0, 1))).to_json_dict()
-        d["label"] = 2
+        d["label"] = label
         with pytest.raises(InputError):
             GraphTemporalTrajectory.from_json_dict(d)
+
+    @pytest.mark.parametrize("label", [1, -1, 1.0])
+    def test_class_label_read_as_int(self, label):
+        g = LabeledGraph(["a"], [])
+        d = GraphTemporalTrajectory(g, [[1.0]], np.zeros((0, 1))).to_json_dict()
+        d["label"] = label
+        got = GraphTemporalTrajectory.from_json_dict(d).label
+        assert got == label and type(got) is int
 
 
 class TestPropositions:

@@ -170,6 +170,19 @@ class TestIdentify:
         assert res.valuation["i"] == 2
         assert len(res.omega) == 1  # only c is searched
 
+    @pytest.mark.parametrize("text, box", [
+        ("F[<=?i] x >= ?c", {"c": ParamSpec(4.0, 4.0, "continuous"),
+                             "i": ParamSpec(2, 2, "integer")}),
+        ("F x >= 4", {}),
+    ])
+    def test_no_free_axis(self, text, box):
+        # zero search axes: the one valuation is the front
+        data = make_dataset([[1.0, 5.0, 2.0]], 3)
+        res = identify(data, flat_prior(3), [Template(parse(text), box)],
+                       p_th=1.0, eps=0.05).best
+        assert res.feasible and res.omega == () and res.front == [[]]
+        assert res.coverage == 1.0 and res.achieved_gap == 0.0
+
     def test_bad_arguments(self):
         t = Template(parse("F x >= ?c"), cont_box(c=(0.0, 1.0)))
         with pytest.raises(InputError):

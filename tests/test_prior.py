@@ -43,6 +43,12 @@ class TestPriorModel:
         with pytest.raises(InputError):
             PriorModel(g, 2, ((0.0, 1.0),), {"a": np.ones((3, 1))}, {})
 
+    def test_non_finite_pmf_rejected(self):
+        g = LabeledGraph(["a"], [])
+        with pytest.raises(InputError):  # NaN passes both the sign and the sum test
+            PriorModel(g, 2, ((0.0, 1.0), (1.0, 2.0)),
+                       {"a": np.array([[math.nan, 0.5], [0.5, 0.5]])}, {})
+
     def test_missing_edge_label(self):
         g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
         with pytest.raises(InputError):
@@ -281,6 +287,26 @@ class TestOneRoute:
         assert calls == {"to_dfa": 1, "desugar": 1}
         satisfaction_probability(prior, f, "b")
         assert calls == {"to_dfa": 2, "desugar": 2}
+
+    def test_one_static_reach_per_chain_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_reach(graph, edge_labels, chain):
+            calls.append(tuple(chain))
+            return reach(graph, edge_labels, chain)
+
+        monkeypatch.setattr(gtl.prior, "reach", counting_reach)
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = two_bin_prior(g, 3, rng_np=np.random.default_rng(3),
+                              edge_labels={"e1": 1.0, "e2": 2.0})
+        # three neighbor letters over two distinct chains
+        f = parse("F (E 1 via (y <= 1) : x >= 1 & E 2 via (y <= 1) : x <= 0.5)"
+                  " | F E 1 via (y <= 2) : x >= 1")
+        compute_ig(prior, f)
+        assert len(calls) == len(set(calls)) == 2
+        calls.clear()
+        compute_ig(prior, parse("E 1 via (y <= 2) : G x <= 1.5"))  # type-II
+        assert len(calls) == 1
 
     def test_matches_per_state_recursion(self):
         """The vectorized recursion against the per-state loop it replaced."""

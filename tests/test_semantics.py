@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gtl.graph
 import gtl.semantics
 from gtl.errors import InputError, UsageError
 from gtl.formula import Atom, EdgeAtom, Exists, desugar, parse
@@ -14,7 +15,7 @@ from gtl.semantics import (
     sat_vector,
 )
 
-from conftest import random_formula, random_trajectory, sat_oracle
+from conftest import random_formula, random_graph, random_trajectory, sat_oracle
 
 
 def oracle_table(traj, f):
@@ -191,3 +192,63 @@ class TestCoverageAndMr:
     def test_mr_requires_labels(self, path3):
         with pytest.raises(InputError):
             misclassification_rate([path3], parse("x <= 1"))
+
+
+class TestTrajectorySets:
+    """One stacked table per query over the whole set."""
+
+    def test_stacked_table_against_oracle(self):
+        rng = np.random.default_rng(23)
+        for case in range(80):
+            g = random_graph(rng, int(rng.integers(1, 6)), 0.0 if case % 5 == 0 else 0.5)
+            L, N = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            trajs = [GraphTemporalTrajectory(g, t.node_labels, t.edge_labels,
+                                             label=int(rng.choice([1, -1])))
+                     for t in (random_trajectory(rng, g, L) for _ in range(N))]
+            f = random_formula(rng, depth=3)
+            tab = gtl.semantics._table(trajs, f)
+            assert tab.shape == (N, g.n_nodes, L)
+            oracles = [oracle_table(t, f) for t in trajs]
+            for n in range(N):
+                assert np.array_equal(tab[n], oracles[n]), (case, str(f))
+            size = N * g.n_nodes
+            assert coverage(trajs, f) == sum(int(o[:, 0].sum()) for o in oracles) / size
+            wrong = sum(int((o[:, 0] != (t.label == 1)).sum()) for t, o in zip(trajs, oracles))
+            assert misclassification_rate(trajs, f) == wrong / size
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_one_reach_per_neighbor_predicate(self, path3, monkeypatch, n):
+        calls = []
+
+        def counting_reach(graph, edge_labels, chain):
+            calls.append(chain)
+            return gtl.graph.reach(graph, edge_labels, chain)
+
+        monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
+        pos = GraphTemporalTrajectory(path3.graph, path3.node_labels,
+                                      path3.edge_labels, label=1)
+        # two neighbor predicates, one inside the other
+        f = parse("F E 1 via (y <= 1) : (x >= 0.5 & E 1 via (y <= 2) : x <= 0.5)")
+        coverage([path3] * n, f)
+        assert len(calls) == 2
+        misclassification_rate([pos] * n, f)
+        assert len(calls) == 4
+
+    def test_horizons_must_agree(self, path3):
+        short = GraphTemporalTrajectory(path3.graph, path3.node_labels[:, :2],
+                                        path3.edge_labels[:, :2], label=1)
+        pos = GraphTemporalTrajectory(path3.graph, path3.node_labels,
+                                      path3.edge_labels, label=1)
+        with pytest.raises(InputError):
+            coverage([path3, short], parse("x <= 1"))
+        with pytest.raises(InputError):
+            misclassification_rate([pos, short], parse("x <= 1"))
+
+    def test_graphs_must_agree(self, path3):
+        other = GraphTemporalTrajectory(
+            LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")]),
+            path3.node_labels, path3.edge_labels, label=1)
+        pos = GraphTemporalTrajectory(path3.graph, path3.node_labels,
+                                      path3.edge_labels, label=1)
+        with pytest.raises(InputError):
+            misclassification_rate([pos, other], parse("x <= 1"))

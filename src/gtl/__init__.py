@@ -22,8 +22,7 @@ from .semantics import (
 from .automata import Dfa, extract_aps, label_word, run_word, to_dfa
 from .prior import (
     InfoGainReport, PriorModel, atom_probability, compute_ig,
-    exists_probability, letter_distribution, load_prior,
-    satisfaction_probability,
+    letter_distribution, load_prior, satisfaction_probability,
 )
 from .identify import (
     IdentifyReport, TemplateResult, directed_hausdorff, identify, knee_points,

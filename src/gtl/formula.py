@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import InputError, ParseError, UsageError
-from .graph import EdgeProposition, NodeProposition
+from .graph import EdgeProposition, NodeProposition, _check_threshold
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,11 @@ class EdgeAtom:
 
     op: str
     threshold: Value
+
+    def __post_init__(self):
+        # a parameter is checked as the literal that instantiate puts in its place
+        _check_threshold("edge proposition", self.op,
+                         0.0 if isinstance(self.threshold, Param) else self.threshold)
 
     def prop(self) -> EdgeProposition:
         if isinstance(self.threshold, Param):
@@ -115,6 +120,11 @@ class FalseF(Formula):
 class Atom(Formula):
     op: str  # "<=" or ">="
     threshold: Value
+
+    def __post_init__(self):
+        # a parameter is checked as the literal that instantiate puts in its place
+        _check_threshold("node proposition", self.op,
+                         0.0 if isinstance(self.threshold, Param) else self.threshold)
 
     def prop(self) -> NodeProposition:
         if isinstance(self.threshold, Param):

@@ -9,6 +9,7 @@ to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +21,14 @@ from .errors import InputError, RangeError
 _MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
 
 
+def _check_threshold(what, op, threshold):
+    """Threshold predicates compare with <= or >= against a finite number."""
+    if op not in ("<=", ">="):
+        raise InputError(f"{what} operator must be <= or >=, got {op!r}")
+    if not math.isfinite(threshold):
+        raise InputError(f"{what} threshold must be finite, got {threshold}")
+
+
 @dataclass(frozen=True)
 class EdgeProposition:
     """Threshold predicate on an edge label: y <= c or y >= c."""
@@ -28,10 +37,7 @@ class EdgeProposition:
     threshold: float
 
     def __post_init__(self):
-        if self.op not in ("<=", ">="):
-            raise InputError(f"edge proposition operator must be <= or >=, got {self.op!r}")
-        if not np.isfinite(self.threshold):
-            raise InputError("edge proposition threshold must be finite")
+        _check_threshold("edge proposition", self.op, self.threshold)
 
     def holds(self, value):
         return value <= self.threshold if self.op == "<=" else value >= self.threshold
@@ -48,10 +54,7 @@ class NodeProposition:
     threshold: float
 
     def __post_init__(self):
-        if self.op not in ("<=", ">="):
-            raise InputError(f"node proposition operator must be <= or >=, got {self.op!r}")
-        if not np.isfinite(self.threshold):
-            raise InputError("node proposition threshold must be finite")
+        _check_threshold("node proposition", self.op, self.threshold)
 
     def holds(self, value):
         return value <= self.threshold if self.op == "<=" else value >= self.threshold

@@ -3,9 +3,15 @@
 The prior assigns every (node, time) an independent histogram over a shared
 set of label bins, with within-bin uniformity, and holds edge labels fixed.
 Satisfaction probabilities run a backward recursion over the formula's DFA
-using exact joint letter distributions; an outer neighbor-count predicate
-(type-II) lifts per-neighbor probabilities through a Poisson-binomial tail.
-Information gain is reported in nats per time step.
+using exact joint letter distributions.  Every atomic predicate counts as
+"at least n of a reach set satisfy a proposition": a bare atom is 1 of [v],
+`E n via chain : atom` is n of v's static reach.  One call cuts the real
+line into cells at its thresholds, which gives every node an (L, cells) mass
+table; per node, one array DP over all times counts each predicate's
+successes, pooled at min(n, |reach|), and yields an (L, letters) array.  An
+outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
+through a Poisson-binomial tail.  Information gain is reported in nats per
+time step.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .formula import (
     Atom, Exists, FalseF, Formula, Not, TrueF, classify_subtype, desugar,
     is_ground,
 )
-from .graph import _MALFORMED, LabeledGraph, NodeProposition, _read_json, reach
+from .graph import _MALFORMED, LabeledGraph, _read_json, reach
 
 #: running totals used by the complexity tests; see reset_counters().
 counters = {"transition_evals": 0}
@@ -115,68 +121,78 @@ def load_prior(path, graph: LabeledGraph) -> PriorModel:
 
 
 # ---------------------------------------------------------------------------
-# predicate probabilities
+# cell masses: the real line cut once at a call's thresholds
 
 def _check_node(prior, v):
     if v not in prior.graph.node_index:
         raise InputError(f"unknown node id {v!r}")
 
 
-def _bin_fraction(lo, hi, prop: NodeProposition) -> float:
-    """Fraction of the interval [lo, hi) inside the proposition's region."""
-    if prop.op == "<=":
-        return min(max((prop.threshold - lo) / (hi - lo), 0.0), 1.0)
-    return min(max((hi - prop.threshold) / (hi - lo), 0.0), 1.0)
+def _check_time(prior, k):
+    if not 1 <= k <= prior.L:
+        raise InputError(f"time index {k} outside 1..{prior.L}")
+
+
+def _cell_masses(prior, props):
+    """(masses, truth) for the real line cut into cells at the propositions'
+    distinct thresholds: masses[u, k - 1, c] is the prior mass of node u's
+    label in cell c at time k, truth[j, c] whether props[j] holds on cell c."""
+    ts, rank = np.unique(np.array([p.threshold for p in props], dtype=float),
+                         return_inverse=True)
+    edges = np.concatenate(([-np.inf], ts, [np.inf]))
+    lo, hi = np.array(prior.bins).T
+    # share of each bin inside each cell, under within-bin uniformity
+    overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
+    share = np.maximum(overlap, 0.0) / (hi - lo)[:, None]
+    masses = np.stack([prior.node_pmf(u) for u in prior.graph.nodes]) @ share
+    # cell c lies above ts[:c] and below ts[c:]
+    below = np.arange(len(ts) + 1) <= rank[:, None]
+    le = np.array([p.op == "<=" for p in props], dtype=bool)
+    return masses, np.where(le[:, None], below, ~below)
 
 
 def atom_probability(prior: PriorModel, prop, v: str, k: int) -> float:
     """Probability that the node proposition holds at (v, k) under the prior."""
     if isinstance(prop, Atom):
         prop = prop.prop()
-    if not 1 <= k <= prior.L:
-        raise InputError(f"time index {k} outside 1..{prior.L}")
-    p = prior.node_pmf(v)[k - 1]
-    return float(sum(p[i] * _bin_fraction(lo, hi, prop)
-                     for i, (lo, hi) in enumerate(prior.bins)))
+    _check_node(prior, v)
+    _check_time(prior, k)
+    masses, truth = _cell_masses(prior, [prop])
+    return float(masses[prior.graph.node_index[v], k - 1] @ truth[0])
 
 
 def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
     """Nodes reachable from v through the chain under the static edge labels."""
     _check_node(prior, v)
-    return _static_reaches(prior, chain)[v]
+    row = _static_reach_rows(prior, chain)[prior.graph.node_index[v]]
+    return [prior.graph.nodes[u] for u in np.flatnonzero(row)]
 
 
-def _static_reaches(prior, chain) -> dict:
-    """{v: static_reach(prior, v, chain)} for every node, from one reach array."""
+def _static_reach_rows(prior, chain) -> np.ndarray:
+    """(V, V) bool: row v marks static_reach(prior, v, chain), from one reach array."""
     g = prior.graph
     labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
     props = [e.prop() if hasattr(e, "prop") else e for e in chain]
-    R = reach(g, labels.reshape(g.n_edges, 1), props)[0]
-    return {v: [g.nodes[i] for i in np.flatnonzero(row)] for v, row in zip(g.nodes, R)}
+    return reach(g, labels.reshape(g.n_edges, 1), props)[0]
 
 
-def _poisson_binomial_tail(probs, n: int) -> float:
-    """P(at least n successes) for independent Bernoulli trials."""
+def _poisson_binomial_tail(probs, n: int):
+    """P(at least n successes) for independent Bernoulli trials, one trial
+    per row of probs; trailing axes (such as time) are carried along."""
+    probs = np.asarray(probs, dtype=float)
     if n <= 0:
-        return 1.0
+        return np.ones(probs.shape[1:])
     if n > len(probs):
-        return 0.0
+        return np.zeros(probs.shape[1:])
     # dp[c] = P(c successes so far), with all counts >= n pooled at n
-    dp = np.zeros(n + 1)
+    dp = np.zeros((n + 1,) + probs.shape[1:])
     dp[0] = 1.0
     for p in probs:
         pooled = dp[n] + dp[n - 1] * p
         dp[1:n] = dp[1:n] * (1 - p) + dp[:n - 1] * p
         dp[0] *= 1 - p
         dp[n] = pooled
-    return float(dp[n])
-
-
-def exists_probability(prior: PriorModel, n: int, chain, prop, v: str, k: int) -> float:
-    """Probability that >= n nodes reachable from v satisfy prop at time k."""
-    reach = static_reach(prior, v, chain)
-    probs = [atom_probability(prior, prop, u, k) for u in reach]
-    return _poisson_binomial_tail(probs, n)
+    return dp[n]
 
 
 # ---------------------------------------------------------------------------
@@ -190,121 +206,88 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     predicate independence with a warning.
     """
     _check_node(prior, v)
-    if not 1 <= k <= prior.L:
-        raise InputError(f"time index {k} outside 1..{prior.L}")
-    return _letters(prior, aps, v, _chain_reaches(prior, aps))(k)
+    _check_time(prior, k)
+    return _letters(*_letter_table(prior, aps), prior.graph.node_index[v])[k - 1]
 
 
-def _chain_reaches(prior, aps) -> dict:
-    """{chain: _static_reaches(prior, chain)} for each distinct Exists chain."""
-    chains = {ap.chain for ap in aps if isinstance(ap, Exists)}
-    return {chain: _static_reaches(prior, chain) for chain in chains}
-
-
-def _letters(prior, aps, v, reaches):
-    """k -> letter_distribution(prior, aps, v, k); the reach sets (rows of
-    _chain_reaches), DP slots and fallback decision are made once for all k."""
-    bare = []  # (ap index, NodeProposition)
-    exist = []  # (ap index, N, reach list, NodeProposition)
-    for i, ap in enumerate(aps):
+def _letter_table(prior, aps):
+    """(masses, truth, preds) shared by every node of one call: the cell
+    masses and truth table of the aps' propositions, and each ap as (n, rows):
+    it holds at v when at least n of the nodes marked in rows[v] satisfy its
+    proposition.  A bare atom is 1 of [v]; each distinct chain is reached once."""
+    own = np.eye(prior.graph.n_nodes, dtype=bool)
+    rows, preds, props = {}, [], []
+    for ap in aps:
         if isinstance(ap, Atom):
-            bare.append((i, ap.prop()))
+            preds.append((1, own))
+            props.append(ap.prop())
         elif isinstance(ap, Exists):
-            reach = reaches[ap.chain][v]
-            exist.append((i, int(ap.count), reach, ap.body.prop()))
+            if ap.chain not in rows:
+                rows[ap.chain] = _static_reach_rows(prior, ap.chain)
+            preds.append((int(ap.count), rows[ap.chain]))
+            props.append(ap.body.prop())
         else:
             raise UsageError(f"not an atomic predicate: {ap}")
+    return (*_cell_masses(prior, props), preds)
 
-    states = 1 << len(bare)
-    for _, n, reach, _ in exist:
-        states *= min(n, len(reach)) + 1
+
+def _letters(masses, truth, preds, vi) -> np.ndarray:
+    """(L, 2^|preds|) joint letter distribution at node index vi, all times.
+
+    One array DP over the nodes the predicates touch: the state has one axis
+    per predicate counting its successes so far, pooled at min(n, |reach|).
+    """
+    m, L = len(preds), masses.shape[1]
+    ns = [n for n, _ in preds]
+    hits = np.array([r[vi] for _, r in preds], dtype=bool).reshape(m, len(masses))
+    caps = np.minimum(ns, hits.sum(axis=1))
+    states = math.prod(int(c) + 1 for c in caps)
     if states > MAX_DP_STATES:
         warnings.warn(
             f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
             "falling back to predicate independence"
         )
-        return lambda k: _independent_letters(prior, aps, bare, exist, v, k)
+        return _independent_letters(masses, truth, ns, hits)
 
-    # per involved node: distribution over the local truth vector of all
-    # propositions that touch it
-    involved = sorted({u for _, _, reach, _ in exist for u in reach} | {v})
-    node_props = {u: [] for u in involved}  # list of (slot, prop)
-    # slots: 0..len(bare)-1 are bare-atom bits (only at v), then one count
-    # slot per exists predicate
-    for j, (_, prop) in enumerate(bare):
-        node_props[v].append(("bare", j, prop))
-    for j, (_, _, reach, prop) in enumerate(exist):
-        for u in reach:
-            node_props[u].append(("count", j, prop))
-    caps = [min(n, len(reach)) for _, n, reach, _ in exist]
-
-    def at(k):
-        dp = {(0,) * (len(bare) + len(exist)): 1.0}
-        for u in involved:
-            props = node_props[u]
-            if not props:
-                continue
-            local = _local_truth_distribution(prior, u, k, [p for _, _, p in props])
-            new = {}
-            for state, mass in dp.items():
-                for truth, q in local:
-                    if q == 0.0:
-                        continue
-                    s = list(state)
-                    for (kind, j, _), t in zip(props, truth):
-                        if not t:
-                            continue
-                        if kind == "bare":
-                            s[j] = 1
-                        else:
-                            slot = len(bare) + j
-                            s[slot] = min(s[slot] + 1, caps[j])
-                    key = tuple(s)
-                    new[key] = new.get(key, 0.0) + mass * q
-            dp = new
-
-        out = np.zeros(1 << len(aps))
-        for state, mass in dp.items():
-            letter = 0
-            for j, (i, _) in enumerate(bare):
-                if state[j]:
-                    letter |= 1 << i
-            for j, (i, n, reach, _) in enumerate(exist):
-                if len(reach) >= n and state[len(bare) + j] >= caps[j]:
-                    letter |= 1 << i
-            out[letter] += mass
-        return out
-
-    return at
+    # predicate j counts on axis m - j, so the letters come out in bitmask order
+    dp = np.zeros((L,) + tuple(int(c) + 1 for c in caps[::-1]))
+    dp[(slice(None),) + (0,) * m] = 1.0
+    for u in np.flatnonzero(hits.any(axis=0)):
+        touch = np.flatnonzero(hits[:, u])
+        pattern_mass = {}  # truth of the touching predicates -> (L,) mass
+        for c, pattern in enumerate(map(tuple, truth[touch].T)):
+            pattern_mass[pattern] = pattern_mass.get(pattern, 0.0) + masses[u, :, c]
+        new = np.zeros_like(dp)
+        for pattern, mass in pattern_mass.items():
+            moved = dp
+            for j, hit in zip(touch, pattern):
+                if hit:
+                    moved = _bump(moved, m - j)
+            new += mass.reshape((L,) + (1,) * m) * moved
+        dp = new
+    for j in range(m):
+        # count -> (predicate false, predicate true)
+        holds = np.eye(2)[(np.arange(caps[j] + 1) >= ns[j]).astype(int)]
+        dp = np.moveaxis(np.moveaxis(dp, m - j, -1) @ holds, -1, m - j)
+    return dp.reshape(L, -1)
 
 
-def _local_truth_distribution(prior, u, k, props):
-    """[(truth tuple, probability)] for the given propositions at (u, k)."""
-    # subdivide each bin at the thresholds that fall inside it
-    thresholds = sorted({p.threshold for p in props})
-    pmf = prior.node_pmf(u)[k - 1]
-    masses = {}
-    for i, (lo, hi) in enumerate(prior.bins):
-        cuts = [lo] + [t for t in thresholds if lo < t < hi] + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            truth = tuple(p.holds(mid) for p in props)
-            masses[truth] = masses.get(truth, 0.0) + pmf[i] * (b - a) / (hi - lo)
-    return list(masses.items())
-
-
-def _independent_letters(prior, aps, bare, exist, v, k):
-    marg = np.zeros(len(aps))
-    for i, prop in bare:
-        marg[i] = atom_probability(prior, prop, v, k)
-    for i, n, reach, prop in exist:
-        probs = [atom_probability(prior, prop, u, k) for u in reach]
-        marg[i] = _poisson_binomial_tail(probs, n)
-    out = np.ones(1 << len(aps))
-    for letter in range(len(out)):
-        for i in range(len(aps)):
-            out[letter] *= marg[i] if letter & (1 << i) else 1 - marg[i]
+def _bump(dp, axis):
+    """dp after one more success on a count axis, pooled at its last index."""
+    out = np.zeros_like(dp)
+    lead = (slice(None),) * axis
+    out[lead + (slice(1, None),)] = dp[lead + (slice(None, -1),)]
+    out[lead + (-1,)] += dp[lead + (-1,)]
     return out
+
+
+def _independent_letters(masses, truth, ns, hits):
+    """The letter array as a product of per-predicate marginals, each a
+    Poisson-binomial tail over the predicate's reached nodes."""
+    marg = np.stack([_poisson_binomial_tail(masses[h] @ t.astype(float), n)
+                     for n, h, t in zip(ns, hits, truth)], axis=1)
+    bits = (np.arange(1 << len(ns))[:, None] >> np.arange(len(ns))) & 1
+    return np.where(bits, marg[:, None, :], 1 - marg[:, None, :]).prod(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +312,13 @@ def _probabilities(prior, f, nodes) -> dict:
     if sub.typeII:
         if not isinstance(g, Exists):
             raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
-        reaches = _static_reaches(prior, g.chain)
+        rows, names = _static_reach_rows(prior, g.chain), prior.graph.nodes
+        reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
+                   for v in nodes}
         betas = _inner_probabilities(prior, g.body, classify_subtype(g.body),
-                                     sorted({u for v in nodes for u in reaches[v]}))
-        return {v: _poisson_binomial_tail([betas[u] for u in reaches[v]], int(g.count))
-                for v in nodes}
+                                     sorted({u for r in reached.values() for u in r}))
+        return {v: float(_poisson_binomial_tail([betas[u] for u in r], int(g.count)))
+                for v, r in reached.items()}
     if sub.typeI:
         return _inner_probabilities(prior, g, sub, nodes)
     raise OutOfScopeError(
@@ -352,17 +337,17 @@ def _inner_probabilities(prior, f, sub, nodes):
             "is not decidable on finite prefixes"
         )
     dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
-    reaches = _chain_reaches(prior, aps)
-    probs = {v: _acceptance(prior, dfa, aps, v, reaches) for v in nodes}
+    table = _letter_table(prior, aps)
+    index = prior.graph.node_index
+    probs = {v: _acceptance(dfa, _letters(*table, index[v])) for v in nodes}
     return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
 
 
-def _acceptance(prior, dfa, aps, v, reaches) -> float:
-    """P over the prior that the word of (v, 1..L) is accepted by dfa."""
-    letters = _letters(prior, aps, v, reaches)
+def _acceptance(dfa, letters) -> float:
+    """P that a word drawn row by row from the (L, letters) array is accepted."""
     u = dfa.accepting.astype(float)
-    for ell in range(prior.L, 0, -1):
-        u = u[dfa.transitions] @ letters(ell)
+    for row in letters[::-1]:
+        u = u[dfa.transitions] @ row
         counters["transition_evals"] += dfa.n_states * dfa.n_letters
     return float(u[dfa.initial])
 

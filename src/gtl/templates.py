@@ -28,7 +28,7 @@ class ParamSpec:
             raise InputError(f"unknown parameter kind {self.kind!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise InputError(f"parameter range [{self.min}, {self.max}] must be finite")
-        if not self.min <= self.max:
+        if not self.min <= self.max or (self.kind == "integer" and not self.grid()):
             raise InputError(f"empty parameter range [{self.min}, {self.max}]")
 
     @property
@@ -36,15 +36,16 @@ class ParamSpec:
         """A degenerate range pins the parameter to a single value."""
         if self.kind == "continuous":
             return self.min == self.max
-        return int(round(self.max)) == int(round(self.min))
+        return len(self.grid()) == 1
 
-    def grid(self):
-        """Admissible values for integer parameters."""
+    def grid(self) -> range:
+        """Admissible values for integer parameters, as a range: its length,
+        ends, indexing and .index() cost O(1) however wide the box."""
         if self.kind != "integer":
             raise InputError("grid() is only defined for integer parameters")
         lo = math.ceil(self.min - 1e-9)
         hi = math.floor(self.max + 1e-9)
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles re-derive satisfaction and satisfaction probability from first
-principles (set recursion over indices; exhaustive enumeration of bin
-trajectories) without touching the table evaluator or the DFA machinery,
+The oracles re-derive satisfaction, satisfaction probability and joint
+letter distributions from first principles (set recursion over indices;
+exhaustive enumeration of bin trajectories or of one time step's cells)
+without touching the table evaluator, the DFA machinery or the letter DP,
 so agreement is meaningful.
 """
 
@@ -115,18 +116,30 @@ def collect_thresholds(f):
     return out
 
 
+def refined_cells(prior, thresholds):
+    """[(a, b, parent bin)]: the prior's bins cut at the thresholds inside them."""
+    cells = []
+    for lo, hi in prior.bins:
+        cuts = [lo] + sorted(t for t in thresholds if lo < t < hi) + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            cells.append((a, b, (lo, hi)))
+    return cells
+
+
+def cell_mass(prior, u, k, cell):
+    """Prior mass of node u's label landing in the cell at time k."""
+    a, b, parent = cell
+    p = prior.node_pmf(u)[k - 1][prior.bins.index(parent)]
+    return p * (b - a) / (parent[1] - parent[0])
+
+
 def prob_oracle_all(prior, f):
     """Per-node prior mass of all bin-cell trajectories satisfying f at time 1.
 
     Bins are refined at the formula's thresholds so each cell is constant."""
-    cells = []
-    for lo, hi in prior.bins:
-        cuts = [lo] + sorted(t for t in collect_thresholds(f) if lo < t < hi) + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            cells.append((a, b, (lo, hi)))
+    cells = refined_cells(prior, collect_thresholds(f))
     g = prior.graph
     V, L = g.n_nodes, prior.L
-    binidx = {b: i for i, b in enumerate(prior.bins)}
     el = np.array([[prior.static_edge_labels[e]] * L for e in g.edges],
                   dtype=float).reshape(g.n_edges, L)
     totals = {v: 0.0 for v in g.nodes}
@@ -135,9 +148,8 @@ def prob_oracle_all(prior, f):
         nl = np.zeros((V, L))
         for idx, c in enumerate(assign):
             u, k = divmod(idx, L)
-            a, b, parent = cells[c]
-            p = prior.node_pmf(g.nodes[u])[k][binidx[parent]]
-            mass *= p * (b - a) / (parent[1] - parent[0])
+            a, b, _ = cells[c]
+            mass *= cell_mass(prior, g.nodes[u], k + 1, cells[c])
             nl[u, k] = 0.5 * (a + b)
         if mass == 0.0:
             continue
@@ -150,6 +162,34 @@ def prob_oracle_all(prior, f):
 
 def prob_oracle(prior, f, v):
     return prob_oracle_all(prior, f)[v]
+
+
+def letter_oracle(prior, aps, v, k):
+    """Joint distribution over the aps' bitmask letters at (v, k).
+
+    Enumerates every refined-cell assignment of the nodes the aps touch; reach
+    sets come from `neighbor_op` on the static edge labels and each letter bit
+    from `sat_oracle`, so nothing of gtl.prior but the model itself is used."""
+    g = prior.graph
+    cells = refined_cells(prior, set().union(*map(collect_thresholds, aps)))
+    el = np.array([[prior.static_edge_labels[e]] for e in g.edges],
+                  dtype=float).reshape(g.n_edges, 1)
+    probe = GraphTemporalTrajectory(g, np.zeros((g.n_nodes, 1)), el)
+    involved = {v}
+    for ap in aps:
+        if isinstance(ap, Exists):
+            involved |= neighbor_op(probe, {v}, 1, [e.prop() for e in ap.chain])
+    involved = sorted(involved)
+    out = np.zeros(1 << len(aps))
+    for assign in itertools.product(cells, repeat=len(involved)):
+        mass = 1.0
+        nl = np.zeros((g.n_nodes, 1))
+        for u, cell in zip(involved, assign):
+            mass *= cell_mass(prior, u, k, cell)
+            nl[g.node_index[u], 0] = 0.5 * (cell[0] + cell[1])
+        traj = GraphTemporalTrajectory(g, nl, el)
+        out[sum(1 << i for i, ap in enumerate(aps) if sat_oracle(traj, ap, v, 1))] += mass
+    return out
 
 
 # ---------------------------------------------------------------------------

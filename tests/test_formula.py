@@ -118,6 +118,22 @@ class TestParameters:
             f, {"i": 1, "c": 0.5})
 
 
+class TestAtomValidation:
+    @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
+    @pytest.mark.parametrize("op, threshold", [
+        ("<=", math.nan), (">=", math.inf), ("<=", -math.inf), ("<", 1.0), ("==", 1.0),
+    ])
+    def test_rejected_at_construction(self, cls, op, threshold):
+        with pytest.raises(InputError):
+            cls(op, threshold)
+
+    @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
+    def test_parameter_and_finite_literals_accepted(self, cls):
+        assert cls("<=", Param("c")).threshold == Param("c")
+        assert cls(">=", 2).threshold == 2
+        assert cls("<=", -0.5).prop().threshold == -0.5
+
+
 class TestDesugar:
     def test_implies(self):
         assert desugar(parse("x <= 1 -> x >= 2")) == Or(Not(Atom("<=", 1)),

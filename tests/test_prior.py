@@ -9,15 +9,16 @@ import pytest
 import gtl.prior
 from gtl.automata import to_dfa
 from gtl.errors import InputError, OutOfScopeError, UsageError
-from gtl.formula import parse
+from gtl.formula import Atom, EdgeAtom, Exists, parse
 from gtl.graph import EdgeProposition, LabeledGraph, NodeProposition, reach
 from gtl.prior import (
-    PriorModel, atom_probability, compute_ig, counters, exists_probability,
-    letter_distribution, load_prior, reset_counters, satisfaction_probability,
-    static_reach,
+    PriorModel, atom_probability, compute_ig, counters, letter_distribution,
+    load_prior, reset_counters, satisfaction_probability, static_reach,
 )
 
-from conftest import prob_oracle, prob_oracle_all, random_graph, two_bin_prior
+from conftest import (
+    letter_oracle, prob_oracle, prob_oracle_all, random_graph, two_bin_prior,
+)
 
 
 def one_node_prior(L=2):
@@ -100,10 +101,10 @@ class TestStaticReach:
         chain = parse("E 1 via (y <= 1) : x <= 1").chain
         assert sorted(static_reach(prior, "v4", chain)) == ["v1", "v5"]
         # 2-of-2 independent successes with per-node P(x <= 1) = 0.5
-        p = exists_probability(prior, 2, chain, parse("x <= 1").prop(), "v4", 1)
+        p = satisfaction_probability(prior, parse("E 2 via (y <= 1) : x <= 1"), "v4")
         assert p == pytest.approx(0.25)
         # asking for 3 of 2 reachable nodes is impossible
-        p = exists_probability(prior, 3, chain, parse("x <= 1").prop(), "v4", 1)
+        p = satisfaction_probability(prior, parse("E 3 via (y <= 1) : x <= 1"), "v4")
         assert p == 0.0
 
     def test_equals_reach_row(self):
@@ -172,6 +173,85 @@ class TestLetterDistribution:
     def test_unknown_node_rejected_with_default_pmf(self):
         with pytest.raises(InputError):
             letter_distribution(default_pmf_prior(), [parse("x <= 1.5")], "zzz", 1)
+
+
+THREE_BINS = ((0.0, 0.5), (0.5, 1.2), (1.2, 2.0))
+
+
+def three_bin_prior(g, L, rng, edge_labels, default=False):
+    """Random three-bin prior; default=True puts every node on one default_pmf."""
+    if default:
+        return PriorModel(g, L, THREE_BINS, {}, edge_labels,
+                          default_pmf=rng.dirichlet([1.0] * 3))
+    return PriorModel(g, L, THREE_BINS,
+                      {v: rng.dirichlet([1.0] * 3, size=L) for v in g.nodes}, edge_labels)
+
+
+def random_letter_aps(rng):
+    """Two to four bare atoms and neighbor letters; thresholds include the bin
+    edges 0.5 and 1.2, counts include 0 and counts above any reach size."""
+    aps = []
+    for _ in range(rng.integers(2, 5)):
+        atom = Atom(str(rng.choice(["<=", ">="])), float(rng.choice([0.3, 0.5, 0.8, 1.2, 1.5])))
+        if rng.random() < 0.3:
+            aps.append(atom)
+        else:
+            hops = rng.integers(1, 3)
+            chain = tuple(EdgeAtom("<=", float(rng.choice([1.0, 2.0]))) for _ in range(hops))
+            aps.append(Exists(int(rng.choice([0, 1, 2, 3, 6])), chain, atom))
+    return aps
+
+
+class TestLetterOracle:
+    """letter_distribution against exhaustive enumeration of cell assignments."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_graphs_and_priors(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = random_graph(rng, int(rng.integers(3, 5)), 0.7)
+        edge_labels = {e: float(rng.choice([1.0, 2.0])) for e in g.edges}
+        prior = three_bin_prior(g, 2, rng, edge_labels, default=seed % 4 == 3)
+        aps = random_letter_aps(rng)
+        for v in g.nodes:
+            for k in (1, 2):
+                got = letter_distribution(prior, aps, v, k)
+                assert np.allclose(got, letter_oracle(prior, aps, v, k), rtol=0, atol=1e-12), \
+                    (aps, v, k)
+
+    def test_shared_nodes_and_edge_cases(self):
+        # path a - b - c plus an isolated node d; two y <= 1 hops from a reach a and c
+        g = LabeledGraph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = three_bin_prior(g, 2, np.random.default_rng(4), {"e1": 1.0, "e2": 1.0})
+        two_hops = "via (y <= 1) via (y <= 1)"
+        aps = [parse(t) for t in [
+            "x <= 0.8",  # bare atom at v, which is also in its own two-hop reach
+            f"E 1 {two_hops} : x >= 0.8",
+            "E 2 via (y <= 1) : x <= 0.5",  # threshold on a bin edge
+            "E 0 via (y <= 1) : x >= 1.2",  # n = 0 always holds
+            "E 3 via (y <= 1) : x >= 0.3",  # n above every reach size here
+            "E 1 via (y >= 5) : x <= 1.5",  # empty reach
+        ]]
+        assert static_reach(prior, "a", aps[1].chain) == ["a", "c"]
+        for v in g.nodes:
+            for k in (1, 2):
+                got = letter_distribution(prior, aps, v, k)
+                assert np.allclose(got, letter_oracle(prior, aps, v, k), rtol=0, atol=1e-12), \
+                    (v, k)
+
+    def test_fallback_is_product_of_oracle_marginals(self, monkeypatch):
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = three_bin_prior(g, 2, np.random.default_rng(6), {"e1": 1.0, "e2": 2.0})
+        aps = [parse(t) for t in ["x <= 0.8", "E 2 via (y <= 2) : x >= 0.5",
+                                  "E 1 via (y <= 2) via (y <= 2) : x <= 1.5"]]
+        monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 1)
+        for v in g.nodes:
+            for k in (1, 2):
+                with pytest.warns(UserWarning, match="independence"):
+                    got = letter_distribution(prior, aps, v, k)
+                marg = [letter_oracle(prior, [ap], v, k)[1] for ap in aps]
+                want = [math.prod(p if letter >> i & 1 else 1 - p for i, p in enumerate(marg))
+                        for letter in range(1 << len(aps))]
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (v, k)
 
 
 class TestSatisfactionProbability:

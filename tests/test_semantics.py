@@ -121,13 +121,15 @@ class TestTables:
         assert np.array_equal(sat_table(path3, f), want)
 
     @pytest.mark.parametrize("f", [
-        Atom("<=", math.nan), Atom(">=", math.inf), Atom("<=", -math.inf),
-        Exists(1, (EdgeAtom("<=", 1.0),), Atom(">=", math.nan)),
-    ])
+        lambda: Atom("<=", math.nan), lambda: Atom(">=", math.inf),
+        lambda: Atom("<=", -math.inf),
+        lambda: Exists(1, (EdgeAtom("<=", 1.0),), Atom(">=", math.nan)),
+    ], ids=[f"f{i}" for i in range(4)])
     def test_non_finite_threshold_rejected(self, path3, f):
-        # built by hand: the parser and instantiate never produce these
+        # built by hand (the parser and instantiate never produce these), the
+        # atom is rejected at construction, before it reaches the evaluator
         with pytest.raises(InputError):
-            sat_table(path3, f)
+            sat_table(path3, f())
 
     def test_one_check_per_query(self, path3, monkeypatch):
         calls = []

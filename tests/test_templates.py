@@ -1,11 +1,14 @@
 """Template boxes, JSON IO, and the built-in library."""
 
 import json
+from time import perf_counter
 
 import pytest
 
+from gtl.classify import _round_integers
 from gtl.errors import InputError
 from gtl.formula import parse, print_formula
+from gtl.identify import _axes, map_pi, map_pi_inv, snap
 from gtl.templates import (
     ParamSpec, Template, builtin_templates, default_box, load_templates,
     save_templates,
@@ -16,18 +19,36 @@ class TestParamSpec:
     def test_frozen(self):
         assert ParamSpec(1.0, 1.0, "continuous").frozen
         assert ParamSpec(2, 2, "integer").frozen
+        assert ParamSpec(0.4, 1.6, "integer").frozen  # one integer inside
         assert not ParamSpec(1.0, 2.0, "continuous").frozen
 
     def test_grid(self):
-        assert ParamSpec(0, 3, "integer").grid() == [0, 1, 2, 3]
+        assert list(ParamSpec(0, 3, "integer").grid()) == [0, 1, 2, 3]
         with pytest.raises(InputError):
             ParamSpec(0, 3, "continuous").grid()
 
     def test_validation(self):
         with pytest.raises(InputError):
             ParamSpec(2.0, 1.0, "continuous")
+        with pytest.raises(InputError):  # an integer box that holds no integer
+            ParamSpec(0.5, 0.7, "integer")
         with pytest.raises(InputError):
             ParamSpec(0, 1, "boolean")
+
+    def test_wide_integer_box_costs_constant_time(self):
+        # a grid of 10^9 + 1 values is never listed: every caller clamps,
+        # indexes or counts it in O(1)
+        box = {"N": ParamSpec(0, 10 ** 9, "integer")}
+        t0 = perf_counter()
+        assert len(box["N"].grid()) == 10 ** 9 + 1
+        assert _round_integers({"N": 2e9}, box) == {"N": 10 ** 9}
+        assert _round_integers({"N": -3.4}, box) == {"N": 0}
+        assert _axes(Template(parse("E ?N via (y <= 1) : x >= 1"), box)) == (["N"], {})
+        w = map_pi({"N": 250_000_000}, box, {"N": "+"}, ["N"])
+        assert w == (0.25,)
+        assert map_pi_inv(w, box, {"N": "+"}, ["N"]) == {"N": 250_000_000}
+        assert snap((0.3,), box, {"N": "+"}, ["N"]) == (0.3,)
+        assert perf_counter() - t0 < 0.1
 
     @pytest.mark.parametrize("lo, hi", [("-Infinity", "1"), ("0", "Infinity"),
                                         ("-Infinity", "Infinity"), ("NaN", "1")])

@@ -145,13 +145,12 @@ def _combine(components, ops):
 
 
 def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
-                     mhat_th: float = 0.1, cfg: PsoConfig | None = None,
-                     reoptimize: bool = True) -> ClassifierResult:
+                     mhat_th: float = 0.1, cfg: PsoConfig | None = None) -> ClassifierResult:
     """Prune-and-grow inference of a classifying formula.
 
     Succeeds as soon as any candidate reaches MR <= m_th; candidates never
-    exceed size eta_th.  With reoptimize=False the growing stage keeps the
-    stage-1 parameters fixed and only evaluates the combination.
+    exceed size eta_th.  The growing stage re-optimizes every combination
+    jointly, warm-started from its parts' stage-1 parameters.
     """
     if not 0 <= m_th < mhat_th < 1:
         raise InputError("thresholds must satisfy 0 <= m_th < mhat_th < 1")
@@ -212,13 +211,9 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
                 if formula_size(tpl.formula) > eta_th:
                     continue
                 grew = True
-                if reoptimize:
-                    theta, mr = pso_minimize_mr(
-                        tpl, data, replace(cfg, seed=cfg.seed + 1000 + arity),
-                        warm_starts=[warm])
-                else:
-                    theta, mr = warm, misclassification_rate(
-                        data, tpl.instantiate(warm))
+                theta, mr = pso_minimize_mr(
+                    tpl, data, replace(cfg, seed=cfg.seed + 1000 + arity),
+                    warm_starts=[warm])
                 consider(tpl.instantiate(theta), mr, f"grow-{arity}")
                 if mr <= m_th:
                     return _finish(result, best, data, m_th)

@@ -747,50 +747,17 @@ class Subtype:
     safe: bool
 
 
-def _is_cosafe(f):
-    if isinstance(f, (TrueF, FalseF)):
-        return True
-    if isinstance(f, Atom):
-        return True
+def _in_fragment(f, free) -> bool:
+    """Whether an NNF formula lies in the fragment whose temporal operators
+    of the classes in `free` take any bound, every other one only [<=i]:
+    F and U free give the co-safe fragment, G free the safe one.  Negation
+    sits on atoms only."""
     if isinstance(f, Not):
         return isinstance(f.sub, Atom)
-    if isinstance(f, (And, Or)):
-        return _is_cosafe(f.left) and _is_cosafe(f.right)
-    if isinstance(f, Eventually):
-        return _is_cosafe(f.sub)  # F, F[>=i], F[<=i] all co-safe
-    if isinstance(f, Always):
+    if isinstance(f, (Eventually, Always, Until)) and not isinstance(f, free):
         if f.bound is None or f.bound.hi is None or f.bound.lo is not None:
-            return False  # only G[<=i] is co-safe
-        return _is_cosafe(f.sub)
-    if isinstance(f, Until):
-        return _is_cosafe(f.left) and _is_cosafe(f.right)
-    if isinstance(f, Exists):
-        return _is_cosafe(f.body)
-    return False
-
-
-def _is_safe(f):
-    if isinstance(f, (TrueF, FalseF)):
-        return True
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.sub, Atom)
-    if isinstance(f, (And, Or)):
-        return _is_safe(f.left) and _is_safe(f.right)
-    if isinstance(f, Always):
-        return _is_safe(f.sub)  # G, G[>=i], G[<=i] all safe
-    if isinstance(f, Eventually):
-        if f.bound is None or f.bound.hi is None or f.bound.lo is not None:
-            return False  # only F[<=i] is safe
-        return _is_safe(f.sub)
-    if isinstance(f, Until):
-        if f.bound is None or f.bound.hi is None or f.bound.lo is not None:
-            return False  # only U[<=i] is safe
-        return _is_safe(f.left) and _is_safe(f.right)
-    if isinstance(f, Exists):
-        return _is_safe(f.body)
-    return False
+            return False
+    return all(_in_fragment(g, free) for g in _children(f))
 
 
 def classify_subtype(f: Formula) -> Subtype:
@@ -803,4 +770,5 @@ def classify_subtype(f: Formula) -> Subtype:
     n = nnf(f)
     type1 = all(isinstance(g.body, Atom) for g in _subformulas(n) if isinstance(g, Exists))
     type2 = isinstance(n, Exists) and not any(isinstance(g, Exists) for g in _subformulas(n.body))
-    return Subtype(typeI=type1, typeII=type2, cosafe=_is_cosafe(n), safe=_is_safe(n))
+    return Subtype(typeI=type1, typeII=type2, cosafe=_in_fragment(n, (Eventually, Until)),
+                   safe=_in_fragment(n, Always))

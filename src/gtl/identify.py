@@ -4,13 +4,14 @@ Template parameters are normalized to [0,1]^z so that larger coordinates
 always make the formula easier to satisfy (polarity-aware affine maps).
 The coverage-feasible region is then up-closed and its minimal front is
 approximated by binary-search queries issued from the knee points of the
-known-infeasible staircase; the returned valuation maximizes average
-information gain over the approximated front.
+known-infeasible staircase, which each infeasible query updates in place;
+the returned valuation maximizes average information gain over the
+approximated front.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 
 from .errors import InputError, UsageError
@@ -115,20 +116,6 @@ def _dominates(a, b):
     return all(x >= y for x, y in zip(a, b))
 
 
-def _strictly_dominates(a, b):
-    return all(x > y for x, y in zip(a, b))
-
-
-def _maximal(points):
-    pts = list(points)
-    return [p for p in pts if not any(q != p and _dominates(q, p) for q in pts)]
-
-
-def _minimal(points):
-    pts = list(points)
-    return [p for p in pts if not any(q != p and _dominates(p, q) for q in pts)]
-
-
 def directed_hausdorff(S, S2) -> float:
     """max over s in S of min over s' in S2 of the one-sided coordinate gap.
 
@@ -142,42 +129,49 @@ def directed_hausdorff(S, S2) -> float:
                    for t in S2) for s in S)
 
 
-def knee_points(unsat_points, z=None, cap: int = 100_000) -> list:
-    """Knees of the staircase below the maximal infeasible points.
+def _lift(knees, u, steps) -> list:
+    """The knees left after the infeasible point u is added.
 
-    Candidates take each coordinate from the maximal points' values (plus 0);
-    a candidate is a knee when it lies under some maximal point and no
-    maximal point exceeds it in every coordinate.  Weakly dominated knees
-    are kept — they never win the query-radius argmax.
+    A knee k is the least point of a region not yet classified: the points
+    x with x_i > k_i on a real axis and x_i >= k_i on an integer one.
+    `steps[i]` is the number of grid intervals of integer axis i, None for a
+    real axis.  Every knee below u is replaced by its lifts past u, one axis
+    at a time: to u_i on a real axis, to the grid value after u_i on an
+    integer one.  Lifts that leave the cube, have an empty region (a real
+    coordinate at 1) or lie above another knee are dropped.  (A knee that
+    meets u on a real axis, whose region does not hold u, comes back as its
+    own lift there, and its other lifts lie above it.)
     """
-    M = _maximal(unsat_points)
-    if not M:
-        if z is None:
-            raise UsageError("need the dimension to produce the trivial knee")
-        return [(0.0,) * z]
-    z = len(M[0])
-    coords = [sorted({m[i] for m in M} | {0.0}, reverse=True) for i in range(z)]
-    knees = []
-    truncated = False
+    kept, lifts = [], set()
+    for k in knees:
+        if not _dominates(u, k):
+            kept.append(k)
+            continue
+        for i, m in enumerate(steps):
+            w = round((round(u[i] * m) + 1) / m, _ROUND) if m else u[i]
+            if w < 1 or (m and w == 1):
+                lifts.add(k[:i] + (w,) + k[i + 1:])
+    pool = kept + sorted(lifts)
+    return kept + [k for k in pool[len(kept):]
+                   if not any(o != k and _dominates(k, o) for o in pool)]
 
-    def rec(prefix):
-        nonlocal truncated
-        if len(knees) >= cap:
-            truncated = True
-            return
-        i = len(prefix)
-        if i == z:
-            if not any(_strictly_dominates(m, prefix) for m in M):
-                knees.append(tuple(prefix))
-            return
-        for c in coords[i]:
-            # prune branches that already left the down-closure
-            if any(all(m[j] >= prefix[j] for j in range(i)) and m[i] >= c for m in M):
-                rec(prefix + [c])
 
-    rec([])
-    if truncated:
-        warnings.warn(f"knee enumeration truncated at {cap} points")
+def knee_points(unsat_points, z=None) -> list:
+    """Knees of the staircase of infeasible points on real axes.
+
+    Each knee is the least corner of a box {x : x > k} that no infeasible
+    point lies above, and together the boxes cover every point of [0,1]^z
+    not below an infeasible point (the boundary at 0 aside).  Knees with a
+    coordinate at 1 bound nothing and are left out.
+    """
+    unsat_points = list(unsat_points)
+    if unsat_points:
+        z = len(unsat_points[0])
+    elif z is None:
+        raise UsageError("need the dimension to produce the trivial knee")
+    knees = [(0.0,) * z]
+    for u in unsat_points:
+        knees = _lift(knees, u, (None,) * z)
     return knees
 
 
@@ -228,6 +222,8 @@ def identify(trajectories, prior: PriorModel, templates, p_th: float = 0.98,
         raise InputError("p_th must be in (0, 1]")
     if not 0 < eps < 1:
         raise InputError("eps must be in (0, 1)")
+    if budget < 1:
+        raise InputError("budget must be at least 1 query")
     if not trajectories:
         raise UsageError("empty trajectory set")
     results = [_identify_one(trajectories, prior, t, p_th, eps, budget)
@@ -259,6 +255,8 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
         res.n_queries += 1
         return cov
 
+    steps = [len(box[n].grid()) - 1 if box[n].kind == "integer" else None
+             for n in names]
     one = snap((1.0,) * z, box, pols, names)
     zero = snap((0.0,) * z, box, pols, names)
     cov1 = query(one)
@@ -267,46 +265,27 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
                       f"< p_th={p_th}")
         res.coverage = cov1
         return res
-    sat_pts = {one}
-    unsat_pts = {zero} if zero != one else set()
-
-    stalled = set()
-    while res.n_queries < budget:
-        front = _minimal(sat_pts)
-        knees = knee_points(unsat_pts, z=z) if unsat_pts else [zero]
-        ranked = sorted(((_gap_to_front(k, front), k) for k in knees
-                         if k not in stalled),
-                        key=lambda t: (-t[0], t[1]))
-        if not ranked or ranked[0][0] <= eps:
-            res.achieved_gap = ranked[0][0] if ranked else 0.0
+    front = [one]
+    knees = _lift([zero], zero, steps)  # the hardest corner counts as infeasible
+    while True:
+        gaps = {k: _gap_to_front(k, front) for k in knees}
+        knee = min(gaps, key=lambda k: (-gaps[k], k), default=None)
+        res.achieved_gap = gaps[knee] if knees else 0.0
+        if res.achieved_gap <= eps:
             break
-        progressed = False
-        for r, kn in ranked:
-            if r <= eps:
-                break
-            cand = _fresh_candidate(kn, r, box, pols, names, known,
-                                    sat_pts, unsat_pts)
-            if cand is None:
-                stalled.add(kn)
-                continue
-            cov = query(cand)
-            if cov >= p_th:
-                sat_pts.add(cand)
-            else:
-                unsat_pts.add(cand)
-            stalled.clear()
-            progressed = True
-            break
-        if not progressed:
-            # every knee above eps is unresolvable at grid resolution
-            res.achieved_gap = ranked[0][0]
+        if res.n_queries >= budget:
             res.approximate = True
             break
-    else:
-        front = _minimal(sat_pts)
-        knees = knee_points(unsat_pts, z=z) if unsat_pts else [zero]
-        res.achieved_gap = max(_gap_to_front(k, front) for k in knees)
-        res.approximate = res.achieved_gap > eps
+        # knee + r/2, floored onto integer grids, lies in the knee's region
+        # and above no front point, so every query is new and informative
+        half = res.achieved_gap / 2
+        cand = tuple(round(math.floor(min(w + half, 1.0) * m + 1e-9) / m, _ROUND)
+                     if m else round(min(w + half, 1.0), _ROUND)
+                     for w, m in zip(knee, steps))
+        if query(cand) >= p_th:
+            front = [t for t in front if not _dominates(t, cand)] + [cand]
+        else:
+            knees = _lift(knees, cand, steps)
 
     best = None
     for omega in sorted(front):
@@ -327,19 +306,3 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     res.front = [list(w) for w in sorted(front)]
     return res
 
-
-def _fresh_candidate(knee, r, box, pols, names, known, sat_pts, unsat_pts):
-    """knee + r/2 on every coordinate, halving the step until the snapped
-    point is new and not already classified by monotonicity."""
-    step = r / 2
-    while step > 1e-9:
-        cand = snap(tuple(min(w + step, 1.0) for w in knee), box, pols, names)
-        informative = (
-            cand not in known
-            and not any(_dominates(cand, s) for s in sat_pts)
-            and not any(_dominates(u, cand) for u in unsat_pts)
-        )
-        if informative:
-            return cand
-        step /= 2
-    return None

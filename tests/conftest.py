@@ -257,3 +257,20 @@ def two_bin_prior(g, L, rng_np=None, edge_labels=None):
     else:
         pmf = {v: rng_np.dirichlet([1.5, 1.5], size=L) for v in g.nodes}
     return PriorModel(g, L, ((0.0, 1.0), (1.0, 2.0)), pmf, edge_labels)
+
+
+# ---------------------------------------------------------------------------
+# knee oracle: the staircase enumerated from the maximal infeasible points
+
+def knee_oracle(unsat_points):
+    """Every candidate built from the maximal points' coordinates (plus 0)
+    that lies under some maximal point and strictly under none; weakly
+    dominated candidates and those with a coordinate at 1 are included."""
+    pts = list(unsat_points)
+    M = [p for p in pts if not any(q != p and all(a >= b for a, b in zip(q, p))
+                                   for q in pts)]
+    z = len(M[0])
+    coords = [sorted({m[i] for m in M} | {0.0}) for i in range(z)]
+    return [c for c in itertools.product(*coords)
+            if any(all(a >= b for a, b in zip(m, c)) for m in M)
+            and not any(all(a > b for a, b in zip(m, c)) for m in M)]

@@ -261,23 +261,14 @@ def test_c6_front_localization(capsys):
 
 
 def test_c7_swarm_identification(capsys):
+    from test_identify import swarm_prior
+
     t0 = time.monotonic()
     sc = SwarmScenario(seed=100)
     train = gen_swarm(sc, 10)
     held = gen_swarm(SwarmScenario(seed=101), 10)
 
-    g = sc.graph()
-    el = sc.edge_labels(g)
-    static_el = {e: float(el[j, 0]) for j, e in enumerate(g.edges)}
-    bins = ((0.0, 0.125), (0.125, 1.0))
-    pmf = {}
-    for vi, v in enumerate(g.nodes):
-        rows = np.zeros((sc.L, 2))
-        for k in range(sc.L):
-            low = sum(tr.node_labels[vi, k] < 0.125 for tr in train)
-            rows[k] = [low + 1, len(train) - low + 1]
-        pmf[v] = rows / rows.sum(axis=1, keepdims=True)
-    prior = PriorModel(g, sc.L, bins, pmf, static_el)
+    prior = swarm_prior(sc, train)
 
     tpl = Template(
         parse("G (x >= ?a -> G[<=?i3] E ?N via (y <= ?d) : x <= ?c)"),

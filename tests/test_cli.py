@@ -165,6 +165,14 @@ class TestIdentify:
         assert code == 1
         assert capsys.readouterr().err.startswith("error [usage]")
 
+    def test_zero_budget_exit_one(self, workspace, capsys):
+        code = main(["identify", "--trajectories", str(workspace["trajs"]),
+                     "--prior", str(workspace["prior"]),
+                     "--templates", str(workspace["templates"]),
+                     "--budget", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [input]")
+
     def test_infeasible_exit_two(self, workspace, capsys):
         # demanding coverage 1.0 of F x >= 2 is impossible on labels in [0, 2)
         save_templates(workspace["templates"], [

@@ -1,17 +1,25 @@
 """Monotone parameter identification: geometry helpers and the search loop."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gtl.datagen import SwarmScenario, gen_swarm
 from gtl.errors import InputError, UsageError
 from gtl.formula import parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.identify import (
-    directed_hausdorff, identify, knee_points, map_pi, map_pi_inv, snap,
+    _ROUND, _lift, directed_hausdorff, identify, knee_points, map_pi,
+    map_pi_inv, snap,
 )
 from gtl.prior import PriorModel, satisfaction_probability
 from gtl.semantics import coverage
 from gtl.templates import ParamSpec, Template
+
+from conftest import knee_oracle
 
 
 def cont_box(**ranges):
@@ -83,6 +91,41 @@ class TestGeometry:
         assert set(knee_points([(0.3,), (0.7,)])) == {(0.7,)}
 
 
+def _minimal(points):
+    return {p for p in points
+            if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)}
+
+
+_COORD = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestKneeDifferential:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), z=st.integers(1, 3))
+    def test_real_axes_match_enumeration(self, data, z):
+        pts = data.draw(st.lists(st.tuples(*[_COORD] * z), min_size=1, max_size=6))
+        knees = knee_points(pts)
+        assert len(set(knees)) == len(knees)
+        assert set(knees) == {k for k in _minimal(knee_oracle(pts)) if 1.0 not in k}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), steps=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_integer_grid_matches_brute_force(self, data, steps):
+        def point(idx):
+            return tuple(round(j / m, _ROUND) for j, m in zip(idx, steps))
+
+        grid = [point(idx) for idx in itertools.product(*(range(m + 1) for m in steps))]
+        unsat = data.draw(st.lists(st.sampled_from(grid), max_size=6))
+        zero = point([0] * len(steps))
+        knees = _lift([zero], zero, steps)
+        for u in unsat:
+            knees = _lift(knees, u, steps)
+        open_pts = [g for g in grid
+                    if not any(all(a >= b for a, b in zip(u, g)) for u in unsat + [zero])]
+        assert len(set(knees)) == len(knees)
+        assert set(knees) == _minimal(open_pts)
+
+
 def make_dataset(values_list, L):
     g = LabeledGraph(["a"], [])
     return [GraphTemporalTrajectory(g, [vals], np.zeros((0, L)))
@@ -92,6 +135,22 @@ def make_dataset(values_list, L):
 def flat_prior(L, lo=0.0, hi=10.0):
     g = LabeledGraph(["a"], [])
     return PriorModel(g, L, ((lo, hi),), {"a": np.ones((L, 1))}, {})
+
+
+def swarm_prior(sc, train):
+    """Two density bins, Laplace-smoothed per-(node, time) counts from the
+    training set, and the scenario's static edge distances."""
+    g = sc.graph()
+    el = sc.edge_labels(g)
+    static_el = {e: float(el[j, 0]) for j, e in enumerate(g.edges)}
+    pmf = {}
+    for vi, v in enumerate(g.nodes):
+        rows = np.zeros((sc.L, 2))
+        for k in range(sc.L):
+            low = sum(tr.node_labels[vi, k] < 0.125 for tr in train)
+            rows[k] = [low + 1, len(train) - low + 1]
+        pmf[v] = rows / rows.sum(axis=1, keepdims=True)
+    return PriorModel(g, sc.L, ((0.0, 0.125), (0.125, 1.0)), pmf, static_el)
 
 
 class TestIdentify:
@@ -183,9 +242,43 @@ class TestIdentify:
         assert res.feasible and res.omega == () and res.front == [[]]
         assert res.coverage == 1.0 and res.achieved_gap == 0.0
 
+    @pytest.mark.parametrize("text, box, eps", [
+        # a real axis reaching 1 leaves a knee with an empty region
+        ("F (x >= ?c1 & x <= ?c2)", cont_box(c1=(0.0, 10.0), c2=(0.0, 10.0)), 0.1),
+        # an integer axis next to a real one
+        ("F[<=?i] x >= ?c", {"c": ParamSpec(0.0, 10.0, "continuous"),
+                             "i": ParamSpec(0, 2, "integer")}, 0.05),
+    ])
+    def test_search_reaches_eps(self, text, box, eps):
+        data = make_dataset([[2.0, 6.0, 1.0], [6.0, 3.0, 5.0]], 3)
+        res = identify(data, flat_prior(3), [Template(parse(text), box)],
+                       p_th=1.0, eps=eps).best
+        assert res.feasible and not res.approximate and res.achieved_gap <= eps
+
+    def test_freed_swarm_box_finishes(self):
+        # the swarm template with the window i3 and the count N searched too:
+        # two integer axes next to two real ones
+        sc = SwarmScenario(seed=100)
+        train = gen_swarm(sc, 10)
+        box = {"a": ParamSpec(0.05, 0.4, "continuous"),
+               "c": ParamSpec(0.112, 0.2, "continuous"),
+               "i3": ParamSpec(1, 4, "integer"),
+               "N": ParamSpec(1, 2, "integer"),
+               "d": ParamSpec(1.0, 1.0, "continuous")}
+        t = Template(parse("G (x >= ?a -> G[<=?i3] E ?N via (y <= ?d) : x <= ?c)"), box)
+        res = identify(train, swarm_prior(sc, train), [t], p_th=0.98, eps=0.05,
+                       budget=500).best
+        assert res.feasible and not res.approximate
+        assert res.n_queries < 500 and res.achieved_gap <= 0.05
+        theta_of = {tuple(q["omega"]): q["theta"] for q in res.query_log}
+        for w in res.front:
+            assert coverage(train, t.instantiate(theta_of[tuple(w)])) >= 0.98
+
     def test_bad_arguments(self):
         t = Template(parse("F x >= ?c"), cont_box(c=(0.0, 1.0)))
         with pytest.raises(InputError):
             identify(make_dataset([[1.0]], 1), flat_prior(1), [t], p_th=1.5)
+        with pytest.raises(InputError):
+            identify(make_dataset([[1.0]], 1), flat_prior(1), [t], budget=0)
         with pytest.raises(UsageError):
             identify([], flat_prior(1), [t])

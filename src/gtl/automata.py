@@ -24,7 +24,7 @@ from .formula import (
     Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Not, Or,
     TrueF, Until, _children, _subformulas, desugar, is_ground,
 )
-from .semantics import sat_table
+from .semantics import _Evaluator
 
 TRUE_DNF = frozenset({frozenset()})
 FALSE_DNF = frozenset()
@@ -63,9 +63,10 @@ def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
     if v not in traj.graph.node_index:
         raise InputError(f"unknown node id {v!r}")
     vi = traj.graph.node_index[v]
+    evaluator = _Evaluator([traj])
     word = [0] * traj.L
     for bit, ap in enumerate(aps):
-        tab = sat_table(traj, ap)
+        tab = evaluator.table(ap)[0]
         for k in range(traj.L):
             if tab[vi, k]:
                 word[k] |= 1 << bit

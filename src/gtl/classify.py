@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import And, Formula, Not, Or, formula_size, print_formula, rename_parameters
-from .semantics import misclassification_rate
+from .semantics import _Evaluator, _misclassification, _positive, misclassification_rate
 from .templates import Template
 
 
@@ -65,14 +65,16 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     width = hi - lo
     vmax = 0.5 * width
     rng = np.random.default_rng(cfg.seed)
-
+    positive = _positive(data)
+    evaluator = _Evaluator(data)  # one per run: labels stacked once, reach reused
     cache = {}
 
     def fitness(pos):
         theta = _round_integers(dict(zip(names, pos)), box)
         key = tuple(theta[n] for n in names)
         if key not in cache:
-            cache[key] = misclassification_rate(data, template.instantiate(theta))
+            cache[key] = _misclassification(
+                evaluator.table(template.instantiate(theta)), positive)
         return cache[key], theta
 
     pos = lo + rng.random((cfg.swarm, len(names))) * width

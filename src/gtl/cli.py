@@ -21,12 +21,12 @@ from . import __version__
 from .automata import to_dfa
 from .classify import PsoConfig, infer_classifier
 from .datagen import SwarmScenario, gen_planted, gen_swarm, sample_prior
-from .errors import GtlError, InfeasibleError, UsageError
+from .errors import GtlError, InfeasibleError, InputError, UsageError
 from .formula import parse, print_formula
 from .graph import load_graph, load_trajectories, save_trajectories
 from .identify import identify as identify_op
 from .prior import compute_ig, load_prior
-from .semantics import coverage, misclassification_rate, sat_signature, sat_vector
+from .semantics import _coverage, _misclassification, _positive, _table, misclassification_rate
 from .templates import load_templates
 
 
@@ -126,21 +126,25 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
     f = parse(formula)
     g = load_graph(graph_path) if graph_path else None
     trajs = load_trajectories(traj_path, g)
-    result = {"formula": print_formula(f), "coverage": coverage(trajs, f)}
+    if not trajs:
+        raise UsageError("coverage of an empty trajectory set is undefined")
+    table = _table(trajs, f)  # the one evaluation every figure below reads
+    if node is not None and node not in trajs[0].graph.node_index:
+        raise InputError(f"unknown node id {node!r}")
+    result = {"formula": print_formula(f), "coverage": _coverage(table)}
     rows = []
     for i, t in enumerate(trajs):
         row = {"trajectory": i}
         if t.label is not None:
             row["label"] = t.label
         if node is not None:
-            row["signature"] = sat_signature(t, f, node)
+            row["signature"] = 1 if table[i, t.graph.node_index[node], 0] else -1
         if per_node:
-            vec = sat_vector(t, f)
-            row["satisfied_nodes"] = {v: bool(vec[j]) for j, v in enumerate(t.graph.nodes)}
+            row["satisfied_nodes"] = {v: bool(table[i, j, 0]) for j, v in enumerate(t.graph.nodes)}
         rows.append(row)
     result["trajectories"] = rows
     if all(t.label in (1, -1) for t in trajs):
-        result["misclassification_rate"] = misclassification_rate(trajs, f)
+        result["misclassification_rate"] = _misclassification(table, _positive(trajs))
     _emit(_report("eval", {"formula": formula, "node": node}, _seed(seed), started, result), out, fmt)
 
 

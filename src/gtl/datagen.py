@@ -25,7 +25,13 @@ _STALL_LIMIT = 10_000  # proposals without an accept before giving up
 
 
 def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
-    """n independent trajectories: bin per pmf, uniform within the bin."""
+    """n independent trajectories: bin per pmf, uniform within the bin.
+
+    Each (trajectory, node, time) takes two doubles in turn, one for the bin
+    and one for the value, and the bin is found the way `Generator.choice`
+    finds it (the count of the normalized cdf at or below the draw), so the
+    samples are those of one `choice` and one `uniform` call per entry.
+    """
     if n < 0:
         raise InputError("n must be >= 0")
     rng = np.random.default_rng(seed)
@@ -35,16 +41,13 @@ def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
     hi = np.array([b[1] for b in prior.bins])
     edge = np.array([[prior.static_edge_labels[e]] * L for e in g.edges],
                     dtype=float).reshape(g.n_edges, L)
-    out = []
-    for _ in range(n):
-        nl = np.zeros((g.n_nodes, L))
-        for i, v in enumerate(g.nodes):
-            pmf = prior.node_pmf(v)
-            for k in range(L):
-                b = rng.choice(B, p=pmf[k] / pmf[k].sum())
-                nl[i, k] = rng.uniform(lo[b], hi[b])
-        out.append(GraphTemporalTrajectory(g, nl, edge.copy()))
-    return out
+    pmf = np.array([prior.node_pmf(v) for v in g.nodes]).reshape(g.n_nodes, L, B)
+    cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random((n, g.n_nodes, L, 2))
+    b = np.count_nonzero(cdf <= u[..., :1], axis=-1)
+    nl = lo[b] + (hi[b] - lo[b]) * u[..., 1]
+    return [GraphTemporalTrajectory(g, nl[i], edge.copy()) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import InputError, UsageError
 from .formula import polarity, print_formula
 from .prior import PriorModel, compute_ig
-from .semantics import coverage
+from .semantics import _coverage, _Evaluator
 from .templates import Template
 
 _ROUND = 12  # normalized coordinates are rounded to stabilize set membership
@@ -244,12 +244,13 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     z = len(names)
 
     known = {}  # omega -> coverage
+    evaluator = _Evaluator(trajs)  # one per template: labels stacked once, reach reused
 
     def query(omega):
         theta = map_pi_inv(omega, box, pols, names)
         theta.update(pinned)
         f = template.instantiate(theta)
-        cov = coverage(trajs, f)
+        cov = _coverage(evaluator.table(f))
         known[omega] = cov
         res.query_log.append({"omega": list(omega), "theta": dict(theta), "coverage": cov})
         res.n_queries += 1

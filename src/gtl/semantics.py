@@ -1,13 +1,18 @@
 """Finite-trace satisfaction semantics for GTL formulas.
 
-Evaluation is table-based and works on a whole trajectory set at once: a
-query stacks the node labels of its N trajectories into one (N, |V|, L)
-array and their edge labels into one (|E|, N*L) block, then computes one
-(N, |V|, L) boolean table per subformula, memoized for the length of the
-call and then dropped.  A neighbor predicate makes one `reach` call per
-query over the whole block and holds its (N*L, |V|, |V|) reach array for
-the rest of the call.  All trajectories of a set share one graph and one
-horizon L.
+Evaluation is table-based and works on a whole trajectory set at once.
+An evaluator is opened on a set whose N trajectories share one graph and
+one horizon L; it stacks their node labels into one (N, |V|, L) array and
+their edge labels into one (|E|, N*L) block, once.  Each query computes
+one (N, |V|, L) boolean table per subformula, memoized for the length of
+the query and then dropped.  A neighbor predicate makes one `reach` call
+over the whole block for its chain, and after the query the evaluator
+keeps the (N*L, |V|, |V|) reach arrays that the query used, so a next
+query that repeats one of those chains walks no edges for it.  What an
+evaluator holds is thus the stacked labels and the distinct reach arrays
+of one formula.  It lives for one search run (one PSO run, one template's
+identification); the public functions open one per call, and no state
+outlives the run or is written to a trajectory.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -34,25 +39,42 @@ def sat_table(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
 
 
 def _table(trajectories, f):
-    """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f.
-
-    The set and f are checked, f desugared and the labels stacked once per
-    call; each subformula is evaluated once for the whole set.
-    """
-    graph, L = trajectories[0].graph, trajectories[0].L
-    if any(t.graph is not graph or t.L != L for t in trajectories):
-        raise InputError("all trajectories must share one graph and one horizon L")
-    if not is_ground(f):
-        raise UsageError("formula still has free parameters; instantiate it first")
-    x = np.array([t.node_labels for t in trajectories])
-    y = np.concatenate([t.edge_labels for t in trajectories], axis=1)
-    return _eval(graph, x, y, desugar(f), {})
+    """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f."""
+    return _Evaluator(trajectories).table(f)
 
 
-def _eval(graph, x, y, f, cache):
+class _Evaluator:
+    """Tables of many formulas over one trajectory set, for one search run."""
+
+    def __init__(self, trajectories):
+        graph, L = trajectories[0].graph, trajectories[0].L
+        if any(t.graph is not graph or t.L != L for t in trajectories):
+            raise InputError("all trajectories must share one graph and one horizon L")
+        self.graph = graph
+        self.x = np.array([t.node_labels for t in trajectories])  # (N, |V|, L)
+        self.y = np.concatenate([t.edge_labels for t in trajectories], axis=1)  # (|E|, N*L)
+        self.reaches = {}  # chain -> (N, L, |V|, |V|) reach array of the last query
+
+    def table(self, f):
+        """Stacked table of f; each subformula is evaluated once per query."""
+        if not is_ground(f):
+            raise UsageError("formula still has free parameters; instantiate it first")
+        kept, self.reaches = self.reaches, {}
+        N, V, L = self.x.shape
+
+        def reach_of(chain):
+            if chain not in self.reaches:
+                self.reaches[chain] = kept[chain] if chain in kept else reach(
+                    self.graph, self.y, [e.prop() for e in chain]).reshape(N, L, V, V)
+            return self.reaches[chain]
+
+        return _eval(self.x, desugar(f), {}, reach_of)
+
+
+def _eval(x, f, cache, reach_of):
     def rec(g):
         if g not in cache:
-            cache[g] = _eval(graph, x, y, g, cache)
+            cache[g] = _eval(x, g, cache, reach_of)
         return cache[g]
 
     if isinstance(f, TrueF):
@@ -68,8 +90,7 @@ def _eval(graph, x, y, f, cache):
     if isinstance(f, Or):
         return rec(f.left) | rec(f.right)
     if isinstance(f, Exists):
-        N, V, L = x.shape
-        R = reach(graph, y, [e.prop() for e in f.chain]).reshape(N, L, V, V)
+        R = reach_of(f.chain)
         counts = (R & rec(f.body).transpose(0, 2, 1)[:, :, None, :]).sum(axis=3)  # (N, L, V)
         return (counts >= f.count).transpose(0, 2, 1)
     if isinstance(f, Eventually):
@@ -123,16 +144,32 @@ def coverage(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> flo
     """Averaged proportion of nodes at which f holds across the set."""
     if not trajectories:
         raise UsageError("coverage of an empty trajectory set is undefined")
-    sat1 = _table(trajectories, f)[:, :, 0]
-    return int(np.count_nonzero(sat1)) / sat1.size
+    return _coverage(_table(trajectories, f))
 
 
 def misclassification_rate(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> float:
     """Fraction of (trajectory, node) pairs whose signature disagrees with the label."""
     if not trajectories:
         raise UsageError("misclassification rate of an empty dataset is undefined")
+    positive = _positive(trajectories)
+    return _misclassification(_table(trajectories, f), positive)
+
+
+def _positive(trajectories):
+    """Per trajectory, whether its label is +1; every label must be +1 or -1."""
     if any(t.label not in (1, -1) for t in trajectories):
         raise InputError("every trajectory needs a classification label of +1 or -1")
-    positive = np.array([t.label == 1 for t in trajectories])
-    sat1 = _table(trajectories, f)[:, :, 0]
+    return np.array([t.label == 1 for t in trajectories])
+
+
+def _coverage(table):
+    """Share of the (trajectory, node) pairs of a stacked table that hold at time 1."""
+    sat1 = table[:, :, 0]
+    return int(np.count_nonzero(sat1)) / sat1.size
+
+
+def _misclassification(table, positive):
+    """Share of the (trajectory, node) pairs of a stacked table whose truth at
+    time 1 disagrees with their trajectory's label."""
+    sat1 = table[:, :, 0]
     return int(np.count_nonzero(sat1 != positive[:, None])) / sat1.size

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import gtl.graph
+import gtl.semantics
 from gtl.errors import InputError, UsageError
 from gtl.classify import ClassifierResult, PsoConfig, infer_classifier, pso_minimize_mr
 from gtl.formula import formula_size, parse
@@ -67,6 +69,26 @@ class TestPso:
             PsoConfig(swarm=0)
         with pytest.raises(UsageError):
             pso_minimize_mr(g_template(), [], PsoConfig())
+
+    def test_one_reach_per_run_of_a_fixed_chain(self, monkeypatch):
+        # every valuation shares the chain (y <= 2), so the run walks it once
+        calls = []
+
+        def counting_reach(graph, edge_labels, chain):
+            calls.append(chain)
+            return gtl.graph.reach(graph, edge_labels, chain)
+
+        monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
+        rng = np.random.default_rng(12)
+        g = LabeledGraph.complete(["a", "b", "c", "d"])
+        data = [GraphTemporalTrajectory(g, rng.random((4, 2)) * 2, rng.random((6, 2)) * 3,
+                                        label=lab) for lab in (1, -1) * 3]
+        t = Template(parse("E ?N via (y <= 2) : x >= ?c"),
+                     {"N": ParamSpec(1, 3, "integer"),
+                      "c": ParamSpec(0.0, 2.0, "continuous")})
+        theta, mr = pso_minimize_mr(t, data, PsoConfig(swarm=6, iterations=5, seed=3))
+        assert len(calls) == 1
+        assert misclassification_rate(data, t.instantiate(theta)) == mr
 
     def test_warm_start_hits_known_optimum(self):
         data = threshold_data()

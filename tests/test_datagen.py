@@ -15,7 +15,54 @@ from gtl.semantics import sat_vector
 from conftest import two_bin_prior
 
 
+def sample_prior_loop(prior, n, seed=None):
+    """The per-(node, time) reference: one `choice` and one `uniform` call each."""
+    rng = np.random.default_rng(seed)
+    g = prior.graph
+    L, B = prior.L, len(prior.bins)
+    lo = np.array([b[0] for b in prior.bins])
+    hi = np.array([b[1] for b in prior.bins])
+    out = []
+    for _ in range(n):
+        nl = np.zeros((g.n_nodes, L))
+        for i, v in enumerate(g.nodes):
+            pmf = prior.node_pmf(v)
+            for k in range(L):
+                b = rng.choice(B, p=pmf[k] / pmf[k].sum())
+                nl[i, k] = rng.uniform(lo[b], hi[b])
+        out.append(nl)
+    return out
+
+
 class TestSamplePrior:
+    @pytest.mark.parametrize("bins", [2, 3, 9, 13])
+    def test_equals_loop_reference(self, bins):
+        # 9 and 13 bins take numpy's pairwise summation past its 8-element block
+        rng = np.random.default_rng(bins)
+        g = LabeledGraph.complete(["a", "b", "c", "d"])
+        pmf = {}
+        for v in g.nodes[1:]:  # node "a" takes default_pmf
+            p = rng.random((4, bins)) * (rng.random((4, bins)) > 0.3)
+            p[:, 0] += 0.01
+            pmf[v] = p / p.sum(axis=1, keepdims=True)
+        default = rng.dirichlet([1.0] * bins)
+        prior = PriorModel(g, 4, tuple((float(i), i + 0.7) for i in range(bins)),
+                           pmf, {e: 1.0 for e in g.edges}, default_pmf=default)
+        for seed in range(8):
+            got = [t.node_labels for t in sample_prior(prior, 3, seed=seed)]
+            want = sample_prior_loop(prior, 3, seed=seed)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_planted_prior_equals_loop_reference(self):
+        g = LabeledGraph.complete([f"n{i}" for i in range(20)])
+        prior = PriorModel(g, 2, ((0.0, 0.9), (1.1, 2.0)),
+                           {v: np.tile([0.5, 0.5], (2, 1)) for v in g.nodes},
+                           {e: 1.0 for e in g.edges})
+        for seed in range(5):
+            got = [t.node_labels for t in sample_prior(prior, 2, seed=seed)]
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got, sample_prior_loop(prior, 2, seed=seed), strict=True))
+
     def test_point_mass_bin(self):
         g = LabeledGraph(["a"], [])
         prior = PriorModel(g, 2, ((0.0, 1.0), (1.0, 2.0)),

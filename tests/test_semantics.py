@@ -8,7 +8,7 @@ import pytest
 import gtl.graph
 import gtl.semantics
 from gtl.errors import InputError, UsageError
-from gtl.formula import Atom, EdgeAtom, Exists, desugar, parse
+from gtl.formula import And, Atom, EdgeAtom, Exists, _subformulas, desugar, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import (
     coverage, misclassification_rate, sat, sat_signature, sat_table,
@@ -254,3 +254,76 @@ class TestTrajectorySets:
                                       path3.edge_labels, label=1)
         with pytest.raises(InputError):
             misclassification_rate([pos, other], parse("x <= 1"))
+
+
+def chains_of(f):
+    """The distinct neighbor chains of f after desugaring."""
+    return {g.chain for g in _subformulas(desugar(f)) if isinstance(g, Exists)}
+
+
+class TestEvaluator:
+    """One evaluator answers many queries over one set, as a search run does."""
+
+    CHAINS = [(EdgeAtom("<=", 1.0),), (EdgeAtom("<=", 2.0),),
+              (EdgeAtom(">=", 1.0), EdgeAtom("<=", 2.0)), (EdgeAtom("<=", 1.5),)]
+
+    def queries(self, rng, n):
+        """Random formulas whose chains repeat, change and come back: each
+        query is a fresh formula, a repeat of an earlier one, or one of those
+        joined to a neighbor predicate over a chain drawn from CHAINS."""
+        seen = []
+        for _ in range(n):
+            r = rng.random()
+            f = seen[int(rng.integers(len(seen)))] if seen and r < 0.3 else random_formula(rng, depth=2)
+            if r > 0.6:
+                chain = self.CHAINS[int(rng.integers(len(self.CHAINS)))]
+                f = And(f, Exists(int(rng.integers(1, 3)), chain, Atom(">=", 0.5)))
+            seen.append(f)
+            yield f
+
+    def test_query_sequence_against_fresh_tables_and_oracle(self, monkeypatch):
+        calls = []
+
+        def counting_reach(graph, edge_labels, chain):
+            calls.append(tuple(chain))
+            return gtl.graph.reach(graph, edge_labels, chain)
+
+        rng = np.random.default_rng(31)
+        g = random_graph(rng, 5, 0.6)
+        trajs = [random_trajectory(rng, g, L=4) for _ in range(3)]
+        evaluator = gtl.semantics._Evaluator(trajs)
+        previous = set()
+        for f in self.queries(rng, 200):
+            monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
+            calls.clear()
+            tab = evaluator.table(f)
+            walked = len(calls)
+            monkeypatch.undo()
+            chains = chains_of(f)
+            # holds exactly this query's chains, and walked only the new ones
+            assert set(evaluator.reaches) == chains, str(f)
+            assert walked == len(chains - previous), str(f)
+            previous = chains
+            assert np.array_equal(tab, gtl.semantics._table(trajs, f)), str(f)
+            for n, traj in enumerate(trajs):
+                assert np.array_equal(tab[n], oracle_table(traj, f)), str(f)
+
+    def test_editing_a_table_changes_no_later_one(self, path3):
+        f = parse("F E 1 via (y <= 1) : x >= 0.5")
+        g = parse("E 2 via (y <= 1) : x >= 0.5")
+        evaluator = gtl.semantics._Evaluator([path3, path3])
+        tab = evaluator.table(f)
+        want_f, want_g = tab.copy(), sat_table(path3, g)
+        tab[:] = ~tab
+        assert np.array_equal(evaluator.table(f), want_f)
+        evaluator.table(f)[:] = True
+        for n in range(2):
+            assert np.array_equal(evaluator.table(g)[n], want_g)
+
+    def test_checks_stay_per_query(self, path3):
+        evaluator = gtl.semantics._Evaluator([path3])
+        with pytest.raises(UsageError):
+            evaluator.table(parse("E 1 via (y <= 1) : x >= ?c"))
+        f = parse("E 1 via (y <= 1) : x >= 0.5")
+        assert np.array_equal(evaluator.table(f)[0], sat_table(path3, f))
+

@@ -133,13 +133,8 @@ def _simplify_clause(clause):
 
 
 def _absorb(clauses):
-    out = []
-    for c in clauses:
-        if any(c2 <= c and c2 != c for c2 in clauses):
-            continue
-        if c not in out:
-            out.append(c)
-    return frozenset(out)
+    """The clauses of a set that no other clause strictly contains."""
+    return frozenset([c for c in clauses if not any(c2 < c for c2 in clauses)])
 
 
 def or_dnf(*dnfs):
@@ -163,18 +158,6 @@ def and_dnf(a, b):
     return _absorb(clauses)
 
 
-def negate_dnf(d):
-    acc = TRUE_DNF
-    for clause in d:
-        neg = frozenset(frozenset({(f, not s)}) for f, s in clause)
-        if not neg:  # negation of TRUE clause
-            return FALSE_DNF
-        acc = and_dnf(acc, neg)
-        if acc == FALSE_DNF:
-            return FALSE_DNF
-    return acc
-
-
 def _lit(f):
     return frozenset({frozenset({(f, True)})})
 
@@ -182,51 +165,110 @@ def _lit(f):
 # ---------------------------------------------------------------------------
 # progression
 
-def _prog(f, letter, ap_bits):
-    """DNF of next-step obligations given that f must hold now and the
-    current letter is `letter`."""
-    if isinstance(f, TrueF):
-        return TRUE_DNF
-    if isinstance(f, FalseF):
-        return FALSE_DNF
-    if isinstance(f, (Atom, Exists)):
-        return TRUE_DNF if letter & (1 << ap_bits[f]) else FALSE_DNF
-    if isinstance(f, Not):
-        return negate_dnf(_prog(f.sub, letter, ap_bits))
-    if isinstance(f, And):
-        return and_dnf(_prog(f.left, letter, ap_bits), _prog(f.right, letter, ap_bits))
-    if isinstance(f, Or):
-        return or_dnf(_prog(f.left, letter, ap_bits), _prog(f.right, letter, ap_bits))
-    if isinstance(f, Eventually):
-        lo, hi = _bound_parts(f.bound)
-        if lo >= 1:
-            return _lit(Eventually(f.sub, _dec_lo(f.bound)))
-        now = _prog(f.sub, letter, ap_bits)
-        if hi == 0:
-            return now
-        rest = Eventually(f.sub, _dec_hi(f.bound))
-        return or_dnf(now, _lit(rest))
-    if isinstance(f, Always):
-        lo, hi = _bound_parts(f.bound)
-        if lo >= 1:
-            return _lit(Always(f.sub, _dec_lo(f.bound)))
-        now = _prog(f.sub, letter, ap_bits)
-        if hi == 0:
-            return now
-        rest = Always(f.sub, _dec_hi(f.bound))
-        return and_dnf(now, _lit(rest))
-    if isinstance(f, Until):
-        lo, hi = _bound_parts(f.bound)
-        pa = _prog(f.left, letter, ap_bits)
-        if lo >= 1:
-            return and_dnf(pa, _lit(Until(f.left, f.right, _dec_lo(f.bound))))
-        pb = _prog(f.right, letter, ap_bits)
-        now = and_dnf(pa, pb)
-        if hi == 0:
-            return now
-        rest = Until(f.left, f.right, _dec_hi(f.bound))
-        return or_dnf(now, and_dnf(pa, _lit(rest)))
-    raise TypeError(f"not a formula node: {f!r}")
+class _Progression:
+    """Formula progression over one alphabet, memoized for one to_dfa call.
+
+    The residuals of one automaton keep meeting the same obligations under
+    the same letters, so _prog results are kept per (formula, letter) and
+    conjunction and negation results per argument.  The memo lives as long
+    as the object, which to_dfa drops when it returns.
+    """
+
+    def __init__(self, ap_bits):
+        self.ap_bits = ap_bits
+        self.memo = {}
+
+    def and_(self, a, b):
+        key = ("and", a, b)
+        d = self.memo.get(key)
+        if d is None:
+            d = self.memo[key] = and_dnf(a, b)
+        return d
+
+    def negate(self, d):
+        key = ("not", d)
+        acc = self.memo.get(key)
+        if acc is not None:
+            return acc
+        acc = TRUE_DNF
+        for clause in d:
+            neg = frozenset(frozenset({(f, not s)}) for f, s in clause)
+            if not neg:  # negation of TRUE clause
+                acc = FALSE_DNF
+                break
+            acc = self.and_(acc, neg)
+            if acc == FALSE_DNF:
+                break
+        self.memo[key] = acc
+        return acc
+
+    def prog(self, f, letter):
+        """DNF of next-step obligations given that f must hold now and the
+        current letter is `letter`."""
+        key = (f, letter)
+        d = self.memo.get(key)
+        if d is None:
+            d = self.memo[key] = self._prog(f, letter)
+        return d
+
+    def _prog(self, f, letter):
+        if isinstance(f, TrueF):
+            return TRUE_DNF
+        if isinstance(f, FalseF):
+            return FALSE_DNF
+        if isinstance(f, (Atom, Exists)):
+            return TRUE_DNF if letter & (1 << self.ap_bits[f]) else FALSE_DNF
+        if isinstance(f, Not):
+            return self.negate(self.prog(f.sub, letter))
+        if isinstance(f, And):
+            return self.and_(self.prog(f.left, letter), self.prog(f.right, letter))
+        if isinstance(f, Or):
+            return or_dnf(self.prog(f.left, letter), self.prog(f.right, letter))
+        if isinstance(f, Eventually):
+            lo, hi = _bound_parts(f.bound)
+            if lo >= 1:
+                return _lit(Eventually(f.sub, _dec_lo(f.bound)))
+            now = self.prog(f.sub, letter)
+            if hi == 0:
+                return now
+            rest = Eventually(f.sub, _dec_hi(f.bound))
+            return or_dnf(now, _lit(rest))
+        if isinstance(f, Always):
+            lo, hi = _bound_parts(f.bound)
+            if lo >= 1:
+                return _lit(Always(f.sub, _dec_lo(f.bound)))
+            now = self.prog(f.sub, letter)
+            if hi == 0:
+                return now
+            rest = Always(f.sub, _dec_hi(f.bound))
+            return self.and_(now, _lit(rest))
+        if isinstance(f, Until):
+            lo, hi = _bound_parts(f.bound)
+            pa = self.prog(f.left, letter)
+            if lo >= 1:
+                return self.and_(pa, _lit(Until(f.left, f.right, _dec_lo(f.bound))))
+            pb = self.prog(f.right, letter)
+            now = self.and_(pa, pb)
+            if hi == 0:
+                return now
+            rest = Until(f.left, f.right, _dec_hi(f.bound))
+            return or_dnf(now, self.and_(pa, _lit(rest)))
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def state(self, state, letter):
+        """The residual DNF after reading `letter` in `state`."""
+        out = FALSE_DNF
+        for clause in state:
+            acc = TRUE_DNF
+            for f, s in clause:
+                d = self.prog(f, letter)
+                acc = self.and_(acc, d if s else self.negate(d))
+                if acc == FALSE_DNF:
+                    break
+            out = or_dnf(out, acc)
+            if out == TRUE_DNF:
+                break
+        return out
 
 
 def _dec_lo(bound):
@@ -238,21 +280,6 @@ def _dec_hi(bound):
     if bound is None or bound.hi is None:
         return bound
     return Bound(bound.lo, bound.hi - 1)
-
-
-def _prog_state(state, letter, ap_bits):
-    out = FALSE_DNF
-    for clause in state:
-        acc = TRUE_DNF
-        for f, s in clause:
-            d = _prog(f, letter, ap_bits)
-            acc = and_dnf(acc, d if s else negate_dnf(d))
-            if acc == FALSE_DNF:
-                break
-        out = or_dnf(out, acc)
-        if out == TRUE_DNF:
-            break
-    return out
 
 
 def _empty(f):
@@ -333,8 +360,11 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
 
     Returns (dfa, atomic predicate list).  The automaton is horizon-aware
     only through its end-of-word acceptance rule, so the same automaton is
-    valid for every word length; L is used to warn about clipped bounds.
+    valid for every word length; L, when given, must be >= 1 and is used
+    to warn about clipped bounds.
     """
+    if L is not None and L < 1:
+        raise InputError("horizon L must be >= 1")
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
     f = desugar(f)
@@ -343,7 +373,7 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
             if b > L:
                 warnings.warn(f"time bound {b} exceeds horizon {L}; clipped by the finite-trace rule")
     aps = extract_aps(f)
-    ap_bits = {ap: i for i, ap in enumerate(aps)}
+    prog = _Progression({ap: i for i, ap in enumerate(aps)})
     n_letters = 1 << len(aps)
 
     if isinstance(f, TrueF):
@@ -361,7 +391,7 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
         s = queue.pop(0)
         row = []
         for letter in range(n_letters):
-            t = _prog_state(s, letter, ap_bits)
+            t = prog.state(s, letter)
             if t not in states:
                 states[t] = len(order)
                 order.append(t)
@@ -381,43 +411,34 @@ def _all_bounds(f):
 
 def minimize(dfa: Dfa) -> Dfa:
     """Partition-refinement minimization over reachable states."""
+    rows = dfa.transitions.tolist()
     # reachable states only
     reach = {dfa.initial}
     stack = [dfa.initial]
     while stack:
-        q = stack.pop()
-        for letter in range(dfa.n_letters):
-            t = int(dfa.transitions[q, letter])
+        for t in rows[stack.pop()]:
             if t not in reach:
                 reach.add(t)
                 stack.append(t)
     reach = sorted(reach)
     remap = {q: i for i, q in enumerate(reach)}
-    trans = dfa.transitions[reach]
-    trans = np.vectorize(remap.get)(trans) if len(reach) else trans
+    trans = [[remap[t] for t in rows[q]] for q in reach]
     acc = dfa.accepting[reach]
 
-    n = len(reach)
-    block = [1 if acc[q] else 0 for q in range(n)]
+    block = [1 if a else 0 for a in acc]
     while True:
         sig = {}
-        new_block = [0] * n
-        for q in range(n):
-            key = (block[q], tuple(block[int(trans[q, a])] for a in range(dfa.n_letters)))
-            if key not in sig:
-                sig[key] = len(sig)
-            new_block[q] = sig[key]
+        new_block = [sig.setdefault((block[q], tuple([block[t] for t in row])), len(sig))
+                     for q, row in enumerate(trans)]
         if new_block == block:
             break
         block = new_block
     k = max(block) + 1
     new_trans = np.zeros((k, dfa.n_letters), dtype=np.int64)
     new_acc = np.zeros(k, dtype=bool)
-    for q in range(n):
-        b = block[q]
-        new_acc[b] = acc[q]
-        for a in range(dfa.n_letters):
-            new_trans[b, a] = block[int(trans[q, a])]
+    for q, row in enumerate(trans):
+        new_acc[block[q]] = acc[q]
+        new_trans[block[q]] = [block[t] for t in row]
     return Dfa(aps=dfa.aps, transitions=new_trans, accepting=new_acc,
                initial=block[remap[dfa.initial]])
 

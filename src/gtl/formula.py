@@ -91,7 +91,14 @@ class Bound:
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses and hashable."""
+    """Base class; all nodes are frozen dataclasses and hashable (see _node)."""
+
+    _hash = None  # a node's own cached hash shadows this once computed
+
+    def __getstate__(self):
+        # the cached hash is salted per process, so pickles never carry it
+        state = {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return state or None
 
     def __and__(self, other):
         return And(self, other)
@@ -106,17 +113,35 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen-dataclass formula node that computes its structural hash on
+    first use and keeps it outside its fields, so ==, repr and pickles never
+    see it.  Progression hashes the same subtrees many times over."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     op: str  # "<=" or ">="
     threshold: Value
@@ -132,7 +157,7 @@ class Atom(Formula):
         return NodeProposition(self.op, float(self.threshold))
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     count: Value
     chain: tuple  # tuple[EdgeAtom, ...]
@@ -143,43 +168,43 @@ class Exists(Formula):
             raise InputError("neighbor chain must have length >= 1")
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
     bound: Optional[Bound] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(Formula):
     sub: Formula
     bound: Optional[Bound] = None
 
 
-@dataclass(frozen=True)
+@_node
 class Always(Formula):
     sub: Formula
     bound: Optional[Bound] = None

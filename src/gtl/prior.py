@@ -7,8 +7,8 @@ using exact joint letter distributions.  Every atomic predicate counts as
 "at least n of a reach set satisfy a proposition": a bare atom is 1 of [v],
 `E n via chain : atom` is n of v's static reach.  One call cuts the real
 line into cells at its thresholds, which gives every node an (L, cells) mass
-table; per node, one array DP over all times counts each predicate's
-successes, pooled at min(n, |reach|), and yields an (L, letters) array.  An
+table; one array DP over a flat (node, time) batch axis counts each
+predicate's successes and yields an (L, letters) array per node.  An
 outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
 through a Poisson-binomial tail.  Information gain is reported in nats per
 time step.
@@ -207,7 +207,7 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     """
     _check_node(prior, v)
     _check_time(prior, k)
-    return _letters(*_letter_table(prior, aps), prior.graph.node_index[v])[k - 1]
+    return _letters(*_letter_table(prior, aps), [prior.graph.node_index[v]])[0, k - 1]
 
 
 def _letter_table(prior, aps):
@@ -231,45 +231,102 @@ def _letter_table(prior, aps):
     return (*_cell_masses(prior, props), preds)
 
 
-def _letters(masses, truth, preds, vi) -> np.ndarray:
-    """(L, 2^|preds|) joint letter distribution at node index vi, all times.
+def _letters(masses, truth, preds, nodes) -> np.ndarray:
+    """(len(nodes), L, 2^|preds|) joint letter distributions at the node
+    indices `nodes`, all times.
 
-    One array DP over the nodes the predicates touch: the state has one axis
-    per predicate counting its successes so far, pooled at min(n, |reach|).
+    A node whose DP needs more than MAX_DP_STATES states per time step falls
+    back to predicate independence.  The others share one array DP over a
+    flat (node, time) batch axis, run in chunks of at most MAX_DP_STATES
+    cells.  The state has one axis per predicate counting its successes so
+    far, pooled at the largest min(n, |reach|) over the batch's nodes.
     """
-    m, L = len(preds), masses.shape[1]
-    ns = [n for n, _ in preds]
-    hits = np.array([r[vi] for _, r in preds], dtype=bool).reshape(m, len(masses))
-    caps = np.minimum(ns, hits.sum(axis=1))
-    states = math.prod(int(c) + 1 for c in caps)
-    if states > MAX_DP_STATES:
-        warnings.warn(
-            f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
-            "falling back to predicate independence"
-        )
-        return _independent_letters(masses, truth, ns, hits)
+    m, L, V = len(preds), masses.shape[1], len(masses)
+    ns = np.array([n for n, _ in preds], dtype=int)
+    hits = np.array([r[nodes] for _, r in preds], dtype=bool).reshape(m, len(nodes), V)
+    caps = np.minimum(ns[:, None], hits.sum(axis=2))
+    out = np.empty((len(nodes), L, 1 << m))
+    batch = []
+    for i in range(len(nodes)):
+        states = math.prod(int(c) + 1 for c in caps[:, i])
+        if states > MAX_DP_STATES:
+            warnings.warn(
+                f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
+                "falling back to predicate independence"
+            )
+            out[i] = _independent_letters(masses, truth, ns, hits[:, i])
+        else:
+            batch.append(i)
+    if not batch:
+        return out
+    # nodes whose pooled state would pass the cap run one by one
+    pooled = math.prod(int(c) + 1 for c in caps[:, batch].max(axis=1))
+    flat = out.reshape(len(nodes) * L, -1)
+    for group in [batch] if pooled <= MAX_DP_STATES else [[i] for i in batch]:
+        group_caps = caps[:, group].max(axis=1)
+        node_of_row, time_of_row = np.repeat(group, L), np.tile(np.arange(L), len(group))
+        step = max(1, MAX_DP_STATES // math.prod(int(c) + 1 for c in group_caps))
+        for lo in range(0, len(node_of_row), step):
+            rows = slice(lo, lo + step)
+            flat[node_of_row[rows] * L + time_of_row[rows]] = _count_dp(
+                masses, truth, ns, hits, group_caps, node_of_row[rows], time_of_row[rows])
+    return out
 
-    # predicate j counts on axis m - j, so the letters come out in bitmask order
-    dp = np.zeros((L,) + tuple(int(c) + 1 for c in caps[::-1]))
+
+def _count_dp(masses, truth, ns, hits, caps, node_of_row, time_of_row):
+    """(rows, 2^m) letter rows for the (node, time) pairs of one chunk.
+
+    Source nodes are taken in index order.  A row moves only where the
+    source touches one of its node's predicates, so each row takes exactly
+    the steps of its own node's DP; rows whose node is touched by the same
+    predicates move together.  Predicate j counts on axis m - j, so the
+    letters come out in bitmask order.
+    """
+    m, n_rows = len(ns), len(node_of_row)
+    dp = np.zeros((n_rows,) + tuple(int(c) + 1 for c in caps[::-1]))
     dp[(slice(None),) + (0,) * m] = 1.0
-    for u in np.flatnonzero(hits.any(axis=0)):
-        touch = np.flatnonzero(hits[:, u])
-        pattern_mass = {}  # truth of the touching predicates -> (L,) mass
-        for c, pattern in enumerate(map(tuple, truth[touch].T)):
-            pattern_mass[pattern] = pattern_mass.get(pattern, 0.0) + masses[u, :, c]
-        new = np.zeros_like(dp)
-        for pattern, mass in pattern_mass.items():
-            moved = dp
-            for j, hit in zip(touch, pattern):
-                if hit:
-                    moved = _bump(moved, m - j)
-            new += mass.reshape((L,) + (1,) * m) * moved
-        dp = new
+    # touched[i, u]: bitmask of the predicates of node i that source u touches
+    touched = np.tensordot(1 << np.arange(m), hits, axes=1)
+    moves = {}  # bitmask -> [(count axes to bump, (V, L) mass)], one per truth pattern
+    for u in np.flatnonzero(touched[np.unique(node_of_row)].any(axis=0)):
+        row_keys = touched[node_of_row, u]
+        for key in sorted(set(row_keys.tolist()) - {0}):
+            if key not in moves:
+                moves[key] = _moves(masses, truth, m, key)
+            sel = np.flatnonzero(row_keys == key)
+            whole = len(sel) == n_rows
+            cur = dp if whole else dp[sel]
+            new = None
+            for axes, mass in moves[key]:
+                moved = cur
+                for axis in axes:
+                    moved = _bump(moved, axis)
+                term = mass[u, time_of_row[sel]].reshape((-1,) + (1,) * m) * moved
+                if new is None:
+                    new = term
+                else:
+                    new += term
+            if whole:
+                dp = new
+            else:
+                dp[sel] = new
     for j in range(m):
         # count -> (predicate false, predicate true)
         holds = np.eye(2)[(np.arange(caps[j] + 1) >= ns[j]).astype(int)]
         dp = np.moveaxis(np.moveaxis(dp, m - j, -1) @ holds, -1, m - j)
-    return dp.reshape(L, -1)
+    return dp.reshape(n_rows, -1)
+
+
+def _moves(masses, truth, m, key):
+    """One DP step's terms for a source touching the predicates in bitmask
+    key: per truth pattern of those predicates, in order of first cell, the
+    count axes it bumps and its (V, L) mass, summed over its cells in order."""
+    touch = [j for j in range(m) if key >> j & 1]
+    pattern_mass = {}
+    for c, pattern in enumerate(map(tuple, truth[touch].T)):
+        pattern_mass[pattern] = pattern_mass.get(pattern, 0.0) + masses[:, :, c]
+    return [([m - j for j, hit in zip(touch, pattern) if hit], mass)
+            for pattern, mass in pattern_mass.items()]
 
 
 def _bump(dp, axis):
@@ -337,18 +394,17 @@ def _inner_probabilities(prior, f, sub, nodes):
             "is not decidable on finite prefixes"
         )
     dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
-    table = _letter_table(prior, aps)
-    index = prior.graph.node_index
-    probs = {v: _acceptance(dfa, _letters(*table, index[v])) for v in nodes}
+    letters = _letters(*_letter_table(prior, aps), [prior.graph.node_index[v] for v in nodes])
+    probs = {v: _acceptance(dfa, rows) for v, rows in zip(nodes, letters)}
     return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
 
 
 def _acceptance(dfa, letters) -> float:
     """P that a word drawn row by row from the (L, letters) array is accepted."""
-    u = dfa.accepting.astype(float)
+    u, transitions = dfa.accepting.astype(float), dfa.transitions
     for row in letters[::-1]:
-        u = u[dfa.transitions] @ row
-        counters["transition_evals"] += dfa.n_states * dfa.n_letters
+        u = u[transitions] @ row
+    counters["transition_evals"] += dfa.n_states * dfa.n_letters * len(letters)
     return float(u[dfa.initial])
 
 

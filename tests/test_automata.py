@@ -1,9 +1,13 @@
 """DFA construction by formula progression, word generation, soundness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from gtl.errors import OutOfScopeError, UsageError
+import gtl.automata
+from gtl.cli import main
+from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.automata import extract_aps, label_word, minimize, run_word, to_dfa
 from gtl.formula import Not, parse, print_formula
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
@@ -76,6 +80,11 @@ class TestToDfa:
         with pytest.raises(UsageError):
             to_dfa(parse("x <= ?c"))
 
+    @pytest.mark.parametrize("L", [0, -2])
+    def test_horizon_below_one_rejected(self, L):
+        with pytest.raises(InputError, match="horizon"):
+            to_dfa(parse("F[<=1] x >= 1"), L)
+
     def test_transitions_total(self):
         dfa, aps = to_dfa(parse("x <= 0 U F[<=2] x >= 1"))
         assert dfa.transitions.shape == (dfa.n_states, 2 ** len(aps))
@@ -135,3 +144,89 @@ class TestMinimize:
         dfa, _ = to_dfa(parse("F x >= 1"))
         dot = dfa.to_dot()
         assert dot.startswith("digraph") and "->" in dot
+
+
+def c2_formulas(n):
+    """The first n formulas of the C2 acceptance corpus: the same seed and
+    the same draws, trajectories included."""
+    rng = np.random.default_rng(2026)
+    g = LabeledGraph.complete(["a", "b", "c"])
+    for _ in range(n):
+        f = random_formula(rng, depth=3)
+        for _ in range(10):
+            random_trajectory(rng, g, L=4)
+        yield f
+
+
+class _Forgetful(dict):
+    """A memo that never stores, so every progression step is recomputed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestProgressionMemo:
+    def test_memo_changes_no_automaton(self, monkeypatch):
+        formulas = [g for f in c2_formulas(50) for g in (f, Not(f))]
+        built = [to_dfa(f, L=4) for f in formulas]
+        init = gtl.automata._Progression.__init__
+
+        def forgetful_init(self, ap_bits):
+            init(self, ap_bits)
+            self.memo = _Forgetful()
+
+        monkeypatch.setattr(gtl.automata._Progression, "__init__", forgetful_init)
+        for f, (dfa, aps) in zip(formulas, built):
+            ref, ref_aps = to_dfa(f, L=4)
+            assert aps == ref_aps, str(f)
+            assert np.array_equal(dfa.transitions, ref.transitions), str(f)
+            assert np.array_equal(dfa.accepting, ref.accepting), str(f)
+            assert dfa.initial == ref.initial, str(f)
+
+    def test_memo_dropped_with_the_call(self, monkeypatch):
+        made = []
+        init = gtl.automata._Progression.__init__
+
+        def recording_init(self, ap_bits):
+            init(self, ap_bits)
+            made.append(self)
+
+        monkeypatch.setattr(gtl.automata._Progression, "__init__", recording_init)
+        to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
+        to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
+        assert len(made) == 2 and made[0].memo is not made[1].memo
+
+
+# sha256 of `gtl dfa --L 12 --dot` output for the ten built-in shapes at
+# i1=2, i2=8, i3=3, N=2, d=1.5, c=0.11, a=0.125 (type-II shapes: their body),
+# recorded before progression was memoized
+BUILTIN_DOT_SHA256 = {
+    "G[>=2][<=8] E 2 via (y <= 1.5) : x <= 0.11":
+        "0708f70f90a7db3ef5f4f275ba82527daefe9854294564bd4bd239ebf4662883",
+    "F[>=2][<=8] E 2 via (y <= 1.5) : x <= 0.11":
+        "f3361edc65ea42a2a8c3f9cfce26931715031e5d1df8de3541a69e85d728f2d3",
+    "G[>=2][<=8] F[<=3] E 2 via (y <= 1.5) : x <= 0.11":
+        "678621591040a85733d84812ba4348dd417a38862d0ad9fecd663ee3d55a78a8",
+    "F[>=2][<=8] G[<=3] E 2 via (y <= 1.5) : x <= 0.11":
+        "b5936005f0d0ca1abfa9a9e794734ea6257014d19d6c8003c5d9c2216fb97b4f",
+    "G (x >= 0.125 -> G[<=3] E 2 via (y <= 1.5) : x <= 0.11)":
+        "468ef8c8dbc8df298e501533fe4cfd35cab58d663c6be52c3c6033c21bf39c88",
+    "G (x >= 0.125 -> F[<=3] E 2 via (y <= 1.5) : x <= 0.11)":
+        "fb1fd56510c5e8c9a7d697b7278678d44eed37a510b52b587fc81fafc3ed5cca",
+    "G[>=2][<=8] x <= 0.11":
+        "335a34d4121072d6d2557d56829b1ac9373c79fd5871b7f24a39a71209fbd43a",
+    "F[>=2][<=8] x <= 0.11":
+        "ef0b8ebf4c1d891a54b90a39c7e48d861bef36411fe96f09c2ae0419626f0fa3",
+    "G[>=2][<=8] F[<=3] x <= 0.11":
+        "206702ccd7d8a08e8b40911835367c7a748159d6d94a04ac9f7640b62ff82122",
+    "F[>=2][<=8] G[<=3] x <= 0.11":
+        "b0143e4f4c46749da865f3010afbe55922a4514219130fd679017ef4b5e8c765",
+}
+
+
+@pytest.mark.parametrize("text", sorted(BUILTIN_DOT_SHA256))
+def test_builtin_shape_dot_unchanged(text, tmp_path):
+    dot = tmp_path / "dfa.dot"
+    assert main(["dfa", "--formula", text, "--L", "12", "--dot", str(dot),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == BUILTIN_DOT_SHA256[text]

@@ -124,6 +124,12 @@ class TestDfaIg:
         assert rep["result"]["states"] >= 2
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_dfa_horizon_below_one_exit_one(self, horizon, capsys):
+        code = main(["dfa", "--formula", "F[<=1] x >= 1", "--L", horizon])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [input]: horizon L must be >= 1")
+
     def test_ig_report(self, workspace, capsys):
         code, out = run(capsys, "ig", "--prior", str(workspace["prior"]),
                         "--graph", str(workspace["graph"]),

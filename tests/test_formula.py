@@ -1,6 +1,7 @@
 """Language module: parsing, printing, parameters, polarity, size, subtypes."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -305,3 +306,34 @@ class TestTraversal:
     def test_children_rejects_non_nodes(self, thing):
         with pytest.raises(TypeError):
             _children(thing)
+
+
+class TestCachedHash:
+    """A node keeps its hash once computed; nothing else may see it."""
+
+    TEXTS = ["TRUE", "x <= 0.5", "G[>=2][<=8] F[<=3] E 2 via (y <= 1.5) : x <= 0.11",
+             "G (x >= 0.125 -> F[<=3] E 2 via (y <= 1.5) : x <= 0.11)",
+             "x <= 0.1 U[<=2] ! x >= 0.9"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_pickle_repr_and_eq_unchanged_by_hashing(self, text):
+        f = parse(text)
+        before = (pickle.dumps(f), repr(f))
+        h = hash(f)
+        assert (pickle.dumps(f), repr(f)) == before
+        assert f == parse(text) and not f != parse(text)
+        assert hash(pickle.loads(before[0])) == h
+
+    def test_rebuilt_node_hashes_as_parsed(self):
+        template = parse("F[>=?i1][<=?i2] G[<=?i3] E ?N via (y <= ?d) : x <= ?c")
+        hash(template)
+        val = {"i1": 2, "i2": 8, "i3": 3, "N": 2, "d": 1.5, "c": 0.11}
+        g = instantiate(template, val)
+        fresh = parse("F[>=2][<=8] G[<=3] E 2 via (y <= 1.5) : x <= 0.11")
+        assert g == fresh and hash(g) == hash(fresh)
+        assert hash(g.sub) == hash(fresh.sub)
+
+    def test_distinct_nodes_stay_distinct_in_sets(self):
+        a, b = parse("F[<=1] x >= 1"), parse("F[<=2] x >= 1")
+        hash(a)
+        assert len({a, b, parse("F[<=1] x >= 1")}) == 2

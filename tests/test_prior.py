@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,115 @@ class TestLetterOracle:
                 want = [math.prod(p if letter >> i & 1 else 1 - p for i, p in enumerate(marg))
                         for letter in range(1 << len(aps))]
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (v, k)
+
+
+def letters_loop(masses, truth, preds, vi):
+    """(L, 2^|preds|) letter array at node index vi: the per-node array DP
+    that the batched route replaced, kept as its differential oracle."""
+    m, L = len(preds), masses.shape[1]
+    ns = [n for n, _ in preds]
+    hits = np.array([r[vi] for _, r in preds], dtype=bool).reshape(m, len(masses))
+    caps = np.minimum(ns, hits.sum(axis=1))
+    dp = np.zeros((L,) + tuple(int(c) + 1 for c in caps[::-1]))
+    dp[(slice(None),) + (0,) * m] = 1.0
+    for u in np.flatnonzero(hits.any(axis=0)):
+        touch = np.flatnonzero(hits[:, u])
+        pattern_mass = {}
+        for c, pattern in enumerate(map(tuple, truth[touch].T)):
+            pattern_mass[pattern] = pattern_mass.get(pattern, 0.0) + masses[u, :, c]
+        new = np.zeros_like(dp)
+        for pattern, mass in pattern_mass.items():
+            moved = dp
+            for j, hit in zip(touch, pattern):
+                if hit:
+                    moved = gtl.prior._bump(moved, m - j)
+            new += mass.reshape((L,) + (1,) * m) * moved
+        dp = new
+    for j in range(m):
+        holds = np.eye(2)[(np.arange(caps[j] + 1) >= ns[j]).astype(int)]
+        dp = np.moveaxis(np.moveaxis(dp, m - j, -1) @ holds, -1, m - j)
+    return dp.reshape(L, -1)
+
+
+class TestBatchedLetters:
+    """The batched (node, time) DP against the per-node DP, bit for bit."""
+
+    def check(self, prior, aps):
+        table = gtl.prior._letter_table(prior, aps)
+        nodes = list(range(prior.graph.n_nodes))
+        got = gtl.prior._letters(*table, nodes)
+        for vi in nodes:
+            assert np.array_equal(got[vi], letters_loop(*table, vi)), (aps, vi)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_unequal_reach(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        g = random_graph(rng, int(rng.integers(4, 8)), 0.5)
+        edge_labels = {e: float(rng.choice([1.0, 2.0])) for e in g.edges}
+        prior = three_bin_prior(g, int(rng.integers(1, 5)), rng, edge_labels)
+        self.check(prior, random_letter_aps(rng))
+
+    def test_empty_and_unequal_reach(self):
+        # path a - b - c - d plus isolated e: reach sizes 0 to 2 across nodes
+        g = LabeledGraph(["a", "b", "c", "d", "e"],
+                         [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d")])
+        rng = np.random.default_rng(8)
+        prior = three_bin_prior(g, 3, rng, {"e1": 1.0, "e2": 1.0, "e3": 2.0})
+        aps = [parse(t) for t in ["x <= 0.8", "E 2 via (y <= 1) : x >= 0.5",
+                                  "E 3 via (y <= 2) : x <= 1.2",
+                                  "E 1 via (y <= 1) via (y <= 1) : x >= 0.3",
+                                  "E 1 via (y >= 5) : x <= 1.5"]]
+        assert [len(static_reach(prior, v, aps[2].chain)) for v in g.nodes] == [1, 2, 2, 1, 0]
+        self.check(prior, aps)
+
+    def test_fallback_nodes_beside_batched_ones(self, monkeypatch):
+        # a star: the hub reaches four leaves, each leaf only the hub
+        g = LabeledGraph(["h", "p", "q", "r", "s"],
+                         [(f"e{i}", "h", v) for i, v in enumerate("pqrs")])
+        prior = three_bin_prior(g, 3, np.random.default_rng(9), {f"e{i}": 1.0 for i in range(4)})
+        aps = [parse(t) for t in ["E 4 via (y <= 1) : x >= 0.5", "E 4 via (y <= 1) : x <= 1.2"]]
+        table = gtl.prior._letter_table(prior, aps)
+        monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 24)  # the hub needs 25, a leaf 4
+        with pytest.warns(UserWarning, match="independence") as caught:
+            got = gtl.prior._letters(*table, [0, 1, 2, 3, 4])
+        assert len(caught) == 1
+        masses, truth, preds = table
+        hits = np.array([r[0] for _, r in preds])
+        want_hub = gtl.prior._independent_letters(masses, truth, [4, 4], hits)
+        assert np.array_equal(got[0], want_hub)
+        for vi in range(1, 5):
+            assert np.array_equal(got[vi], letters_loop(*table, vi))
+
+    def test_pooled_state_over_the_cap_runs_per_node(self, monkeypatch):
+        # caps (2, 0) at one node and (0, 2) at another pool to 9 states
+        g = LabeledGraph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "a", "c"),
+                                                ("e3", "c", "d"), ("e4", "b", "d")])
+        prior = three_bin_prior(g, 2, np.random.default_rng(10),
+                                {"e1": 1.0, "e2": 1.0, "e3": 2.0, "e4": 2.0})
+        aps = [parse(t) for t in ["E 2 via (y <= 1) : x >= 0.5", "E 2 via (y >= 2) : x <= 1.2"]]
+        monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 8)
+        self.check(prior, aps)
+
+
+class TestLetterMemory:
+    def test_peak_does_not_grow_with_the_horizon(self, monkeypatch):
+        # five E 9 letters on K_10: 10^5 DP states per time step
+        g = LabeledGraph.complete([f"n{i}" for i in range(10)])
+        aps = [parse(f"E 9 via (y <= 1) : x {t}")
+               for t in ["<= 0.3", "<= 0.8", ">= 1.0", ">= 1.5", "<= 1.4"]]
+        monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 2 * 10 ** 5)  # two rows per chunk
+
+        def peak(L):
+            prior = three_bin_prior(g, L, np.random.default_rng(0), {e: 1.0 for e in g.edges})
+            tracemalloc.start()
+            try:
+                letter_distribution(prior, aps, "n0", L)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        base = peak(2)
+        assert base > 10 ** 6 and peak(8) <= 1.5 * base
 
 
 class TestSatisfactionProbability:

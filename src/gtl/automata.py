@@ -3,10 +3,18 @@
 Construction is by formula progression: a state is the residual obligation
 (kept as a DNF over temporal subformulas) that the remaining suffix of the
 word must satisfy.  Bounded operators count their bounds down; unbounded
-ones stay symbolic, so one automaton serves every horizon.  At word end a
-state accepts iff its residual holds on the empty suffix (eventualities
-unwitnessed are false, invariants unviolated are true), which matches the
-finite-trace semantics of the evaluation module exactly.
+ones stay symbolic, so one automaton serves every horizon.  F, G and U
+share one progression rule: F b is TRUE U b, and G joins "now" and "later"
+by conjunction.  At word end a state accepts iff its residual holds on the
+empty suffix (eventualities unwitnessed are false, invariants unviolated
+are true), which matches the finite-trace semantics of the evaluation
+module exactly.
+
+A residual DNF is only absorbed (no clause contains another); literals
+are never checked for implication, so a clause may even contradict
+itself.  Semantically equal residuals can thus become distinct states,
+and `minimize` merges them.  The minimal DFA is unique, so the result
+does not depend on which of two equivalent residuals progression met.
 
 Letters are bitmasks over an ordered atomic-predicate list: either bare
 node propositions or neighbor-count predicates applied to one proposition.
@@ -76,62 +84,6 @@ def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
 # ---------------------------------------------------------------------------
 # DNF machinery over obligation literals
 
-def _implies_lit(l1, l2):
-    """Conservative syntactic check that obligation literal l1 implies l2."""
-    (f1, s1), (f2, s2) = l1, l2
-    if s1 != s2 or not s1:
-        return False
-    if f1 == f2:
-        return True
-    if type(f1) is not type(f2):
-        return False
-    if isinstance(f1, (Eventually, Always)):
-        if f1.sub != f2.sub:
-            return False
-        b1, b2 = f1.bound, f2.bound
-        lo1, hi1 = _bound_parts(b1)
-        lo2, hi2 = _bound_parts(b2)
-        if isinstance(f1, Always):
-            # G[>=lo][<=hi] windows: smaller lo and larger hi is stronger;
-            # unbounded (lo=0, hi=inf) is strongest.
-            return lo1 <= lo2 and hi1 >= hi2
-        # F: a tighter window is stronger
-        return lo1 >= lo2 and hi1 <= hi2
-    if isinstance(f1, Until):
-        if f1.left != f2.left or f1.right != f2.right:
-            return False
-        lo1, hi1 = _bound_parts(f1.bound)
-        lo2, hi2 = _bound_parts(f2.bound)
-        return lo1 >= lo2 and hi1 <= hi2
-    return False
-
-
-def _bound_parts(b):
-    if b is None:
-        return 0, float("inf")
-    lo = b.lo if b.lo is not None else 0
-    hi = b.hi if b.hi is not None else float("inf")
-    return lo, hi
-
-
-def _simplify_clause(clause):
-    """Drop literals implied by stronger ones; None if contradictory."""
-    lits = list(clause)
-    for f, s in lits:
-        if (f, not s) in clause:
-            return None
-    keep = []
-    for i, l1 in enumerate(lits):
-        implied = False
-        for j, l2 in enumerate(lits):
-            if i != j and _implies_lit(l2, l1) and not (_implies_lit(l1, l2) and j > i):
-                implied = True
-                break
-        if not implied:
-            keep.append(l1)
-    return frozenset(keep)
-
-
 def _absorb(clauses):
     """The clauses of a set that no other clause strictly contains."""
     return frozenset([c for c in clauses if not any(c2 < c for c2 in clauses)])
@@ -147,12 +99,7 @@ def or_dnf(*dnfs):
 
 
 def and_dnf(a, b):
-    clauses = set()
-    for c1 in a:
-        for c2 in b:
-            c = _simplify_clause(c1 | c2)
-            if c is not None:
-                clauses.add(c)
+    clauses = {c1 | c2 for c1 in a for c2 in b}
     if frozenset() in clauses:
         return TRUE_DNF
     return _absorb(clauses)
@@ -224,35 +171,22 @@ class _Progression:
             return self.and_(self.prog(f.left, letter), self.prog(f.right, letter))
         if isinstance(f, Or):
             return or_dnf(self.prog(f.left, letter), self.prog(f.right, letter))
-        if isinstance(f, Eventually):
+        if isinstance(f, (Eventually, Always, Until)):
+            # F b is TRUE U b; G b joins "now" and "later" with and_, not or
+            *left, right = kids = _children(f)
+            pa = self.prog(left[0], letter) if left else None
+
+            def guard(d):
+                return d if pa is None else self.and_(pa, d)
+
             lo, hi = _bound_parts(f.bound)
             if lo >= 1:
-                return _lit(Eventually(f.sub, _dec_lo(f.bound)))
-            now = self.prog(f.sub, letter)
+                return guard(_lit(type(f)(*kids, bound=_dec_lo(f.bound))))
+            now = guard(self.prog(right, letter))
             if hi == 0:
                 return now
-            rest = Eventually(f.sub, _dec_hi(f.bound))
-            return or_dnf(now, _lit(rest))
-        if isinstance(f, Always):
-            lo, hi = _bound_parts(f.bound)
-            if lo >= 1:
-                return _lit(Always(f.sub, _dec_lo(f.bound)))
-            now = self.prog(f.sub, letter)
-            if hi == 0:
-                return now
-            rest = Always(f.sub, _dec_hi(f.bound))
-            return self.and_(now, _lit(rest))
-        if isinstance(f, Until):
-            lo, hi = _bound_parts(f.bound)
-            pa = self.prog(f.left, letter)
-            if lo >= 1:
-                return self.and_(pa, _lit(Until(f.left, f.right, _dec_lo(f.bound))))
-            pb = self.prog(f.right, letter)
-            now = self.and_(pa, pb)
-            if hi == 0:
-                return now
-            rest = Until(f.left, f.right, _dec_hi(f.bound))
-            return or_dnf(now, self.and_(pa, _lit(rest)))
+            later = guard(_lit(type(f)(*kids, bound=_dec_hi(f.bound))))
+            return self.and_(now, later) if isinstance(f, Always) else or_dnf(now, later)
         raise TypeError(f"not a formula node: {f!r}")
 
     def state(self, state, letter):
@@ -269,6 +203,14 @@ class _Progression:
             if out == TRUE_DNF:
                 break
         return out
+
+
+def _bound_parts(b):
+    if b is None:
+        return 0, float("inf")
+    lo = b.lo if b.lo is not None else 0
+    hi = b.hi if b.hi is not None else float("inf")
+    return lo, hi
 
 
 def _dec_lo(bound):

@@ -34,7 +34,12 @@ def _seed(value):
     if value is not None:
         return int(value)
     env = os.environ.get("GTL_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"GTL_SEED must be an integer, got {env!r}") from None
 
 
 def _report(command, config, seed, started, result):

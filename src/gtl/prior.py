@@ -80,6 +80,8 @@ class PriorModel:
         for e in self.graph.edges:
             if e not in self.static_edge_labels:
                 raise InputError(f"prior is missing an edge label for {e!r}")
+            if not math.isfinite(self.static_edge_labels[e]):
+                raise InputError(f"prior edge label for {e!r} must be finite")
 
     def node_pmf(self, v: str) -> np.ndarray:
         _check_node(self, v)
@@ -207,7 +209,9 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     """
     _check_node(prior, v)
     _check_time(prior, k)
-    return _letters(*_letter_table(prior, aps), [prior.graph.node_index[v]])[0, k - 1]
+    masses, truth, preds = _letter_table(prior, aps)
+    # the DP on time k's masses alone, so its cost does not grow with L
+    return _letters(masses[:, k - 1:k], truth, preds, [prior.graph.node_index[v]])[0, 0]
 
 
 def _letter_table(prior, aps):

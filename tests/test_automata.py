@@ -1,6 +1,7 @@
 """DFA construction by formula progression, word generation, soundness."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,28 @@ class TestProgressionMemo:
         to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
         to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
         assert len(made) == 2 and made[0].memo is not made[1].memo
+
+
+def c2_corpus_sha256():
+    """sha256 over the DOT text and the atomic predicates of to_dfa(f, L=4)
+    and to_dfa(Not(f), L=4) for the 250 C2 formulas."""
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bounds above L are clipped
+        for f in c2_formulas(250):
+            for g in (f, Not(f)):
+                dfa, aps = to_dfa(g, L=4)
+                h.update(dfa.to_dot().encode() + b"\n")
+                h.update("".join(f"{ap}\n" for ap in aps).encode())
+    return h.hexdigest()
+
+
+# recorded while progression still dropped syntactically implied literals
+C2_CORPUS_SHA256 = "cb09a1a7df2c763063fd4a3a89c8725c76bbba8ecd7b9a0b6c260c4b628f60e8"
+
+
+def test_c2_corpus_automata_unchanged():
+    assert c2_corpus_sha256() == C2_CORPUS_SHA256
 
 
 # sha256 of `gtl dfa --L 12 --dot` output for the ten built-in shapes at

@@ -139,6 +139,16 @@ class TestDfaIg:
         assert rep["result"]["average_ig"] > 0
         assert set(rep["result"]["info_gain"]) == {"a", "b", "c"}
 
+    def test_ig_non_finite_edge_label_exit_one(self, workspace, capsys):
+        doc = json.loads(workspace["prior"].read_text())
+        doc["edge_labels"] = {e: math.nan for e in doc["edge_labels"]}
+        workspace["prior"].write_text(json.dumps(doc))  # written as NaN
+        code = main(["ig", "--prior", str(workspace["prior"]),
+                     "--graph", str(workspace["graph"]),
+                     "--formula", "E 1 via (y <= 2) : x >= 1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [input]: prior edge label")
+
     def test_ig_matches_compute_ig(self, workspace, capsys):
         _, out = run(capsys, "ig", "--prior", str(workspace["prior"]),
                      "--graph", str(workspace["graph"]),
@@ -268,6 +278,12 @@ class TestSeedFallback:
                         "--mhat", "0.5")
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+    def test_malformed_env_seed_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("GTL_SEED", "abc")
+        code = main(["gen", "swarm", "--n", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [usage]: GTL_SEED")
 
     def test_help_exits_zero(self, capsys):
         code, out = run(capsys, "--help")

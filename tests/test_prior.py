@@ -51,6 +51,14 @@ class TestPriorModel:
             PriorModel(g, 2, ((0.0, 1.0), (1.0, 2.0)),
                        {"a": np.array([[math.nan, 0.5], [0.5, 0.5]])}, {})
 
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edge_label_rejected(self, label):
+        # a NaN label reaches no neighbor, so IG would read 0.0 without a word
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        with pytest.raises(InputError, match="finite"):
+            PriorModel(g, 1, ((0.0, 1.0),),
+                       {v: np.ones((1, 1)) for v in g.nodes}, {"e1": label})
+
     def test_missing_edge_label(self):
         g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
         with pytest.raises(InputError):
@@ -165,6 +173,33 @@ class TestLetterDistribution:
         p1 = 0.25  # both of v4's two reached nodes at x >= 1
         assert np.allclose(dist, [(1 - p0) * (1 - p1), p0 * (1 - p1),
                                   (1 - p0) * p1, p0 * p1])
+
+    def test_one_time_step_matches_all_times(self, monkeypatch):
+        """letter_distribution runs the DP on time k alone, and its answer
+        is row k of the all-times route."""
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        aps = [parse("x <= 0.6"), parse("E 1 via (y <= 2) : x >= 1"),
+               parse("E 2 via (y <= 2) : x <= 1.4")]
+        count_dp = gtl.prior._count_dp
+        rows = []
+
+        def recording_dp(*args):
+            out = count_dp(*args)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(gtl.prior, "_count_dp", recording_dp)
+        for seed in range(5):
+            prior = two_bin_prior(g, 4, rng_np=np.random.default_rng(seed),
+                                  edge_labels={"e1": 1.0, "e2": 2.0})
+            table = gtl.prior._letter_table(prior, aps)
+            for vi, v in enumerate(g.nodes):
+                full = gtl.prior._letters(*table, [vi])[0]
+                for k in range(1, prior.L + 1):
+                    rows.clear()
+                    got = letter_distribution(prior, aps, v, k)
+                    assert np.array_equal(got, full[k - 1]), (seed, v, k)
+                    assert rows == [1]
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_time_outside_horizon_rejected(self, k):

@@ -19,13 +19,13 @@ from .graph import (
 from .semantics import (
     coverage, misclassification_rate, sat, sat_signature, sat_table, sat_vector,
 )
-from .automata import Dfa, extract_aps, label_word, run_word, to_dfa
+from .automata import Dfa, extract_aps, label_word, to_dfa
 from .prior import (
     InfoGainReport, PriorModel, atom_probability, compute_ig,
     letter_distribution, load_prior, satisfaction_probability,
 )
 from .identify import (
-    IdentifyReport, TemplateResult, directed_hausdorff, identify, knee_points,
+    IdentifyReport, TemplateResult, identify, knee_points,
     map_pi, map_pi_inv,
 )
 from .classify import ClassifierResult, PsoConfig, infer_classifier, pso_minimize_mr

@@ -383,7 +383,3 @@ def minimize(dfa: Dfa) -> Dfa:
         new_trans[block[q]] = [block[t] for t in row]
     return Dfa(aps=dfa.aps, transitions=new_trans, accepting=new_acc,
                initial=block[remap[dfa.initial]])
-
-
-def run_word(dfa: Dfa, word) -> bool:
-    return dfa.run_word(word)

@@ -12,13 +12,16 @@ join the pool so that either class can carry the positive signature.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError, UsageError
-from .formula import And, Formula, Not, Or, formula_size, print_formula, rename_parameters
-from .semantics import _Evaluator, _misclassification, _positive, misclassification_rate
+from .formula import (
+    And, Formula, Not, Or, desugar, formula_size, print_formula, rename_parameters,
+)
+from .semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from .templates import Template
 
 
@@ -36,6 +39,8 @@ class PsoConfig:
             raise InputError("swarm size must be >= 1")
         if self.iterations < 0:
             raise InputError("iteration count must be >= 0")
+        if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social))):
+            raise InputError("PSO coefficients must be finite")
 
 
 def _round_integers(theta, box):
@@ -54,12 +59,22 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     """Global-best PSO over the template box; returns (theta, MR).
 
     Integer dimensions are rounded at every fitness evaluation.  Optional
-    warm_starts (valuations) replace the first particles' initial positions.
+    warm_starts (valuations inside the box) replace the first particles'
+    initial positions.  The template is desugared once per run, and each
+    swarm step evaluates the valuations it has not seen before in one query.
     """
     if not data:
         raise UsageError("empty dataset")
     names = template.param_names
     box = template.box
+    for theta in warm_starts:
+        for n in names:
+            if n not in theta:
+                raise InputError(f"warm start {theta} has no value for parameter {n!r}")
+            tol = 1e-9 if box[n].kind == "integer" else 0.0  # as ParamSpec.grid() allows
+            if not box[n].min - tol <= theta[n] <= box[n].max + tol:
+                raise InputError(f"warm start {n}={theta[n]} lies outside the box "
+                                 f"[{box[n].min}, {box[n].max}]")
     lo = np.array([box[n].min for n in names])
     hi = np.array([box[n].max for n in names])
     width = hi - lo
@@ -67,15 +82,22 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     rng = np.random.default_rng(cfg.seed)
     positive = _positive(data)
     evaluator = _Evaluator(data)  # one per run: labels stacked once, reach reused
+    formula = desugar(template.formula)
+    size = len(data) * data[0].graph.n_nodes  # (trajectory, node) pairs
     cache = {}
 
-    def fitness(pos):
-        theta = _round_integers(dict(zip(names, pos)), box)
-        key = tuple(theta[n] for n in names)
-        if key not in cache:
-            cache[key] = _misclassification(
-                evaluator.table(template.instantiate(theta)), positive)
-        return cache[key], theta
+    def fitness(positions):
+        """(MR, theta) of each particle; the uncached valuations share one query."""
+        thetas = [_round_integers(dict(zip(names, p)), box) for p in positions]
+        keys = [tuple(theta[n] for n in names) for theta in thetas]
+        new = {key: theta for key, theta in zip(keys, thetas) if key not in cache}
+        if new:
+            values = {n: np.array([theta[n] for theta in new.values()], dtype=float)
+                      for n in names}
+            wrong = _misclassified(evaluator.tables(formula, values), positive)
+            for key, w in zip(new, np.broadcast_to(wrong, len(new))):
+                cache[key] = int(w) / size
+        return [(cache[key], theta) for key, theta in zip(keys, thetas)]
 
     pos = lo + rng.random((cfg.swarm, len(names))) * width
     for i, theta in enumerate(warm_starts):
@@ -87,8 +109,8 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     pbest = pos.copy()
     pbest_val = np.empty(cfg.swarm)
     pbest_theta = [None] * cfg.swarm
-    for i in range(cfg.swarm):
-        pbest_val[i], pbest_theta[i] = fitness(pos[i])
+    for i, (val, theta) in enumerate(fitness(pos)):
+        pbest_val[i], pbest_theta[i] = val, theta
     g = int(np.argmin(pbest_val))
     gbest, gbest_val, gbest_theta = pbest[g].copy(), pbest_val[g], pbest_theta[g]
 
@@ -102,8 +124,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
                + cfg.social * r2 * (gbest - pos))
         vel = np.clip(vel, -vmax, vmax)
         pos = np.clip(pos + vel, lo, hi)
-        for i in range(cfg.swarm):
-            val, theta = fitness(pos[i])
+        for i, (val, theta) in enumerate(fitness(pos)):
             if val < pbest_val[i]:
                 pbest_val[i], pbest[i], pbest_theta[i] = val, pos[i].copy(), theta
                 if val < gbest_val:

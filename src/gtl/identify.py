@@ -116,19 +116,6 @@ def _dominates(a, b):
     return all(x >= y for x, y in zip(a, b))
 
 
-def directed_hausdorff(S, S2) -> float:
-    """max over s in S of min over s' in S2 of the one-sided coordinate gap.
-
-    The per-coordinate distance is s_i - s'_i when positive, else 0: how far
-    s sits above s' in the easyness order.
-    """
-    S, S2 = list(S), list(S2)
-    if not S or not S2:
-        raise UsageError("directed_hausdorff needs nonempty sets")
-    return max(min(max((si - ti if si > ti else 0.0) for si, ti in zip(s, t))
-                   for t in S2) for s in S)
-
-
 def _lift(knees, u, steps) -> list:
     """The knees left after the infeasible point u is added.
 

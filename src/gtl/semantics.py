@@ -13,6 +13,11 @@ evaluator holds is thus the stacked labels and the distinct reach arrays
 of one formula.  It lives for one search run (one PSO run, one template's
 identification); the public functions open one per call, and no state
 outlives the run or is written to a trajectory.
+A query may carry a valuation axis: `tables` evaluates a desugared
+template at K valuations in one pass, each parameter slot a (K, 1, 1, 1)
+column, so a table that depends on one gains a leading (K,) axis; one PSO
+iteration is one such query.  A neighbor chain with parametric thresholds
+walks one `reach` per distinct literal chain among the valuations.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -27,8 +32,8 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import (
-    Always, And, Atom, Eventually, Exists, FalseF, Formula, Not, Or, TrueF,
-    Until, desugar, is_ground,
+    Always, And, Atom, EdgeAtom, Eventually, Exists, FalseF, Formula, Not, Or,
+    Param, TrueF, Until, desugar, is_ground,
 )
 from .graph import GraphTemporalTrajectory, reach
 
@@ -53,28 +58,64 @@ class _Evaluator:
         self.graph = graph
         self.x = np.array([t.node_labels for t in trajectories])  # (N, |V|, L)
         self.y = np.concatenate([t.edge_labels for t in trajectories], axis=1)  # (|E|, N*L)
-        self.reaches = {}  # chain -> (N, L, |V|, |V|) reach array of the last query
+        self.reaches = {}  # literal chain -> float32 (N, L, |V|, |V|) reach array of the last query
 
     def table(self, f):
-        """Stacked table of f; each subformula is evaluated once per query."""
+        """Stacked table of the ground formula f."""
         if not is_ground(f):
             raise UsageError("formula still has free parameters; instantiate it first")
+        return self.tables(desugar(f), {})
+
+    def tables(self, g, values):
+        """Stacked tables of the desugared formula g at K valuations, in one pass.
+
+        values maps each parameter of g to an array of its K values.  The
+        result has a leading axis of length K, the valuations in order; a
+        subformula whose slots are all literals is evaluated once, without
+        that axis.  Each subformula is evaluated once per query.
+        """
         kept, self.reaches = self.reaches, {}
         N, V, L = self.x.shape
 
         def reach_of(chain):
             if chain not in self.reaches:
                 self.reaches[chain] = kept[chain] if chain in kept else reach(
-                    self.graph, self.y, [e.prop() for e in chain]).reshape(N, L, V, V)
+                    self.graph, self.y, [e.prop() for e in chain]
+                ).reshape(N, L, V, V).astype(np.float32)
             return self.reaches[chain]
 
-        return _eval(self.x, desugar(f), {}, reach_of)
+        def value(v, kind):
+            return _column(v, kind, values) if isinstance(v, Param) else v
+
+        return _eval(self.x, g, {}, reach_of, value)
 
 
-def _eval(x, f, cache, reach_of):
+def _column(p, kind, values):
+    """The values of parameter p as a (K, 1, 1, 1) column, checked as
+    `instantiate` checks one value."""
+    if p.name not in values:
+        raise UsageError(f"missing value for parameter {p.name!r}")
+    x = np.asarray(values[p.name], dtype=float)
+    if not np.isfinite(x).all():
+        raise UsageError(f"parameter {p.name!r} needs finite values, got {x}")
+    if kind == "integer":
+        r = np.round(x)
+        if (np.abs(x - r) > 1e-9).any():
+            raise UsageError(f"parameter {p.name!r} needs integral values, got {x}")
+        x = r.astype(np.int64)
+    return x.reshape(-1, 1, 1, 1)
+
+
+def _eval(x, f, cache, reach_of, value):
+    """Table of the desugared formula f over the (N, |V|, L) labels x.
+
+    value(slot, kind) gives a slot's literal, or a parameter's (K, 1, 1, 1)
+    column of per-valuation values; a table that depends on a column has a
+    leading (K,) axis, so every operation below works on the trailing axes.
+    """
     def rec(g):
         if g not in cache:
-            cache[g] = _eval(x, g, cache, reach_of)
+            cache[g] = _eval(x, g, cache, reach_of, value)
         return cache[g]
 
     if isinstance(f, TrueF):
@@ -82,7 +123,8 @@ def _eval(x, f, cache, reach_of):
     if isinstance(f, FalseF):
         return np.zeros(x.shape, dtype=bool)
     if isinstance(f, Atom):
-        return f.prop().holds(x)
+        t = value(f.threshold, "continuous")
+        return x <= t if f.op == "<=" else x >= t
     if isinstance(f, Not):
         return ~rec(f.sub)
     if isinstance(f, And):
@@ -90,36 +132,69 @@ def _eval(x, f, cache, reach_of):
     if isinstance(f, Or):
         return rec(f.left) | rec(f.right)
     if isinstance(f, Exists):
-        R = reach_of(f.chain)
-        counts = (R & rec(f.body).transpose(0, 2, 1)[:, :, None, :]).sum(axis=3)  # (N, L, V)
-        return (counts >= f.count).transpose(0, 2, 1)
+        body = rec(f.body).astype(np.float32)
+        if not any(isinstance(e.threshold, Param) for e in f.chain):
+            counts = _counts(reach_of(f.chain), body)
+        else:  # one reach per distinct literal chain among the valuations
+            chains = _literal_chains(f.chain, value)
+            groups = {}
+            for k, chain in enumerate(chains):
+                groups.setdefault(chain, []).append(k)
+            counts = np.empty((len(chains),) + x.shape, dtype=np.float32)
+            for chain, ks in groups.items():
+                counts[ks] = _counts(reach_of(chain), body[ks] if body.ndim > x.ndim else body)
+        return counts >= value(f.count, "integer")
     if isinstance(f, Eventually):
-        return _until(None, rec(f.sub), f.bound)
+        return _until(None, rec(f.sub), f.bound, value)
     if isinstance(f, Always):
-        return ~_until(None, ~rec(f.sub), f.bound)
+        return ~_until(None, ~rec(f.sub), f.bound, value)
     if isinstance(f, Until):
-        return _until(rec(f.left), rec(f.right), f.bound)
+        return _until(rec(f.left), rec(f.right), f.bound, value)
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _until(a, b, bound):
+def _literal_chains(chain, value):
+    """The literal chain of each valuation, for a chain with parametric thresholds."""
+    cols = np.broadcast_arrays(*(np.ravel(value(e.threshold, "continuous")) for e in chain))
+    return [tuple(EdgeAtom(e.op, float(t)) for e, t in zip(chain, row)) for row in zip(*cols)]
+
+
+def _counts(R, body):
+    """C[..., n, v, k] = #{u : R[n, k, v, u] and body[..., n, u, k]}, as one
+    float32 matmul with the valuations on its last axis (counts <= |V| are exact)."""
+    N, V, L = body.shape[-3:]
+    B = body.reshape(-1, N, V, L).transpose(1, 3, 2, 0)  # (N, L, V, K)
+    return (R @ B).transpose(3, 0, 2, 1).reshape(body.shape)
+
+
+def _until(a, b, bound, value):
     """Table of a U b under a single-sided bound, or of F b if a is None.
 
     At time k a witness of b is sought in [k+lo, min(k+hi, j-1, L-1)], where
     j is the first index >= k at which a fails; the hits in each window are
-    a difference of one cumulative sum of b along time.
+    a difference of one cumulative sum of b along time.  A per-valuation
+    bound gives (K, 1, 1, L) windows.
     """
     L = b.shape[-1]
     k = np.arange(L)
-    lo = np.minimum(k + (0 if bound is None or bound.lo is None else bound.lo), L)
-    hi = np.minimum(k + (L if bound is None or bound.hi is None else bound.hi), L - 1)
+    lo = 0 if bound is None or bound.lo is None else value(bound.lo, "integer")
+    hi = L if bound is None or bound.hi is None else value(bound.hi, "integer")
+    lo, hi = np.minimum(k + lo, L), np.minimum(k + hi, L - 1)
     c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
     np.cumsum(b, axis=-1, out=c[..., 1:])
-    if a is None:
-        return (lo <= hi) & (c[..., hi + 1] > c[..., lo])
-    fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
-    hi = np.minimum(hi, fails - 1)
-    return (lo <= hi) & (np.take_along_axis(c, hi + 1, axis=-1) > c[..., lo])
+    if a is not None:
+        fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
+        hi = np.minimum(hi, fails - 1)
+    return (lo <= hi) & (_at(c, hi + 1) > _at(c, lo))
+
+
+def _at(c, i):
+    """c read along its last axis at i: one index row of shape (L,) for all
+    cells, or (broadcast) per cell."""
+    if i.ndim == 1:
+        return c[..., i]
+    n = max(c.ndim, i.ndim)
+    return np.take_along_axis(c[(None,) * (n - c.ndim)], i[(None,) * (n - i.ndim)], axis=-1)
 
 
 def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:
@@ -171,5 +246,10 @@ def _coverage(table):
 def _misclassification(table, positive):
     """Share of the (trajectory, node) pairs of a stacked table whose truth at
     time 1 disagrees with their trajectory's label."""
-    sat1 = table[:, :, 0]
-    return int(np.count_nonzero(sat1 != positive[:, None])) / sat1.size
+    return int(_misclassified(table, positive)) / (table.shape[0] * table.shape[1])
+
+
+def _misclassified(table, positive):
+    """How many (trajectory, node) pairs of a stacked table disagree with
+    their label at time 1; per valuation, if the table has a valuation axis."""
+    return np.count_nonzero(table[..., 0] != positive[:, None], axis=(-2, -1))

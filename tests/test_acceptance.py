@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gtl.automata import label_word, run_word, to_dfa
+from gtl.automata import label_word, to_dfa
 from gtl.classify import PsoConfig, infer_classifier
 from gtl.datagen import SwarmScenario, gen_planted, gen_swarm
 from gtl.formula import Not, parse, polarity
@@ -98,9 +98,9 @@ def test_c2_sat_agrees_with_dfa(capsys):
             traj = random_trajectory(rng, g, L=4)
             for v in ("a", "b"):
                 want = sat(traj, f, v, 1)
-                if run_word(dfa, label_word(traj, v, aps)) != want:
+                if dfa.run_word(label_word(traj, v, aps)) != want:
                     bad += 1
-                if run_word(ndfa, label_word(traj, v, naps)) != (not want):
+                if ndfa.run_word(label_word(traj, v, naps)) != (not want):
                     bad += 1
                 cases += 2
     ok = cases == 10_000 and bad == 0

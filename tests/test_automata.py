@@ -9,7 +9,7 @@ import pytest
 import gtl.automata
 from gtl.cli import main
 from gtl.errors import InputError, OutOfScopeError, UsageError
-from gtl.automata import extract_aps, label_word, minimize, run_word, to_dfa
+from gtl.automata import extract_aps, label_word, minimize, to_dfa
 from gtl.formula import Not, parse, print_formula
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import sat
@@ -52,13 +52,13 @@ class TestToDfa:
     def test_single_atom_three_states(self):
         dfa, aps = to_dfa(parse("x <= 1"))
         assert dfa.n_states == 3
-        assert run_word(dfa, [1, 0, 0])
-        assert not run_word(dfa, [0, 1, 1])
+        assert dfa.run_word([1, 0, 0])
+        assert not dfa.run_word([0, 1, 1])
 
     def test_bounded_eventually_enumeration(self):
         dfa, aps = to_dfa(parse("F[<=1] x >= 1"), L=2)
         for w in [[0, 0], [0, 1], [1, 0], [1, 1]]:
-            assert run_word(dfa, w) == (w[0] == 1 or w[1] == 1)
+            assert dfa.run_word(w) == (w[0] == 1 or w[1] == 1)
 
     def test_response_formula_state_count(self):
         dfa, _ = to_dfa(parse("G (x <= 0 -> F[<=1] x >= 1)"))
@@ -66,9 +66,9 @@ class TestToDfa:
 
     def test_empty_acceptance_constants(self):
         dfa, _ = to_dfa(parse("FALSE"))
-        assert not run_word(dfa, [0, 0])
+        assert not dfa.run_word([0, 0])
         dfa, _ = to_dfa(parse("TRUE"))
-        assert run_word(dfa, [0, 0])
+        assert dfa.run_word([0, 0])
 
     def test_accepting_word_trace(self):
         dfa, _ = to_dfa(parse("F[<=1] x >= 1"))
@@ -97,10 +97,10 @@ class TestSoundness:
     def _check(self, traj, f, v):
         dfa, aps = to_dfa(f, L=traj.L)
         word = label_word(traj, v, aps)
-        assert run_word(dfa, word) == sat(traj, f, v, 1), str(f)
+        assert dfa.run_word(word) == sat(traj, f, v, 1), str(f)
         ndfa, naps = to_dfa(Not(f), L=traj.L)
         nword = label_word(traj, v, naps)
-        assert run_word(ndfa, nword) == (not sat(traj, f, v, 1)), str(f)
+        assert ndfa.run_word(nword) == (not sat(traj, f, v, 1)), str(f)
 
     def test_response_exhaustive_two_nodes(self):
         # all 2-node boolean patterns over L=3 for the response formula
@@ -139,7 +139,7 @@ class TestMinimize:
             for _ in range(20):
                 w = [int(x) for x in
                      rng.integers(0, 2 ** len(aps), size=4)]
-                assert run_word(dfa, w) == run_word(small, w)
+                assert dfa.run_word(w) == small.run_word(w)
 
     def test_to_dot(self):
         dfa, _ = to_dfa(parse("F x >= 1"))

@@ -1,10 +1,14 @@
 """PSO-based classifier inference: optimizer behavior and prune-and-grow."""
 
+import math
+
 import numpy as np
 import pytest
 
+import gtl.classify
 import gtl.graph
 import gtl.semantics
+import gtl.templates
 from gtl.errors import InputError, UsageError
 from gtl.classify import ClassifierResult, PsoConfig, infer_classifier, pso_minimize_mr
 from gtl.formula import formula_size, parse
@@ -88,6 +92,51 @@ class TestPso:
                       "c": ParamSpec(0.0, 2.0, "continuous")})
         theta, mr = pso_minimize_mr(t, data, PsoConfig(swarm=6, iterations=5, seed=3))
         assert len(calls) == 1
+        assert misclassification_rate(data, t.instantiate(theta)) == mr
+
+    @pytest.mark.parametrize("coef", [
+        {"inertia": math.nan}, {"cognitive": -math.inf}, {"social": math.inf}])
+    def test_non_finite_coefficients_rejected(self, coef):
+        with pytest.raises(InputError, match="finite"):
+            PsoConfig(**coef)
+
+    @pytest.mark.parametrize("warm", [{}, {"c": 50}, {"c": -0.5}, {"c": math.nan}],
+                             ids=["missing", "above", "below", "nan"])
+    def test_bad_warm_start_rejected(self, warm):
+        t = Template(parse("G x <= ?c"), {"c": ParamSpec(0.0, 3.0, "continuous")})
+        with pytest.raises(InputError, match="warm start"):
+            pso_minimize_mr(t, threshold_data(n=2), PsoConfig(swarm=1, iterations=0),
+                            warm_starts=[warm])
+
+    @pytest.mark.parametrize("iterations", [0, 1, 6])
+    def test_one_query_per_swarm_step(self, monkeypatch, iterations):
+        # the template is desugared once and never instantiated; each swarm
+        # step evaluates all its uncached valuations in one query
+        calls = {"desugar": 0, "instantiate": 0, "tables": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(gtl.classify, "desugar", counting("desugar", gtl.classify.desugar))
+        monkeypatch.setattr(gtl.templates, "instantiate",
+                            counting("instantiate", gtl.templates.instantiate))
+        monkeypatch.setattr(gtl.semantics._Evaluator, "tables",
+                            counting("tables", gtl.semantics._Evaluator.tables))
+        rng = np.random.default_rng(5)
+        g = LabeledGraph.complete(["a", "b", "c", "d"])
+        data = [GraphTemporalTrajectory(g, rng.random((4, 3)) * 2, rng.random((6, 3)) * 3,
+                                        label=lab) for lab in (1, -1) * 3]
+        t = Template(parse("F[<=?i] E ?N via (y <= ?d) : x >= ?c"),
+                     {"i": ParamSpec(0, 2, "integer"), "N": ParamSpec(1, 3, "integer"),
+                      "d": ParamSpec(0.0, 3.0, "continuous"),
+                      "c": ParamSpec(0.0, 2.0, "continuous")})
+        theta, mr = pso_minimize_mr(t, data, PsoConfig(swarm=8, iterations=iterations, seed=4))
+        assert calls["desugar"] == 1 and calls["instantiate"] == 0
+        assert 1 <= calls["tables"] <= iterations + 1
+        monkeypatch.undo()
         assert misclassification_rate(data, t.instantiate(theta)) == mr
 
     def test_warm_start_hits_known_optimum(self):

@@ -12,7 +12,7 @@ from gtl.errors import InputError, UsageError
 from gtl.formula import parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.identify import (
-    _ROUND, _lift, directed_hausdorff, identify, knee_points, map_pi,
+    _ROUND, _lift, identify, knee_points, map_pi,
     map_pi_inv, snap,
 )
 from gtl.prior import PriorModel, satisfaction_probability
@@ -62,17 +62,6 @@ class TestMapPi:
 
 
 class TestGeometry:
-    def test_directed_hausdorff(self):
-        assert directed_hausdorff([(0.5, 0.5)], [(0.2, 0.4)]) == \
-            pytest.approx(0.3)
-        assert directed_hausdorff([(0.5, 0.5)], [(0.6, 0.7)]) == 0.0
-        assert directed_hausdorff([(0.5,), (0.9,)], [(0.6,)]) == \
-            pytest.approx(0.3)
-        # asymmetric: being below the reference set costs nothing
-        assert directed_hausdorff([(0.2, 0.4)], [(0.5, 0.5)]) == 0.0
-        with pytest.raises(UsageError):
-            directed_hausdorff([], [(0.1,)])
-
     def test_knee_points_two_dim(self):
         M = [(0.6, 0.2), (0.2, 0.6)]
         knees = set(knee_points(M))

@@ -1,6 +1,7 @@
 """Finite-trace satisfaction semantics, tables, coverage, misclassification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 import gtl.graph
 import gtl.semantics
 from gtl.errors import InputError, UsageError
-from gtl.formula import And, Atom, EdgeAtom, Exists, _subformulas, desugar, parse
+from gtl.formula import (
+    And, Atom, EdgeAtom, Exists, _subformulas, desugar, free_parameters, instantiate,
+    parse, print_formula,
+)
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import (
     coverage, misclassification_rate, sat, sat_signature, sat_table,
@@ -327,3 +331,75 @@ class TestEvaluator:
         f = parse("E 1 via (y <= 1) : x >= 0.5")
         assert np.array_equal(evaluator.table(f)[0], sat_table(path3, f))
 
+
+class TestValuationAxis:
+    """One query over K valuations of a template equals K ground queries."""
+
+    HAND = [  # slot kinds and shapes the random templates rarely reach
+        "E ?N via (y >= ?d) via (y <= 2) : F[>=?i][<=?j] x >= ?c",
+        "G (x >= ?a -> F[<=?i] E ?N via (y <= ?d) : x <= ?c)",
+        "x <= 0.5 U[<=?i] x >= ?c",
+        "x <= ?a U[>=?i][<=?j] E 1 via (y <= 1) : x >= 0.5",
+        "E ?N via (y <= 1) : x >= 0.5",
+        "G[>=?i] F[<=?j] x >= 0.5",
+    ]
+
+    @staticmethod
+    def template(rng):
+        """A random formula with about half of its literal slots made parameters."""
+        f = random_formula(rng, depth=3)
+        names = iter(f"p{i}" for i in range(100))
+        return parse(re.sub(r"-?\d+(\.\d+)?",
+                            lambda m: f"?{next(names)}" if rng.random() < 0.5 else m.group(),
+                            print_formula(f)))
+
+    @staticmethod
+    def valuations(rng, tpl, K):
+        """K valuations of tpl; few distinct values, so chains and slots repeat."""
+        thetas = [{} for _ in range(K)]
+        for name, info in free_parameters(tpl).items():
+            for theta in thetas:
+                theta[name] = (int(rng.integers(0, 5)) if info.kind == "integer"
+                               else float(rng.choice([0.2, 0.5, 1.0, 2.0, rng.random() * 3])))
+        return thetas
+
+    def test_against_one_query_per_valuation(self):
+        rng = np.random.default_rng(41)
+        g = random_graph(rng, 5, 0.6)
+        trajs = [random_trajectory(rng, g, L=4) for _ in range(3)]
+        evaluator = gtl.semantics._Evaluator(trajs)
+        templates = [parse(t) for t in self.HAND] + [self.template(rng) for _ in range(150)]
+        seen = set()
+        for tpl in templates:
+            text = print_formula(tpl)
+            seen |= {kind for kind, pattern in [
+                ("atom", r"x [<>]= \?"), ("count", r"E \?"), ("chain", r"y [<>]= \?"),
+                ("lo", r"\[>=\?"), ("hi", r"\[<=\?"), ("paired", r"\]\[<="),
+                ("zero lo", r"\[>=0\]"), ("implies", "->")] if re.search(pattern, text)}
+            K = int(rng.integers(1, 7))
+            thetas = self.valuations(rng, tpl, K)
+            values = {n: np.array([theta[n] for theta in thetas]) for n in free_parameters(tpl)}
+            tabs = evaluator.tables(desugar(tpl), values)
+            tabs = np.broadcast_to(tabs, (K,) + tabs.shape[-3:])
+            for k, theta in enumerate(thetas):
+                want = gtl.semantics._table(trajs, instantiate(tpl, theta))
+                assert np.array_equal(tabs[k], want), (text, theta)
+        assert seen == {"atom", "count", "chain", "lo", "hi", "paired", "zero lo", "implies"}
+
+    def test_zero_lower_bound_column(self, path3):
+        # desugar keeps G[>=?i] but drops a literal G[>=0]: both give G's table
+        tpl = parse("G[>=?i] x <= 0.5")
+        tabs = gtl.semantics._Evaluator([path3]).tables(desugar(tpl), {"i": np.array([0, 1])})
+        assert np.array_equal(tabs[0, 0], sat_table(path3, parse("G x <= 0.5")))
+        assert np.array_equal(tabs[1, 0], sat_table(path3, parse("G[>=1] x <= 0.5")))
+
+    @pytest.mark.parametrize("values", [
+        {"c": np.array([0.5])},                       # no value for N
+        {"N": np.array([1, 2]), "c": np.array([0.5, math.nan])},
+        {"N": np.array([1, math.inf]), "c": np.array([0.5, 0.5])},
+        {"N": np.array([1, 1.5]), "c": np.array([0.5, 0.5])},
+    ], ids=["missing", "nan", "inf", "fractional"])
+    def test_slot_values_checked(self, path3, values):
+        g = desugar(parse("E ?N via (y <= 1) : x >= ?c"))
+        with pytest.raises(UsageError):
+            gtl.semantics._Evaluator([path3]).tables(g, values)

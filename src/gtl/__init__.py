@@ -13,8 +13,8 @@ from .formula import (
     parse, polarity, print_formula, rename_parameters,
 )
 from .graph import (
-    EdgeProposition, GraphTemporalTrajectory, LabeledGraph, NodeProposition,
-    load_graph, load_trajectories, neighbor_op, save_trajectories,
+    GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories,
+    neighbor_op, save_trajectories,
 )
 from .semantics import (
     coverage, misclassification_rate, sat, sat_signature, sat_table, sat_vector,

@@ -68,9 +68,7 @@ def extract_aps(f: Formula) -> list[Formula]:
 
 def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
     """The length-L word of traj at node v: letter k holds the predicates true at time k."""
-    if v not in traj.graph.node_index:
-        raise InputError(f"unknown node id {v!r}")
-    vi = traj.graph.node_index[v]
+    vi = traj.graph.index_of(v)
     evaluator = _Evaluator([traj])
     word = [0] * traj.L
     for bit, ap in enumerate(aps):

@@ -21,7 +21,7 @@ from . import __version__
 from .automata import to_dfa
 from .classify import PsoConfig, infer_classifier
 from .datagen import SwarmScenario, gen_planted, gen_swarm, sample_prior
-from .errors import GtlError, InfeasibleError, InputError, UsageError
+from .errors import GtlError, InfeasibleError, UsageError
 from .formula import parse, print_formula
 from .graph import load_graph, load_trajectories, save_trajectories
 from .identify import identify as identify_op
@@ -134,16 +134,15 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
     if not trajs:
         raise UsageError("coverage of an empty trajectory set is undefined")
     table = _table(trajs, f)  # the one evaluation every figure below reads
-    if node is not None and node not in trajs[0].graph.node_index:
-        raise InputError(f"unknown node id {node!r}")
+    vi = None if node is None else trajs[0].graph.index_of(node)
     result = {"formula": print_formula(f), "coverage": _coverage(table)}
     rows = []
     for i, t in enumerate(trajs):
         row = {"trajectory": i}
         if t.label is not None:
             row["label"] = t.label
-        if node is not None:
-            row["signature"] = 1 if table[i, t.graph.node_index[node], 0] else -1
+        if vi is not None:
+            row["signature"] = 1 if table[i, vi, 0] else -1
         if per_node:
             row["satisfied_nodes"] = {v: bool(table[i, j, 0]) for j, v in enumerate(t.graph.nodes)}
         rows.append(row)

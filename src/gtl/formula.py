@@ -17,6 +17,8 @@ Grammar (whitespace-insensitive)::
     exists   := "E" intval { "via" "(" edgeatom ")" } ":" unary
     atom     := "x" ("<="|">=") numval     edgeatom := "y" ("<="|">=") numval
     intval   := integer | "?" name         numval   := number | "?" name
+
+An integer literal is at most 2^53 in magnitude, so it is exact as a float.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import InputError, ParseError, UsageError
-from .graph import EdgeProposition, NodeProposition, _check_threshold
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,19 @@ class Param:
 Value = Union[int, float, Param]
 
 
+def _check_threshold(what, op, threshold):
+    """Threshold predicates compare with <= or >= against a finite number;
+    a parameter is checked as the literal that instantiate puts in its place."""
+    if op not in ("<=", ">="):
+        raise InputError(f"{what} operator must be <= or >=, got {op!r}")
+    try:
+        finite = isinstance(threshold, Param) or math.isfinite(threshold)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise InputError(f"{what} threshold must be finite, got {threshold}")
+
+
 def _fmt_value(v: Value) -> str:
     if isinstance(v, Param):
         return str(v)
@@ -51,20 +65,21 @@ def _fmt_value(v: Value) -> str:
 
 @dataclass(frozen=True)
 class EdgeAtom:
-    """Edge proposition template: y <= t or y >= t, t literal or parameter."""
+    """Edge proposition: y <= t or y >= t, t literal or parameter."""
 
     op: str
     threshold: Value
 
     def __post_init__(self):
-        # a parameter is checked as the literal that instantiate puts in its place
-        _check_threshold("edge proposition", self.op,
-                         0.0 if isinstance(self.threshold, Param) else self.threshold)
+        _check_threshold("edge proposition", self.op, self.threshold)
 
-    def prop(self) -> EdgeProposition:
+    def holds(self, values):
+        """Whether the proposition holds on edge label(s) values; the
+        threshold is compared as a float."""
         if isinstance(self.threshold, Param):
             raise UsageError(f"edge proposition still parameterized by {self.threshold}")
-        return EdgeProposition(self.op, float(self.threshold))
+        t = float(self.threshold)
+        return values <= t if self.op == "<=" else values >= t
 
     def __str__(self):
         return f"y {self.op} {_fmt_value(self.threshold)}"
@@ -147,14 +162,7 @@ class Atom(Formula):
     threshold: Value
 
     def __post_init__(self):
-        # a parameter is checked as the literal that instantiate puts in its place
-        _check_threshold("node proposition", self.op,
-                         0.0 if isinstance(self.threshold, Param) else self.threshold)
-
-    def prop(self) -> NodeProposition:
-        if isinstance(self.threshold, Param):
-            raise UsageError(f"atom still parameterized by {self.threshold}")
-        return NodeProposition(self.op, float(self.threshold))
+        _check_threshold("node proposition", self.op, self.threshold)
 
 
 @_node
@@ -386,6 +394,11 @@ def _tokenize(text):
     return tokens
 
 
+#: the largest integer literal magnitude; up to it, counts, time bounds and
+#: thresholds are exact as floats
+_MAX_INT = 2 ** 53
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -475,10 +488,9 @@ class _Parser:
             self.next()
             return Param(val[1:])
         if kind == "num":
-            self.next()
             if "." in val or "e" in val or "E" in val:
                 raise ParseError("expected an integer", line, col)
-            return int(val)
+            return self.integer()
         self.error("expected integer or parameter", expected=("integer", "?name"))
 
     def numval(self):
@@ -487,9 +499,20 @@ class _Parser:
             self.next()
             return Param(val[1:])
         if kind == "num":
-            self.next()
-            return float(val) if ("." in val or "e" in val or "E" in val) else int(val)
+            if "." in val or "e" in val or "E" in val:
+                self.next()
+                return float(val)
+            return self.integer()
         self.error("expected number or parameter", expected=("number", "?name"))
+
+    def integer(self):
+        """The integer literal at the cursor; one that a float cannot hold
+        exactly is out of range."""
+        _, val, line, col = self.next()
+        # the length test comes first: int() refuses strings of over 4,300 digits
+        if len(val.lstrip("-0")) > 16 or abs(int(val)) > _MAX_INT:
+            raise ParseError("integer literal out of range (magnitude above 2**53)", line, col)
+        return int(val)
 
     def unary(self):
         kind, val, _, _ = self.peek()
@@ -678,22 +701,16 @@ def _nnf(f, neg):
 
 POL_U, POL_POS, POL_NEG, POL_MIX = "U", "+", "-", "M"
 
-_NEG_TABLE = {POL_U: POL_U, POL_POS: POL_NEG, POL_NEG: POL_POS, POL_MIX: POL_MIX}
-
-_COMP_TABLE = {
-    (POL_U, POL_U): POL_U, (POL_U, POL_POS): POL_POS, (POL_U, POL_NEG): POL_NEG, (POL_U, POL_MIX): POL_MIX,
-    (POL_POS, POL_U): POL_POS, (POL_POS, POL_POS): POL_POS, (POL_POS, POL_NEG): POL_MIX, (POL_POS, POL_MIX): POL_MIX,
-    (POL_NEG, POL_U): POL_NEG, (POL_NEG, POL_POS): POL_MIX, (POL_NEG, POL_NEG): POL_NEG, (POL_NEG, POL_MIX): POL_MIX,
-    (POL_MIX, POL_U): POL_MIX, (POL_MIX, POL_POS): POL_MIX, (POL_MIX, POL_NEG): POL_MIX, (POL_MIX, POL_MIX): POL_MIX,
-}
-
 
 def _pol_neg(a):
-    return _NEG_TABLE[a]
+    """Polarity under negation: + and - swap, U and M stay."""
+    return POL_NEG if a == POL_POS else POL_POS if a == POL_NEG else a
 
 
 def _pol_comp(a, b):
-    return _COMP_TABLE[(a, b)]
+    """Polarity of two parts combined: U is neutral, equal signs keep,
+    anything else is M."""
+    return b if a == POL_U or a == b else a if b == POL_U else POL_MIX
 
 
 def polarity(f: Formula, p: str) -> str:
@@ -720,11 +737,8 @@ def _polarity(f, p):
     if isinstance(f, Not):
         return _pol_neg(_polarity(f.sub, p))
     if isinstance(f, (And, Or)):
-        a, b = _polarity(f.left, p), _polarity(f.right, p)
-        if isinstance(f, Or):
-            # a | b  ==  !(!a & !b)
-            return _pol_neg(_pol_comp(_pol_neg(a), _pol_neg(b)))
-        return _pol_comp(a, b)
+        # a | b == !(!a & !b), and negation commutes with combining
+        return _pol_comp(_polarity(f.left, p), _polarity(f.right, p))
     if isinstance(f, Until):
         if f.bound is not None and (_is_p(f.bound.lo, p) or _is_p(f.bound.hi, p)):
             return POL_MIX

@@ -9,64 +9,17 @@ to share between threads.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError, RangeError
 
+if TYPE_CHECKING:
+    from .formula import EdgeAtom
+
 #: what reading a JSON document of the wrong shape raises
 _MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
-
-
-def _check_threshold(what, op, threshold):
-    """Threshold predicates compare with <= or >= against a finite number."""
-    if op not in ("<=", ">="):
-        raise InputError(f"{what} operator must be <= or >=, got {op!r}")
-    if not math.isfinite(threshold):
-        raise InputError(f"{what} threshold must be finite, got {threshold}")
-
-
-@dataclass(frozen=True)
-class EdgeProposition:
-    """Threshold predicate on an edge label: y <= c or y >= c."""
-
-    op: str  # "<=" or ">="
-    threshold: float
-
-    def __post_init__(self):
-        _check_threshold("edge proposition", self.op, self.threshold)
-
-    def holds(self, value):
-        return value <= self.threshold if self.op == "<=" else value >= self.threshold
-
-    def __str__(self):
-        return f"y {self.op} {_fmt_num(self.threshold)}"
-
-
-@dataclass(frozen=True)
-class NodeProposition:
-    """Threshold predicate on a node label: x <= c or x >= c."""
-
-    op: str
-    threshold: float
-
-    def __post_init__(self):
-        _check_threshold("node proposition", self.op, self.threshold)
-
-    def holds(self, value):
-        return value <= self.threshold if self.op == "<=" else value >= self.threshold
-
-    def __str__(self):
-        return f"x {self.op} {_fmt_num(self.threshold)}"
-
-
-def _fmt_num(x):
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return repr(x) if isinstance(x, float) else str(x)
 
 
 class LabeledGraph:
@@ -118,6 +71,12 @@ class LabeledGraph:
             adj[a].append((j, b))
             adj[b].append((j, a))
         self.adjacency = tuple(tuple(lst) for lst in adj)
+
+    def index_of(self, v: str) -> int:
+        """The index of node v; an unknown id is an input error."""
+        if v not in self.node_index:
+            raise InputError(f"unknown node id {v!r}")
+        return self.node_index[v]
 
     @property
     def n_nodes(self):
@@ -244,7 +203,7 @@ class GraphTemporalTrajectory:
         return f"GraphTemporalTrajectory(L={self.L}{tag})"
 
 
-def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeProposition]) -> np.ndarray:
+def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeAtom]) -> np.ndarray:
     """R[t, v, u] iff u is reachable from {v} through the chain under column t
     of the (|E|, T) edge-label block.
 
@@ -259,8 +218,8 @@ def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeProposition]) ->
     T, V = edge_labels.shape[1], graph.n_nodes
     a, b = graph.edge_ends.T
     R = None
-    for prop in chain:
-        t, j = np.nonzero(prop.holds(edge_labels).T)
+    for e in chain:
+        t, j = np.nonzero(e.holds(edge_labels).T)
         H = np.zeros((T, V, V), dtype=bool)
         H[t, a[j], b[j]] = True
         H[t, b[j], a[j]] = True
@@ -272,9 +231,9 @@ def neighbor_op(
     traj: GraphTemporalTrajectory,
     sources: Iterable[str],
     k: int,
-    chain: Sequence[EdgeProposition],
+    chain: Sequence[EdgeAtom],
 ) -> set[str]:
-    """Nodes reachable from `sources` through the edge-proposition chain at time k.
+    """Nodes reachable from `sources` through the edge-atom chain at time k.
 
     A set walk over the adjacency lists, one edge test at a time: the
     reference that the tests hold `reach` to.
@@ -283,14 +242,10 @@ def neighbor_op(
     if len(chain) < 1:
         raise InputError("neighbor chain must have length >= 1")
     g = traj.graph
-    frontier = set()
-    for v in sources:
-        if v not in g.node_index:
-            raise InputError(f"unknown node id {v!r}")
-        frontier.add(g.node_index[v])
+    frontier = {g.index_of(v) for v in sources}
     y = traj.edge_labels[:, k - 1]
-    for prop in chain:
-        frontier = {u for i in frontier for j, u in g.adjacency[i] if prop.holds(y[j])}
+    for e in chain:
+        frontier = {u for i in frontier for j, u in g.adjacency[i] if e.holds(y[j])}
     return {g.nodes[i] for i in frontier}
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from .automata import to_dfa
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
-    Atom, Exists, FalseF, Formula, Not, TrueF, classify_subtype, desugar,
-    is_ground,
+    Atom, Exists, FalseF, Formula, Not, Param, TrueF, classify_subtype,
+    desugar, is_ground,
 )
 from .graph import _MALFORMED, LabeledGraph, _read_json, reach
 
@@ -84,7 +84,7 @@ class PriorModel:
                 raise InputError(f"prior edge label for {e!r} must be finite")
 
     def node_pmf(self, v: str) -> np.ndarray:
-        _check_node(self, v)
+        self.graph.index_of(v)  # an unknown id is an input error
         p = self.pmf.get(v)
         if p is None:
             if self.default_pmf is None:
@@ -125,21 +125,19 @@ def load_prior(path, graph: LabeledGraph) -> PriorModel:
 # ---------------------------------------------------------------------------
 # cell masses: the real line cut once at a call's thresholds
 
-def _check_node(prior, v):
-    if v not in prior.graph.node_index:
-        raise InputError(f"unknown node id {v!r}")
-
-
 def _check_time(prior, k):
     if not 1 <= k <= prior.L:
         raise InputError(f"time index {k} outside 1..{prior.L}")
 
 
-def _cell_masses(prior, props):
-    """(masses, truth) for the real line cut into cells at the propositions'
+def _cell_masses(prior, atoms):
+    """(masses, truth) for the real line cut into cells at the atoms'
     distinct thresholds: masses[u, k - 1, c] is the prior mass of node u's
-    label in cell c at time k, truth[j, c] whether props[j] holds on cell c."""
-    ts, rank = np.unique(np.array([p.threshold for p in props], dtype=float),
+    label in cell c at time k, truth[j, c] whether atoms[j] holds on cell c."""
+    for a in atoms:
+        if isinstance(a.threshold, Param):
+            raise UsageError(f"atom still parameterized by {a.threshold}")
+    ts, rank = np.unique(np.array([a.threshold for a in atoms], dtype=float),
                          return_inverse=True)
     edges = np.concatenate(([-np.inf], ts, [np.inf]))
     lo, hi = np.array(prior.bins).T
@@ -149,24 +147,21 @@ def _cell_masses(prior, props):
     masses = np.stack([prior.node_pmf(u) for u in prior.graph.nodes]) @ share
     # cell c lies above ts[:c] and below ts[c:]
     below = np.arange(len(ts) + 1) <= rank[:, None]
-    le = np.array([p.op == "<=" for p in props], dtype=bool)
+    le = np.array([a.op == "<=" for a in atoms], dtype=bool)
     return masses, np.where(le[:, None], below, ~below)
 
 
-def atom_probability(prior: PriorModel, prop, v: str, k: int) -> float:
-    """Probability that the node proposition holds at (v, k) under the prior."""
-    if isinstance(prop, Atom):
-        prop = prop.prop()
-    _check_node(prior, v)
+def atom_probability(prior: PriorModel, atom: Atom, v: str, k: int) -> float:
+    """Probability that the atom holds at (v, k) under the prior."""
+    vi = prior.graph.index_of(v)
     _check_time(prior, k)
-    masses, truth = _cell_masses(prior, [prop])
-    return float(masses[prior.graph.node_index[v], k - 1] @ truth[0])
+    masses, truth = _cell_masses(prior, [atom])
+    return float(masses[vi, k - 1] @ truth[0])
 
 
 def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
     """Nodes reachable from v through the chain under the static edge labels."""
-    _check_node(prior, v)
-    row = _static_reach_rows(prior, chain)[prior.graph.node_index[v]]
+    row = _static_reach_rows(prior, chain)[prior.graph.index_of(v)]
     return [prior.graph.nodes[u] for u in np.flatnonzero(row)]
 
 
@@ -174,8 +169,7 @@ def _static_reach_rows(prior, chain) -> np.ndarray:
     """(V, V) bool: row v marks static_reach(prior, v, chain), from one reach array."""
     g = prior.graph
     labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
-    props = [e.prop() if hasattr(e, "prop") else e for e in chain]
-    return reach(g, labels.reshape(g.n_edges, 1), props)[0]
+    return reach(g, labels.reshape(g.n_edges, 1), chain)[0]
 
 
 def _poisson_binomial_tail(probs, n: int):
@@ -207,32 +201,32 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     stay exactly correlated.  Above MAX_DP_STATES DP states, falls back to
     predicate independence with a warning.
     """
-    _check_node(prior, v)
+    vi = prior.graph.index_of(v)
     _check_time(prior, k)
     masses, truth, preds = _letter_table(prior, aps)
     # the DP on time k's masses alone, so its cost does not grow with L
-    return _letters(masses[:, k - 1:k], truth, preds, [prior.graph.node_index[v]])[0, 0]
+    return _letters(masses[:, k - 1:k], truth, preds, [vi])[0, 0]
 
 
 def _letter_table(prior, aps):
     """(masses, truth, preds) shared by every node of one call: the cell
-    masses and truth table of the aps' propositions, and each ap as (n, rows):
-    it holds at v when at least n of the nodes marked in rows[v] satisfy its
-    proposition.  A bare atom is 1 of [v]; each distinct chain is reached once."""
+    masses and truth table of the aps' atoms, and each ap as (n, rows): it
+    holds at v when at least n of the nodes marked in rows[v] satisfy its
+    atom.  A bare atom is 1 of [v]; each distinct chain is reached once."""
     own = np.eye(prior.graph.n_nodes, dtype=bool)
-    rows, preds, props = {}, [], []
+    rows, preds, atoms = {}, [], []
     for ap in aps:
         if isinstance(ap, Atom):
             preds.append((1, own))
-            props.append(ap.prop())
+            atoms.append(ap)
         elif isinstance(ap, Exists):
             if ap.chain not in rows:
                 rows[ap.chain] = _static_reach_rows(prior, ap.chain)
             preds.append((int(ap.count), rows[ap.chain]))
-            props.append(ap.body.prop())
+            atoms.append(ap.body)
         else:
             raise UsageError(f"not an atomic predicate: {ap}")
-    return (*_cell_masses(prior, props), preds)
+    return (*_cell_masses(prior, atoms), preds)
 
 
 def _letters(masses, truth, preds, nodes) -> np.ndarray:
@@ -363,7 +357,7 @@ def _probabilities(prior, f, nodes) -> dict:
     """{v: P(f at (v, 1))} for every node: f is checked, desugared and
     classified once, and one DFA serves every node."""
     for v in nodes:
-        _check_node(prior, v)
+        prior.graph.index_of(v)
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
     g = desugar(f)

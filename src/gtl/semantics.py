@@ -80,8 +80,7 @@ class _Evaluator:
         def reach_of(chain):
             if chain not in self.reaches:
                 self.reaches[chain] = kept[chain] if chain in kept else reach(
-                    self.graph, self.y, [e.prop() for e in chain]
-                ).reshape(N, L, V, V).astype(np.float32)
+                    self.graph, self.y, chain).reshape(N, L, V, V).astype(np.float32)
             return self.reaches[chain]
 
         def value(v, kind):
@@ -200,9 +199,8 @@ def _at(c, i):
 def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:
     """(traj, v, k) |= f for a parameter-free formula."""
     traj._check_time(k)
-    if v not in traj.graph.node_index:
-        raise InputError(f"unknown node id {v!r}")
-    return bool(sat_table(traj, f)[traj.graph.node_index[v], k - 1])
+    vi = traj.graph.index_of(v)
+    return bool(sat_table(traj, f)[vi, k - 1])
 
 
 def sat_signature(traj: GraphTemporalTrajectory, f: Formula, v: str) -> int:

@@ -70,7 +70,7 @@ def sat_oracle(traj, f, v, k):
     if isinstance(f, Implies):
         return (not sat_oracle(traj, f.left, v, k)) or sat_oracle(traj, f.right, v, k)
     if isinstance(f, Exists):
-        reach = neighbor_op(traj, {v}, k, [e.prop() for e in f.chain])
+        reach = neighbor_op(traj, {v}, k, f.chain)
         hits = sum(1 for u in reach if sat_oracle(traj, f.body, u, k))
         return hits >= f.count
     if isinstance(f, (Eventually, Always, Until)):
@@ -178,7 +178,7 @@ def letter_oracle(prior, aps, v, k):
     involved = {v}
     for ap in aps:
         if isinstance(ap, Exists):
-            involved |= neighbor_op(probe, {v}, 1, [e.prop() for e in ap.chain])
+            involved |= neighbor_op(probe, {v}, 1, ap.chain)
     involved = sorted(involved)
     out = np.zeros(1 << len(aps))
     for assign in itertools.product(cells, repeat=len(involved)):

@@ -108,6 +108,21 @@ class TestEval:
         assert code == 1
         assert "error [input]: malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formula", [
+        "x <= 1" + "0" * 400,
+        "E 1 via (y <= 1" + "0" * 400 + ") : x <= 1",
+        "E 1" + "0" * 400 + " via (y <= 1) : x <= 1",
+        "F[<=1" + "0" * 400 + "] x <= 1",
+    ], ids=["atom", "edge-atom", "count", "bound"])
+    @pytest.mark.parametrize("command", ["eval", "dfa"])
+    def test_oversized_integer_literal_exit_one(self, workspace, capsys, command, formula):
+        args = ["--trajectories", str(workspace["trajs"])] if command == "eval" else []
+        code = main([command, *args, "--formula", formula])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [parse]: integer literal out of range")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_one(self, workspace, capsys):
         code, _ = run(capsys, "eval", "--trajectories", str(workspace["trajs"]),
                       "--formula", "x <= 1", "--bogus")

@@ -55,6 +55,23 @@ class TestParsePrint:
         assert err.value.col > 1
         assert err.value.expected
 
+    @pytest.mark.parametrize("text, col", [
+        ("x <= 1" + "0" * 400, 6),
+        ("E 1 via (y <= 1" + "0" * 400 + ") : x <= 1", 15),
+        ("E 1" + "0" * 400 + " via (y <= 1) : x <= 1", 3),
+        ("F[<=1" + "0" * 400 + "] x <= 1", 5),
+        ("F[<=9007199254740993] x <= 1", 5),
+        ("x >= -9007199254740993", 6),
+    ])
+    def test_oversized_integer_literal_rejected_at_its_token(self, text, col):
+        with pytest.raises(ParseError, match="integer literal out of range") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_largest_integer_literal_accepted(self):
+        f = parse("F[<=9007199254740992] x <= -9007199254740992")
+        assert f.bound.hi == 2 ** 53 and f.sub.threshold == -2 ** 53
+
     def test_unknown_character(self):
         with pytest.raises(ParseError):
             parse("x <= 1 @ x >= 2")
@@ -129,10 +146,15 @@ class TestAtomValidation:
             cls(op, threshold)
 
     @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
+    def test_int_beyond_float_range_rejected(self, cls):
+        with pytest.raises(InputError, match="finite"):
+            cls("<=", 10 ** 400)
+
+    @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
     def test_parameter_and_finite_literals_accepted(self, cls):
         assert cls("<=", Param("c")).threshold == Param("c")
         assert cls(">=", 2).threshold == 2
-        assert cls("<=", -0.5).prop().threshold == -0.5
+        assert cls("<=", -0.5).threshold == -0.5
 
 
 class TestDesugar:

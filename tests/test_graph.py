@@ -6,13 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from gtl.errors import InputError, RangeError
+from gtl.errors import InputError, RangeError, UsageError
+from gtl.formula import Atom, EdgeAtom, Param
 from gtl.graph import (
-    EdgeProposition, GraphTemporalTrajectory, LabeledGraph, NodeProposition,
-    load_graph, load_trajectories, neighbor_op, reach, save_trajectories,
+    GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories,
+    neighbor_op, reach, save_trajectories,
 )
+from gtl.prior import static_reach
+from gtl.semantics import sat_table
 
-from conftest import random_graph
+from conftest import random_graph, two_bin_prior
 
 
 class TestLabeledGraph:
@@ -98,19 +101,40 @@ class TestTrajectory:
         assert got == label and type(got) is int
 
 
-class TestPropositions:
+class TestThresholdAtoms:
     def test_holds(self):
-        assert NodeProposition("<=", 0.5).holds(0.5)
-        assert not NodeProposition("<=", 0.5).holds(0.6)
-        assert EdgeProposition(">=", 2).holds(2.0)
-        with pytest.raises(InputError):
-            NodeProposition("<", 0.5)
+        assert EdgeAtom("<=", 0.5).holds(0.5)
+        assert not EdgeAtom("<=", 0.5).holds(0.6)
+        assert EdgeAtom(">=", 2).holds(2.0)
+        assert EdgeAtom(">=", 2).holds(np.array([1.5, 2.0])).tolist() == [False, True]
+        # an int threshold is compared as a float: 2**53 + 1 rounds to 2**53
+        assert EdgeAtom(">=", 2 ** 53 + 1).holds(float(2 ** 53))
+        # node atoms hold by the same rule, at the boundary too
+        g = LabeledGraph(["a"], [])
+        traj = GraphTemporalTrajectory(g, [[0.5, 0.6, 2.0]], np.zeros((0, 3)))
+        assert sat_table(traj, Atom("<=", 0.5))[0].tolist() == [True, False, False]
+        assert sat_table(traj, Atom(">=", 2))[0].tolist() == [False, False, True]
+        for cls in (Atom, EdgeAtom):
+            with pytest.raises(InputError):
+                cls("<", 0.5)
+
+    def test_parametric_chain_rejected(self, six_node):
+        # a chain that still holds ?d has no edge labels to compare against
+        chain = (EdgeAtom("<=", 1), EdgeAtom("<=", Param("d")))
+        with pytest.raises(UsageError):
+            reach(six_node.graph, six_node.edge_labels, chain)
+        with pytest.raises(UsageError):
+            neighbor_op(six_node, ["v4"], 1, chain)
+        prior = two_bin_prior(six_node.graph, 1,
+                              edge_labels=dict.fromkeys(six_node.graph.edges, 0.0))
+        with pytest.raises(UsageError):
+            static_reach(prior, "v4", chain)
 
 
 class TestHopReach:
     def test_one_hop_six_node(self, six_node):
         # one hop from v4 across edges with y <= 1 reaches exactly {v1, v5}
-        R = reach(six_node.graph, six_node.edge_labels, (EdgeProposition("<=", 1),))
+        R = reach(six_node.graph, six_node.edge_labels, (EdgeAtom("<=", 1),))
         assert R.shape == (1, 6, 6) and R.dtype == bool
         i = six_node.graph.node_index
         row = R[0, i["v4"]]
@@ -120,7 +144,7 @@ class TestHopReach:
 
     def test_reach_two_hops(self, six_node):
         # two hops over (y <= 1) from v4: second hop from {v1, v5}
-        chain = (EdgeProposition("<=", 1), EdgeProposition("<=", 1))
+        chain = (EdgeAtom("<=", 1), EdgeAtom("<=", 1))
         R = reach(six_node.graph, six_node.edge_labels, chain)
         i = six_node.graph.node_index
         got = {v for v in six_node.graph.nodes if R[0, i["v4"], i[v]]}
@@ -130,7 +154,7 @@ class TestHopReach:
         # 256 two-hop paths join each pair of distinct nodes of K_258, which
         # an 8-bit path count wraps to 0
         g = LabeledGraph.complete([f"n{i}" for i in range(258)])
-        R = reach(g, np.ones((g.n_edges, 1)), [EdgeProposition("<=", 1)] * 2)
+        R = reach(g, np.ones((g.n_edges, 1)), [EdgeAtom("<=", 1)] * 2)
         assert R.all()
 
     def test_rejects_bad_input(self, six_node):
@@ -138,7 +162,7 @@ class TestHopReach:
         with pytest.raises(InputError):
             reach(g, y, ())
         with pytest.raises(InputError):
-            reach(g, y[:-1], (EdgeProposition("<=", 1),))
+            reach(g, y[:-1], (EdgeAtom("<=", 1),))
 
     def test_differential_against_neighbor_op(self):
         # reach is vectorized over edges and times; neighbor_op walks the
@@ -150,7 +174,7 @@ class TestHopReach:
             T = rng.randint(1, 4)
             traj = GraphTemporalTrajectory(g, np.zeros((g.n_nodes, T)),
                                            np.round(rng_np.random((g.n_edges, T)) * 3, 1))
-            chain = [EdgeProposition(rng.choice(["<=", ">="]), rng.choice([0.5, 1.5, 2.5]))
+            chain = [EdgeAtom(rng.choice(["<=", ">="]), rng.choice([0.5, 1.5, 2.5]))
                      for _ in range(rng.randint(1, 3))]
             R = reach(g, traj.edge_labels, chain)
             assert R.shape == (T, g.n_nodes, g.n_nodes)
@@ -160,11 +184,11 @@ class TestHopReach:
                     assert got == neighbor_op(traj, [v], k, chain), (case, k, v)
 
     def test_neighbor_op(self, six_node):
-        got = neighbor_op(six_node, ["v4"], 1, (EdgeProposition("<=", 1),))
+        got = neighbor_op(six_node, ["v4"], 1, (EdgeAtom("<=", 1),))
         assert got == {"v1", "v5"}
-        assert neighbor_op(six_node, [], 1, (EdgeProposition("<=", 1),)) == set()
+        assert neighbor_op(six_node, [], 1, (EdgeAtom("<=", 1),)) == set()
         with pytest.raises(InputError):
-            neighbor_op(six_node, ["nope"], 1, (EdgeProposition("<=", 1),))
+            neighbor_op(six_node, ["nope"], 1, (EdgeAtom("<=", 1),))
 
 
 class TestIO:

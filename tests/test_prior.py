@@ -11,7 +11,7 @@ import gtl.prior
 from gtl.automata import to_dfa
 from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.formula import Atom, EdgeAtom, Exists, parse
-from gtl.graph import EdgeProposition, LabeledGraph, NodeProposition, reach
+from gtl.graph import LabeledGraph, reach
 from gtl.prior import (
     PriorModel, atom_probability, compute_ig, counters, letter_distribution,
     load_prior, reset_counters, satisfaction_probability, static_reach,
@@ -86,7 +86,7 @@ class TestAtomProbability:
         # bins (0,1), (1,2) with mass 0.5 each; x <= 1.5 covers 0.5 + 0.25
         assert atom_probability(prior, parse("x <= 1.5"), "a", 1) == \
             pytest.approx(0.75)
-        assert atom_probability(prior, NodeProposition(">=", 0.5), "a", 2) == \
+        assert atom_probability(prior, Atom(">=", 0.5), "a", 2) == \
             pytest.approx(0.75)
         assert atom_probability(prior, parse("x <= 0"), "a", 1) == 0.0
         assert atom_probability(prior, parse("x >= 1"), "a", 1) == \
@@ -95,6 +95,10 @@ class TestAtomProbability:
     def test_time_bounds_checked(self):
         with pytest.raises(InputError):
             atom_probability(one_node_prior(), parse("x <= 1"), "a", 3)
+
+    def test_parametric_atom_rejected(self):
+        with pytest.raises(UsageError):
+            atom_probability(one_node_prior(), parse("x <= ?c"), "a", 1)
 
     def test_unknown_node_rejected_with_default_pmf(self):
         with pytest.raises(InputError):
@@ -123,7 +127,7 @@ class TestStaticReach:
             y = np.round(rng.random(g.n_edges) * 3, 1)
             prior = two_bin_prior(g, 1, edge_labels=dict(zip(g.edges, y)))
             for hops in (1, 2, 3):
-                chain = [EdgeProposition(str(rng.choice(["<=", ">="])), float(rng.choice([1.0, 2.0])))
+                chain = [EdgeAtom(str(rng.choice(["<=", ">="])), float(rng.choice([1.0, 2.0])))
                          for _ in range(hops)]
                 R = reach(g, y.reshape(g.n_edges, 1), chain)
                 for vi, v in enumerate(g.nodes):

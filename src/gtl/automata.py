@@ -32,7 +32,7 @@ from .formula import (
     Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Not, Or,
     TrueF, Until, _children, _subformulas, desugar, is_ground,
 )
-from .semantics import _Evaluator
+from .semantics import _table
 
 TRUE_DNF = frozenset({frozenset()})
 FALSE_DNF = frozenset()
@@ -69,14 +69,8 @@ def extract_aps(f: Formula) -> list[Formula]:
 def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
     """The length-L word of traj at node v: letter k holds the predicates true at time k."""
     vi = traj.graph.index_of(v)
-    evaluator = _Evaluator([traj])
-    word = [0] * traj.L
-    for bit, ap in enumerate(aps):
-        tab = evaluator.table(ap)[0]
-        for k in range(traj.L):
-            if tab[vi, k]:
-                word[k] |= 1 << bit
-    return word
+    rows = [_table([traj], ap)[0, vi] for ap in aps]
+    return [sum(int(row[k]) << bit for bit, row in enumerate(rows)) for k in range(traj.L)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import (
-    And, Formula, Not, Or, desugar, formula_size, print_formula, rename_parameters,
+    And, Formula, Not, Or, formula_size, print_formula, rename_parameters,
 )
 from .semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from .templates import Template
@@ -60,7 +60,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
 
     Integer dimensions are rounded at every fitness evaluation.  Optional
     warm_starts (valuations inside the box) replace the first particles'
-    initial positions.  The template is desugared once per run, and each
+    initial positions.  The template is compiled once per run, and each
     swarm step evaluates the valuations it has not seen before in one query.
     """
     if not data:
@@ -82,7 +82,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     rng = np.random.default_rng(cfg.seed)
     positive = _positive(data)
     evaluator = _Evaluator(data)  # one per run: labels stacked once, reach reused
-    formula = desugar(template.formula)
+    formula = template.compile()
     size = len(data) * data[0].graph.n_nodes  # (trajectory, node) pairs
     cache = {}
 

@@ -135,7 +135,7 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
         raise UsageError("coverage of an empty trajectory set is undefined")
     table = _table(trajs, f)  # the one evaluation every figure below reads
     vi = None if node is None else trajs[0].graph.index_of(node)
-    result = {"formula": print_formula(f), "coverage": _coverage(table)}
+    result = {"formula": print_formula(f), "coverage": float(_coverage(table))}
     rows = []
     for i, t in enumerate(trajs):
         row = {"trajectory": i}

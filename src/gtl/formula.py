@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+import numpy as np
+
 from .errors import InputError, ParseError, UsageError
 
 
@@ -394,8 +396,8 @@ def _tokenize(text):
     return tokens
 
 
-#: the largest integer literal magnitude; up to it, counts, time bounds and
-#: thresholds are exact as floats
+#: the largest magnitude of an integer literal or integer parameter value; up
+#: to it, counts, time bounds and thresholds are exact as floats
 _MAX_INT = 2 ** 53
 
 
@@ -599,22 +601,31 @@ def free_parameters(f: Formula) -> dict[str, ParamInfo]:
     return out
 
 
-def _subst_value(p, kind, valuation):
+def _checked_value(p, kind, valuation):
+    """Parameter p's value (a Python int or float) or values (an int64 or
+    float array) in the valuation, checked: present, finite and, in an
+    integer slot, integral and at most 2^53 in magnitude."""
     if p.name not in valuation:
         raise UsageError(f"missing value for parameter {p.name!r}")
     x = valuation[p.name]
-    if not math.isfinite(x):
-        raise UsageError(f"parameter {p.name!r} needs a finite value, got {x}")
+    try:
+        a = np.asarray(x, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        a = np.array(math.inf)
+    for v in a.ravel().tolist():  # as Python floats: numpy is slow on one value
+        if not math.isfinite(v):
+            raise UsageError(f"parameter {p.name!r} needs finite values, got {x}")
+        if kind == "integer" and (abs(v - round(v)) > 1e-9 or abs(round(v)) > _MAX_INT):
+            raise UsageError(f"parameter {p.name!r} needs integral values of "
+                             f"magnitude at most 2**53, got {x}")
     if kind == "integer":
-        if abs(x - round(x)) > 1e-9:
-            raise UsageError(f"parameter {p.name!r} needs an integral value, got {x}")
-        return int(round(x))
-    return float(x)
+        a = a.round().astype(np.int64)
+    return a.item() if a.ndim == 0 else a
 
 
 def instantiate(f: Formula, valuation: Mapping[str, float]) -> Formula:
     """Replace every parameter position with its value from the valuation."""
-    return _map_params(f, lambda p, kind: _subst_value(p, kind, valuation))
+    return _map_params(f, lambda p, kind: _checked_value(p, kind, valuation))
 
 
 def is_ground(f: Formula) -> bool:

@@ -28,15 +28,8 @@ _ROUND = 12  # normalized coordinates are rounded to stabilize set membership
 
 def _axes(template: Template):
     """(ordered free parameter names, pinned valuation for frozen ones)."""
-    pinned = {}
-    free = []
-    for name in template.param_names:
-        spec = template.box[name]
-        if spec.frozen:
-            pinned[name] = spec.grid()[0] if spec.kind == "integer" else spec.min
-        else:
-            free.append(name)
-    return free, pinned
+    pinned = template.pinned
+    return [n for n in template.param_names if n not in pinned], pinned
 
 
 def _polarities(template: Template, names):
@@ -52,10 +45,9 @@ def _polarities(template: Template, names):
     return pols
 
 
-def map_pi(theta, box, polarities, names=None) -> tuple:
-    """Normalize a valuation to [0,1]^z; larger always means easier."""
-    if names is None:
-        names = [n for n in box if not box[n].frozen]
+def map_pi(theta, box, polarities, names) -> tuple:
+    """Normalize a valuation's free parameters `names` to [0,1]^z; larger
+    always means easier."""
     out = []
     for name in names:
         spec = box[name]
@@ -76,10 +68,9 @@ def map_pi(theta, box, polarities, names=None) -> tuple:
     return tuple(out)
 
 
-def map_pi_inv(omega, box, polarities, names=None) -> dict:
-    """Map a normalized point back to a valuation; integers snap to the grid."""
-    if names is None:
-        names = [n for n in box if not box[n].frozen]
+def map_pi_inv(omega, box, polarities, names) -> dict:
+    """Map a normalized point back to a valuation of the free parameters
+    `names`; integers snap to the grid."""
     if len(omega) != len(names):
         raise UsageError(f"point has {len(omega)} coordinates, expected {len(names)}")
     theta = {}
@@ -230,15 +221,16 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     box = template.box
     z = len(names)
 
-    known = {}  # omega -> coverage
+    known = {}  # omega -> (coverage, valuation)
     evaluator = _Evaluator(trajs)  # one per template: labels stacked once, reach reused
+    compiled = template.compile()  # frozen parameters are literals, free ones columns
 
     def query(omega):
         theta = map_pi_inv(omega, box, pols, names)
+        table = evaluator.tables(compiled, {n: [theta[n]] for n in names})
+        cov = _coverage(table).item()  # one valuation, or none if compiled is ground
         theta.update(pinned)
-        f = template.instantiate(theta)
-        cov = _coverage(evaluator.table(f))
-        known[omega] = cov
+        known[omega] = cov, theta
         res.query_log.append({"omega": list(omega), "theta": dict(theta), "coverage": cov})
         res.n_queries += 1
         return cov
@@ -276,21 +268,15 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
             knees = _lift(knees, cand, steps)
 
     best = None
-    for omega in sorted(front):
-        theta = map_pi_inv(omega, box, pols, names)
-        theta.update(pinned)
-        f = template.instantiate(theta)
+    for omega in sorted(front):  # each front point was queried, with its valuation
+        f = template.instantiate(known[omega][1])
         rep = compute_ig(prior, f)
-        if best is None or rep.average_ig > best[0] + 1e-15:
-            best = (rep.average_ig, omega, theta, f, rep)
-    avg_ig, omega, theta, f, rep = best
+        if best is None or rep.average_ig > best[2].average_ig + 1e-15:
+            best = (omega, f, rep)
+    res.omega, res.formula, rep = best
     res.feasible = True
-    res.formula = f
-    res.valuation = theta
-    res.omega = omega
-    res.coverage = known[omega]
-    res.average_ig = avg_ig
-    res.info_gain = rep.info_gain
+    res.coverage, res.valuation = known[res.omega]
+    res.average_ig, res.info_gain = rep.average_ig, rep.info_gain
     res.front = [list(w) for w in sorted(front)]
     return res
 

@@ -13,11 +13,12 @@ evaluator holds is thus the stacked labels and the distinct reach arrays
 of one formula.  It lives for one search run (one PSO run, one template's
 identification); the public functions open one per call, and no state
 outlives the run or is written to a trajectory.
-A query may carry a valuation axis: `tables` evaluates a desugared
-template at K valuations in one pass, each parameter slot a (K, 1, 1, 1)
-column, so a table that depends on one gains a leading (K,) axis; one PSO
-iteration is one such query.  A neighbor chain with parametric thresholds
-walks one `reach` per distinct literal chain among the valuations.
+The evaluator's one query method, `tables`, evaluates a desugared formula
+at K valuations in one pass, each parameter slot a (K, 1, 1, 1) column, so
+a table that depends on one gains a leading (K,) axis.  A search compiles
+its template once, then makes one query per PSO iteration or coverage
+query.  A neighbor chain with parametric thresholds walks one `reach` per
+distinct literal chain among the valuations.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import InputError, UsageError
 from .formula import (
     Always, And, Atom, EdgeAtom, Eventually, Exists, FalseF, Formula, Not, Or,
-    Param, TrueF, Until, desugar, is_ground,
+    Param, TrueF, Until, _checked_value, desugar, is_ground,
 )
 from .graph import GraphTemporalTrajectory, reach
 
@@ -44,8 +45,10 @@ def sat_table(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
 
 
 def _table(trajectories, f):
-    """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f."""
-    return _Evaluator(trajectories).table(f)
+    """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f, f ground."""
+    if not is_ground(f):
+        raise UsageError("formula still has free parameters; instantiate it first")
+    return _Evaluator(trajectories).tables(desugar(f), {})
 
 
 class _Evaluator:
@@ -60,19 +63,13 @@ class _Evaluator:
         self.y = np.concatenate([t.edge_labels for t in trajectories], axis=1)  # (|E|, N*L)
         self.reaches = {}  # literal chain -> float32 (N, L, |V|, |V|) reach array of the last query
 
-    def table(self, f):
-        """Stacked table of the ground formula f."""
-        if not is_ground(f):
-            raise UsageError("formula still has free parameters; instantiate it first")
-        return self.tables(desugar(f), {})
-
     def tables(self, g, values):
         """Stacked tables of the desugared formula g at K valuations, in one pass.
 
-        values maps each parameter of g to an array of its K values.  The
-        result has a leading axis of length K, the valuations in order; a
-        subformula whose slots are all literals is evaluated once, without
-        that axis.  Each subformula is evaluated once per query.
+        values maps each parameter of g to an array of its K values, checked
+        as `instantiate` checks one.  The result has a leading axis of length
+        K, the valuations in order; a subformula whose slots are all literals
+        (a ground g too) is evaluated once, without that axis.
         """
         kept, self.reaches = self.reaches, {}
         N, V, L = self.x.shape
@@ -84,25 +81,11 @@ class _Evaluator:
             return self.reaches[chain]
 
         def value(v, kind):
-            return _column(v, kind, values) if isinstance(v, Param) else v
+            if isinstance(v, Param):
+                return np.reshape(_checked_value(v, kind, values), (-1, 1, 1, 1))
+            return v
 
         return _eval(self.x, g, {}, reach_of, value)
-
-
-def _column(p, kind, values):
-    """The values of parameter p as a (K, 1, 1, 1) column, checked as
-    `instantiate` checks one value."""
-    if p.name not in values:
-        raise UsageError(f"missing value for parameter {p.name!r}")
-    x = np.asarray(values[p.name], dtype=float)
-    if not np.isfinite(x).all():
-        raise UsageError(f"parameter {p.name!r} needs finite values, got {x}")
-    if kind == "integer":
-        r = np.round(x)
-        if (np.abs(x - r) > 1e-9).any():
-            raise UsageError(f"parameter {p.name!r} needs integral values, got {x}")
-        x = r.astype(np.int64)
-    return x.reshape(-1, 1, 1, 1)
 
 
 def _eval(x, f, cache, reach_of, value):
@@ -217,7 +200,7 @@ def coverage(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> flo
     """Averaged proportion of nodes at which f holds across the set."""
     if not trajectories:
         raise UsageError("coverage of an empty trajectory set is undefined")
-    return _coverage(_table(trajectories, f))
+    return float(_coverage(_table(trajectories, f)))
 
 
 def misclassification_rate(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> float:
@@ -236,9 +219,10 @@ def _positive(trajectories):
 
 
 def _coverage(table):
-    """Share of the (trajectory, node) pairs of a stacked table that hold at time 1."""
-    sat1 = table[:, :, 0]
-    return int(np.count_nonzero(sat1)) / sat1.size
+    """Share of the (trajectory, node) pairs of a stacked table that hold at
+    time 1; per valuation, if the table has a valuation axis."""
+    sat1 = table[..., 0]
+    return np.count_nonzero(sat1, axis=(-2, -1)) / (sat1.shape[-2] * sat1.shape[-1])
 
 
 def _misclassification(table, positive):

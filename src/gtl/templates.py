@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .formula import Formula, free_parameters, instantiate, parse, print_formula
+from .formula import (
+    _MAX_INT, Formula, _checked_value, _map_params, desugar, free_parameters, instantiate, parse,
+    print_formula,
+)
 from .graph import _MALFORMED, _read_json
 
 
@@ -26,8 +29,10 @@ class ParamSpec:
     def __post_init__(self):
         if self.kind not in ("continuous", "integer"):
             raise InputError(f"unknown parameter kind {self.kind!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise InputError(f"parameter range [{self.min}, {self.max}] must be finite")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)) or (
+                self.kind == "integer" and max(abs(self.min), abs(self.max)) > _MAX_INT):
+            raise InputError(f"parameter range [{self.min}, {self.max}] must be finite, "
+                             "and within 2**53 in magnitude for an integer parameter")
         if not self.min <= self.max or (self.kind == "integer" and not self.grid()):
             raise InputError(f"empty parameter range [{self.min}, {self.max}]")
 
@@ -71,8 +76,23 @@ class Template:
         """Parameter names in slot order of the formula."""
         return list(free_parameters(self.formula))
 
+    @property
+    def pinned(self) -> dict:
+        """Each frozen parameter's one admissible value, in slot order."""
+        box = self.box
+        return {n: box[n].grid()[0] if box[n].kind == "integer" else box[n].min
+                for n in self.param_names if box[n].frozen}
+
     def instantiate(self, valuation) -> Formula:
         return instantiate(self.formula, valuation)
+
+    def compile(self) -> Formula:
+        """The formula both searches evaluate: frozen parameters written in
+        as literals, then desugared once (so a frozen zero lower bound is
+        dropped, as `instantiate` then `desugar` drops it)."""
+        pinned = self.pinned
+        return desugar(_map_params(self.formula, lambda p, kind: (
+            _checked_value(p, kind, pinned) if p.name in pinned else p)))
 
     def to_json_dict(self):
         d = {

@@ -110,8 +110,8 @@ class TestPso:
 
     @pytest.mark.parametrize("iterations", [0, 1, 6])
     def test_one_query_per_swarm_step(self, monkeypatch, iterations):
-        # the template is desugared once and never instantiated; each swarm
-        # step evaluates all its uncached valuations in one query
+        # the template is compiled (desugared) once and never instantiated;
+        # each swarm step evaluates all its uncached valuations in one query
         calls = {"desugar": 0, "instantiate": 0, "tables": 0}
 
         def counting(name, fn):
@@ -120,7 +120,7 @@ class TestPso:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(gtl.classify, "desugar", counting("desugar", gtl.classify.desugar))
+        monkeypatch.setattr(gtl.templates, "desugar", counting("desugar", gtl.templates.desugar))
         monkeypatch.setattr(gtl.templates, "instantiate",
                             counting("instantiate", gtl.templates.instantiate))
         monkeypatch.setattr(gtl.semantics._Evaluator, "tables",

@@ -204,6 +204,16 @@ class TestIdentify:
         assert code == 1
         assert capsys.readouterr().err.startswith("error [input]")
 
+    def test_integer_box_beyond_2_53_exit_one(self, workspace, capsys):
+        workspace["templates"].write_text(json.dumps({
+            "formula": "F[<=?i] x >= 1",
+            "params": {"i": {"kind": "integer", "min": 0, "max": 1e300}}}))
+        code = main(["identify", "--trajectories", str(workspace["trajs"]),
+                     "--prior", str(workspace["prior"]),
+                     "--templates", str(workspace["templates"])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [input]: parameter range [0.0, 1e+300]")
+
     def test_infeasible_exit_two(self, workspace, capsys):
         # demanding coverage 1.0 of F x >= 2 is impossible on labels in [0, 2)
         save_templates(workspace["templates"], [

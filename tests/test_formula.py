@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,14 @@ class TestParameters:
         g = instantiate(f, {"i": 3, "c": 0.7})
         assert g == parse("F[<=3] x >= 0.7")
         assert is_ground(g) and not is_ground(f)
+
+    def test_instantiate_gives_python_numbers(self):
+        g = instantiate(parse("F[<=?i] E ?N via (y <= ?d) : x >= ?c"),
+                        {"i": 3.0, "N": np.int64(2), "d": 1, "c": np.float32(0.5)})
+        assert type(g.bound.hi) is int and g.bound.hi == 3
+        assert type(g.sub.count) is int and g.sub.count == 2
+        assert type(g.sub.chain[0].threshold) is float and g.sub.chain[0].threshold == 1.0
+        assert type(g.sub.body.threshold) is float and g.sub.body.threshold == 0.5
 
     def test_instantiate_rejects_fractional_integer(self):
         with pytest.raises(UsageError):

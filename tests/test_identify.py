@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtl.semantics
+import gtl.templates
 from gtl.datagen import SwarmScenario, gen_swarm
 from gtl.errors import InputError, UsageError
-from gtl.formula import parse
+from gtl.formula import free_parameters, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.identify import (
     _ROUND, _lift, identify, knee_points, map_pi,
@@ -140,6 +142,84 @@ def swarm_prior(sc, train):
             rows[k] = [low + 1, len(train) - low + 1]
         pmf[v] = rows / rows.sum(axis=1, keepdims=True)
     return PriorModel(g, sc.L, ((0.0, 0.125), (0.125, 1.0)), pmf, static_el)
+
+
+class TestCompiledRoute:
+    """Coverage queries evaluate the compiled template on the valuation axis."""
+
+    SWARM = "G (x >= ?a -> G[<=?i3] E ?N via (y <= ?d) : x <= ?c)"
+    TEMPLATES = [
+        # a frozen integer (i3, N) and a frozen continuous parameter (d)
+        (SWARM, {"a": (0.05, 0.4), "c": (0.112, 0.2), "i3": (2, 2), "N": (1, 1),
+                 "d": (1.0, 1.0)}),
+        # a paired bound whose lower end is frozen at 0
+        ("G[>=?i1][<=?i2] E ?N via (y <= ?d) : x <= ?c",
+         {"i1": (0, 0), "i2": (1, 6), "N": (1, 1), "d": (1.0, 1.0), "c": (0.05, 0.3)}),
+        # a free chain threshold
+        (SWARM, {"a": (0.2, 0.2), "c": (0.112, 0.2), "i3": (2, 2), "N": (1, 1),
+                 "d": (1.0, 2.5)}),
+        # every parameter frozen: the compiled formula is ground
+        (SWARM, {"a": (0.2, 0.2), "c": (0.2, 0.2), "i3": (2, 2), "N": (1, 1),
+                 "d": (1.0, 1.0)}),
+    ]
+
+    @staticmethod
+    def templates():
+        out = []
+        for text, ranges in TestCompiledRoute.TEMPLATES:
+            f = parse(text)
+            kinds = free_parameters(f)
+            out.append(Template(f, {n: ParamSpec(lo, hi, kinds[n].kind)
+                                    for n, (lo, hi) in ranges.items()}))
+        return out
+
+    @staticmethod
+    def swarm():
+        sc = SwarmScenario(seed=100)
+        train = gen_swarm(sc, 10)
+        return train, swarm_prior(sc, train)
+
+    def test_logged_coverage_matches_instantiate(self):
+        train, prior = self.swarm()
+        rep = identify(train, prior, self.templates(), p_th=0.9, eps=0.05, budget=60)
+        assert len(rep.results) == len(self.TEMPLATES)
+        for res in rep.results:
+            assert res.query_log
+            if res.template.pinned.keys() != set(res.template.param_names):
+                assert res.n_queries > 1
+            for q in res.query_log:
+                want = coverage(train, res.template.instantiate(q["theta"]))
+                assert q["coverage"] == want, (str(res.template.formula), q)
+
+    def test_one_compile_per_template(self, monkeypatch):
+        # desugar runs once per template and instantiate once per front
+        # point; no coverage query runs instantiate, is_ground or desugar
+        train, prior = self.swarm()
+        templates = self.templates()
+        calls = {"compile desugar": 0, "instantiate": 0, "is_ground": 0,
+                 "query desugar": 0, "tables": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(gtl.templates, "desugar",
+                            counting("compile desugar", gtl.templates.desugar))
+        monkeypatch.setattr(gtl.templates, "instantiate",
+                            counting("instantiate", gtl.templates.instantiate))
+        monkeypatch.setattr(gtl.semantics, "is_ground",
+                            counting("is_ground", gtl.semantics.is_ground))
+        monkeypatch.setattr(gtl.semantics, "desugar",
+                            counting("query desugar", gtl.semantics.desugar))
+        monkeypatch.setattr(gtl.semantics._Evaluator, "tables",
+                            counting("tables", gtl.semantics._Evaluator.tables))
+        rep = identify(train, prior, templates, p_th=0.9, eps=0.05, budget=60)
+        assert calls["compile desugar"] == len(templates)
+        assert calls["instantiate"] == sum(len(r.front) for r in rep.results)
+        assert calls["is_ground"] == calls["query desugar"] == 0
+        assert calls["tables"] == sum(r.n_queries for r in rep.results)
 
 
 class TestIdentify:

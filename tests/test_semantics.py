@@ -300,7 +300,7 @@ class TestEvaluator:
         for f in self.queries(rng, 200):
             monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
             calls.clear()
-            tab = evaluator.table(f)
+            tab = evaluator.tables(desugar(f), {})
             walked = len(calls)
             monkeypatch.undo()
             chains = chains_of(f)
@@ -316,20 +316,50 @@ class TestEvaluator:
         f = parse("F E 1 via (y <= 1) : x >= 0.5")
         g = parse("E 2 via (y <= 1) : x >= 0.5")
         evaluator = gtl.semantics._Evaluator([path3, path3])
-        tab = evaluator.table(f)
+        tab = evaluator.tables(desugar(f), {})
         want_f, want_g = tab.copy(), sat_table(path3, g)
         tab[:] = ~tab
-        assert np.array_equal(evaluator.table(f), want_f)
-        evaluator.table(f)[:] = True
+        assert np.array_equal(evaluator.tables(desugar(f), {}), want_f)
+        evaluator.tables(desugar(f), {})[:] = True
         for n in range(2):
-            assert np.array_equal(evaluator.table(g)[n], want_g)
+            assert np.array_equal(evaluator.tables(desugar(g), {})[n], want_g)
 
     def test_checks_stay_per_query(self, path3):
         evaluator = gtl.semantics._Evaluator([path3])
         with pytest.raises(UsageError):
-            evaluator.table(parse("E 1 via (y <= 1) : x >= ?c"))
+            evaluator.tables(desugar(parse("E 1 via (y <= 1) : x >= ?c")), {})
         f = parse("E 1 via (y <= 1) : x >= 0.5")
-        assert np.array_equal(evaluator.table(f)[0], sat_table(path3, f))
+        assert np.array_equal(evaluator.tables(desugar(f), {})[0], sat_table(path3, f))
+
+
+class TestOneValueCheck:
+    """instantiate and tables check a parameter value the same way."""
+
+    @pytest.mark.parametrize("text, theta", [
+        ("F[<=?i] x >= 2", {"i": 1e300}),
+        ("F[<=?i] x >= 2", {"i": -(2 ** 53) - 2}),
+        ("E ?N via (y <= 1) : x >= 0.5", {"N": 1e300}),
+        ("x <= ?c", {"c": 10 ** 400}),
+        ("E 1 via (y <= ?d) : x >= 0.5", {"d": -math.inf}),
+    ], ids=["bound 1e300", "bound below -2**53", "count 1e300", "threshold 10**400",
+            "chain -inf"])
+    def test_both_routes_reject(self, path3, text, theta):
+        f = parse(text)
+        with pytest.raises(UsageError):
+            instantiate(f, theta)
+        # the bad value second, after a good one, on the valuation axis
+        good = {"i": 1, "N": 1, "c": 0.5, "d": 1.0}
+        values = {n: [good[n], v] for n, v in theta.items()}
+        with pytest.raises(UsageError):
+            gtl.semantics._Evaluator([path3]).tables(desugar(f), values)
+
+    def test_largest_integer_accepted(self, path3):
+        f = parse("F[<=?i] x >= 0.5")
+        g = instantiate(f, {"i": 2.0 ** 53})
+        assert g.bound.hi == 2 ** 53 and type(g.bound.hi) is int
+        tabs = gtl.semantics._Evaluator([path3]).tables(desugar(f), {"i": [2 ** 53, 1]})
+        assert np.array_equal(tabs[0, 0], sat_table(path3, g))
+        assert np.array_equal(tabs[1, 0], sat_table(path3, parse("F[<=1] x >= 0.5")))
 
 
 class TestValuationAxis:

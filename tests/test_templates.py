@@ -58,6 +58,16 @@ class TestParamSpec:
             Template.from_json_dict(json.loads(text))
 
 
+    @pytest.mark.parametrize("lo, hi", [(0, 1e300), (-1e300, 0), (0, 2 ** 53 + 2)])
+    def test_integer_range_beyond_2_53_rejected(self, lo, hi):
+        d = {"formula": "F[<=?i] x >= 2",
+             "params": {"i": {"kind": "integer", "min": lo, "max": hi}}}
+        with pytest.raises(InputError, match="2\\*\\*53"):
+            Template.from_json_dict(d)
+        # the largest admissible ends still make a box
+        assert ParamSpec(-(2 ** 53), 2 ** 53, "integer").grid()[-1] == 2 ** 53
+
+
 class TestTemplate:
     def test_box_must_match_parameters(self):
         f = parse("F[<=?i] x >= ?c")

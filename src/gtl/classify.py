@@ -81,7 +81,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     vmax = 0.5 * width
     rng = np.random.default_rng(cfg.seed)
     positive = _positive(data)
-    evaluator = _Evaluator(data)  # one per run: labels stacked once, reach reused
+    evaluator = _Evaluator.of(data)  # one per run: labels stacked once, reach reused
     formula = template.compile()
     size = len(data) * data[0].graph.n_nodes  # (trajectory, node) pairs
     cache = {}

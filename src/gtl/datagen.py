@@ -4,6 +4,13 @@ scenario, and planted two-class datasets.
 All generators are deterministic per seed and re-verify their own output
 through the evaluation module, so anything they return satisfies the
 advertised property by construction.
+
+The rejection samplers `gen_swarm` and `gen_planted` draw proposals in
+blocks of `_BLOCK` and check each block with one evaluator query on the
+static edge labels that all proposals share, so each neighbor chain is
+walked once per call.  Proposals are still taken in order, under the same
+checks and from the same per-proposal draws, so the output is draw for
+draw that of a one-proposal-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -17,24 +24,23 @@ from .errors import InfeasibleError, InputError
 from .formula import Always, Atom, Bound, EdgeAtom, Exists, Implies
 from .graph import GraphTemporalTrajectory, LabeledGraph
 from .prior import PriorModel
-from .semantics import sat_vector
+from .semantics import _Evaluator, _ground
 
 _MAX_PROPOSALS = 10 ** 6
 _RATE_FLOOR = 1e-3
 _STALL_LIMIT = 10_000  # proposals without an accept before giving up
+_BLOCK = 64  # proposals drawn and checked per evaluator query
 
 
-def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
-    """n independent trajectories: bin per pmf, uniform within the bin.
+def _prior_sampler(prior: PriorModel):
+    """The prior's static (|E|, L) edge block, and the map from uniform draws
+    u, (..., |V|, L, 2), to node labels, (..., |V|, L).
 
-    Each (trajectory, node, time) takes two doubles in turn, one for the bin
+    Each (node, time) entry takes its two doubles in turn, one for the bin
     and one for the value, and the bin is found the way `Generator.choice`
     finds it (the count of the normalized cdf at or below the draw), so the
-    samples are those of one `choice` and one `uniform` call per entry.
+    labels are those of one `choice` and one `uniform` call per entry.
     """
-    if n < 0:
-        raise InputError("n must be >= 0")
-    rng = np.random.default_rng(seed)
     g = prior.graph
     L, B = prior.L, len(prior.bins)
     lo = np.array([b[0] for b in prior.bins])
@@ -44,10 +50,38 @@ def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
     pmf = np.array([prior.node_pmf(v) for v in g.nodes]).reshape(g.n_nodes, L, B)
     cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)
     cdf /= cdf[..., -1:]
-    u = rng.random((n, g.n_nodes, L, 2))
-    b = np.count_nonzero(cdf <= u[..., :1], axis=-1)
-    nl = lo[b] + (hi[b] - lo[b]) * u[..., 1]
+
+    def labels(u):
+        b = np.count_nonzero(cdf <= u[..., :1], axis=-1)
+        return lo[b] + (hi[b] - lo[b]) * u[..., 1]
+
+    return edge, labels
+
+
+def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
+    """n independent trajectories: bin per pmf, uniform within the bin."""
+    if n < 0:
+        raise InputError("n must be >= 0")
+    g = prior.graph
+    edge, labels = _prior_sampler(prior)
+    nl = labels(np.random.default_rng(seed).random((n, g.n_nodes, prior.L, 2)))
     return [GraphTemporalTrajectory(g, nl[i], edge.copy()) for i in range(n)]
+
+
+def _checked_proposals(graph: LabeledGraph, edge, f, propose):
+    """Proposals in order, each as (node labels, truth of f per node at time 1).
+
+    propose(k) draws the node labels of the next k proposals, (k, |V|, L),
+    which share the (|E|, L) edge labels `edge`; each block is checked with
+    one query of one evaluator.  A proposal's labels are a view into its
+    block, so a kept one is copied.  A free parameter in f is a usage error
+    at the first proposal.
+    """
+    g = _ground(f)
+    evaluator = _Evaluator(graph, None, edge)
+    while True:
+        evaluator.x = propose(_BLOCK)
+        yield from zip(evaluator.x, evaluator.tables(g, {})[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +130,25 @@ def swarm_constraint():
 
 def gen_swarm(scenario: SwarmScenario, n: int) -> list:
     """n density trajectories each satisfying the swarm constraint at every node."""
+    if n < 0:
+        raise InputError("n must be >= 0")
     rng = np.random.default_rng(scenario.seed)
     g = scenario.graph()
     el = scenario.edge_labels(g)
-    f = swarm_constraint()
+    alpha, s, L = [scenario.alpha] * g.n_nodes, scenario.smoothing, scenario.L
+
+    def propose(k):
+        draws = rng.dirichlet(alpha, size=(k, L))  # the L draws of each proposal in turn
+        nl = np.empty((k, g.n_nodes, L))
+        x = draws[:, 0]
+        nl[:, :, 0] = x
+        for t in range(1, L):
+            x = s * x + (1 - s) * draws[:, t]
+            x = x / x.sum(axis=-1, keepdims=True)  # contiguous rows, each summed as a (|V|,) array
+            nl[:, :, t] = x
+        return nl
+
+    checked = _checked_proposals(g, el, swarm_constraint(), propose)
     out = []
     proposals = 0
     while len(out) < n:
@@ -109,17 +158,9 @@ def gen_swarm(scenario: SwarmScenario, n: int) -> list:
                 f"{_RATE_FLOOR:%} — constraint too tight for the proposal"
             )
         proposals += 1
-        nl = np.zeros((g.n_nodes, scenario.L))
-        x = rng.dirichlet([scenario.alpha] * g.n_nodes)
-        nl[:, 0] = x
-        for k in range(1, scenario.L):
-            fresh = rng.dirichlet([scenario.alpha] * g.n_nodes)
-            x = scenario.smoothing * x + (1 - scenario.smoothing) * fresh
-            x = x / x.sum()
-            nl[:, k] = x
-        traj = GraphTemporalTrajectory(g, nl, el.copy())
-        if sat_vector(traj, f).all():
-            out.append(traj)
+        nl, holds = next(checked)
+        if holds.all():
+            out.append(GraphTemporalTrajectory(g, nl.copy(), el))
     return out
 
 
@@ -131,7 +172,18 @@ def gen_planted(separator, prior: PriorModel, n_pos: int, n_neg: int,
     """Labeled dataset where the separator votes +1 on at least node_frac of
     the nodes of every +1 trajectory and -1 on at least node_frac of every
     -1 trajectory, so its misclassification rate is at most 1 - node_frac."""
+    if n_pos < 0 or n_neg < 0:
+        raise InputError("n_pos and n_neg must be >= 0")
     rng = np.random.default_rng(seed)
+    g = prior.graph
+    edge, labels = _prior_sampler(prior)
+    shape = (g.n_nodes, prior.L, 2)
+
+    def propose(k):  # each proposal samples the prior from a seed of its own
+        return labels(np.array([np.random.default_rng(rng.integers(2 ** 63)).random(shape)
+                                for _ in range(k)]))
+
+    checked = _checked_proposals(g, edge, separator, propose)
     pos, neg = [], []
     proposals = 0
     stalled = 0  # proposals since the last accept into a class still needed
@@ -144,14 +196,12 @@ def gen_planted(separator, prior: PriorModel, n_pos: int, n_neg: int,
             )
         proposals += 1
         stalled += 1
-        traj = sample_prior(prior, 1, seed=rng.integers(2 ** 63))[0]
-        frac = float(sat_vector(traj, separator).mean())
+        nl, votes = next(checked)
+        frac = np.count_nonzero(votes) / g.n_nodes
         if frac >= node_frac and len(pos) < n_pos:
-            pos.append(GraphTemporalTrajectory(
-                traj.graph, traj.node_labels, traj.edge_labels, label=1))
+            pos.append(GraphTemporalTrajectory(g, nl.copy(), edge, label=1))
             stalled = 0
         elif frac <= 1 - node_frac and len(neg) < n_neg:
-            neg.append(GraphTemporalTrajectory(
-                traj.graph, traj.node_labels, traj.edge_labels, label=-1))
+            neg.append(GraphTemporalTrajectory(g, nl.copy(), edge, label=-1))
             stalled = 0
     return pos + neg

@@ -222,7 +222,7 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     z = len(names)
 
     known = {}  # omega -> (coverage, valuation)
-    evaluator = _Evaluator(trajs)  # one per template: labels stacked once, reach reused
+    evaluator = _Evaluator.of(trajs)  # one per template: labels stacked once, reach reused
     compiled = template.compile()  # frozen parameters are literals, free ones columns
 
     def query(omega):

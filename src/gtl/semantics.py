@@ -7,12 +7,16 @@ their edge labels into one (|E|, N*L) block, once.  Each query computes
 one (N, |V|, L) boolean table per subformula, memoized for the length of
 the query and then dropped.  A neighbor predicate makes one `reach` call
 over the whole block for its chain, and after the query the evaluator
-keeps the (N*L, |V|, |V|) reach arrays that the query used, so a next
+keeps the (N, L, |V|, |V|) reach arrays that the query used, so a next
 query that repeats one of those chains walks no edges for it.  What an
 evaluator holds is thus the stacked labels and the distinct reach arrays
 of one formula.  It lives for one search run (one PSO run, one template's
 identification); the public functions open one per call, and no state
 outlives the run or is written to a trajectory.
+An evaluator can also be opened on such arrays directly, with one
+(|E|, L) edge block that all N share: its reach arrays then have a leading
+axis of 1 and serve any node labels, so a data generator checks block
+after block of proposals and walks each chain once.
 The evaluator's one query method, `tables`, evaluates a desugared formula
 at K valuations in one pass, each parameter slot a (K, 1, 1, 1) column, so
 a table that depends on one gains a leading (K,) axis.  A search compiles
@@ -46,22 +50,34 @@ def sat_table(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
 
 def _table(trajectories, f):
     """Stacked table S with S[n, v, k-1] iff (trajectories[n], v, k) |= f, f ground."""
+    return _Evaluator.of(trajectories).tables(_ground(f), {})
+
+
+def _ground(f):
+    """The desugared form of f, which must have no free parameters."""
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
-    return _Evaluator(trajectories).tables(desugar(f), {})
+    return desugar(f)
 
 
 class _Evaluator:
     """Tables of many formulas over one trajectory set, for one search run."""
 
-    def __init__(self, trajectories):
+    def __init__(self, graph, x, y):
+        """Open on node labels x, (N, |V|, L), and an edge block y: (|E|, N*L),
+        the trajectories' columns in turn, or (|E|, L), shared by all N, whose
+        reach arrays serve any x, so x may then be replaced between queries."""
+        self.graph, self.x, self.y = graph, x, y
+        self.reaches = {}  # literal chain -> float32 (N or 1, L, |V|, |V|) reach array of the last query
+
+    @classmethod
+    def of(cls, trajectories):
+        """Open on a trajectory set, its labels stacked once."""
         graph, L = trajectories[0].graph, trajectories[0].L
         if any(t.graph is not graph or t.L != L for t in trajectories):
             raise InputError("all trajectories must share one graph and one horizon L")
-        self.graph = graph
-        self.x = np.array([t.node_labels for t in trajectories])  # (N, |V|, L)
-        self.y = np.concatenate([t.edge_labels for t in trajectories], axis=1)  # (|E|, N*L)
-        self.reaches = {}  # literal chain -> float32 (N, L, |V|, |V|) reach array of the last query
+        return cls(graph, np.array([t.node_labels for t in trajectories]),
+                   np.concatenate([t.edge_labels for t in trajectories], axis=1))
 
     def tables(self, g, values):
         """Stacked tables of the desugared formula g at K valuations, in one pass.
@@ -72,12 +88,12 @@ class _Evaluator:
         (a ground g too) is evaluated once, without that axis.
         """
         kept, self.reaches = self.reaches, {}
-        N, V, L = self.x.shape
+        V, L = self.x.shape[1:]
 
         def reach_of(chain):
             if chain not in self.reaches:
                 self.reaches[chain] = kept[chain] if chain in kept else reach(
-                    self.graph, self.y, chain).reshape(N, L, V, V).astype(np.float32)
+                    self.graph, self.y, chain).reshape(-1, L, V, V).astype(np.float32)
             return self.reaches[chain]
 
         def value(v, kind):
@@ -143,7 +159,8 @@ def _literal_chains(chain, value):
 
 def _counts(R, body):
     """C[..., n, v, k] = #{u : R[n, k, v, u] and body[..., n, u, k]}, as one
-    float32 matmul with the valuations on its last axis (counts <= |V| are exact)."""
+    float32 matmul with the valuations on its last axis (counts <= |V| are exact);
+    an R with a leading axis of 1 (a shared edge block) serves every n."""
     N, V, L = body.shape[-3:]
     B = body.reshape(-1, N, V, L).transpose(1, 3, 2, 0)  # (N, L, V, K)
     return (R @ B).transpose(3, 0, 2, 1).reshape(body.shape)

@@ -33,6 +33,8 @@ class ParamSpec:
                 self.kind == "integer" and max(abs(self.min), abs(self.max)) > _MAX_INT):
             raise InputError(f"parameter range [{self.min}, {self.max}] must be finite, "
                              "and within 2**53 in magnitude for an integer parameter")
+        if not math.isfinite(self.max - self.min):
+            raise InputError(f"parameter range [{self.min}, {self.max}] is wider than a float holds")
         if not self.min <= self.max or (self.kind == "integer" and not self.grid()):
             raise InputError(f"empty parameter range [{self.min}, {self.max}]")
 

@@ -214,6 +214,17 @@ class TestIdentify:
         assert code == 1
         assert capsys.readouterr().err.startswith("error [input]: parameter range [0.0, 1e+300]")
 
+    def test_box_wider_than_a_float_exit_one(self, workspace, capsys):
+        workspace["templates"].write_text(json.dumps({
+            "formula": "F x >= ?c", "params": {"c": {"min": -1e308, "max": 1e308}}}))
+        code = main(["identify", "--trajectories", str(workspace["trajs"]),
+                     "--prior", str(workspace["prior"]),
+                     "--templates", str(workspace["templates"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [input]: parameter range [-1e+308, 1e+308] is wider")
+        assert "Traceback" not in err
+
     def test_infeasible_exit_two(self, workspace, capsys):
         # demanding coverage 1.0 of F x >= 2 is impossible on labels in [0, 2)
         save_templates(workspace["templates"], [
@@ -292,6 +303,20 @@ class TestGen:
         rep = json.loads(out)["result"]
         assert rep["npos"] == 2 and rep["nneg"] == 2
         assert rep["separator_mr"] <= 0.05
+
+
+    @pytest.mark.parametrize("command, flag", [
+        ("swarm", "--n"), ("planted", "--npos"), ("planted", "--nneg"),
+        ("prior-sample", "--n")])
+    def test_negative_count_exit_one(self, workspace, capsys, command, flag):
+        files = ["--prior", str(workspace["prior"]), "--graph", str(workspace["graph"])]
+        args = {"swarm": [], "planted": ["--formula", "F x >= 1", *files],
+                "prior-sample": files}[command]
+        code = main(["gen", command, *args, flag, "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [input]: n")
+        assert "Traceback" not in err
 
 
 class TestSeedFallback:

@@ -1,14 +1,18 @@
 """Data generation: prior sampling, the swarm scenario, planted datasets."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gtl.errors import InfeasibleError, InputError
+import gtl.datagen
+import gtl.semantics
+from gtl.errors import InfeasibleError, InputError, UsageError
 from gtl.datagen import (
     SwarmScenario, gen_planted, gen_swarm, sample_prior, swarm_constraint,
 )
 from gtl.formula import parse, print_formula
-from gtl.graph import LabeledGraph
+from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.prior import PriorModel
 from gtl.semantics import sat_vector
 
@@ -32,6 +36,196 @@ def sample_prior_loop(prior, n, seed=None):
                 nl[i, k] = rng.uniform(lo[b], hi[b])
         out.append(nl)
     return out
+
+
+def gen_swarm_loop(scenario, n):
+    """The one-proposal-at-a-time reference: L `dirichlet` calls, a
+    trajectory and a `sat_vector` call per proposal.  Returns the
+    trajectories and the number of proposals."""
+    rng = np.random.default_rng(scenario.seed)
+    g = scenario.graph()
+    el = scenario.edge_labels(g)
+    f = swarm_constraint()
+    out = []
+    proposals = 0
+    while len(out) < n:
+        if (proposals >= gtl.datagen._MAX_PROPOSALS
+                and len(out) / proposals < gtl.datagen._RATE_FLOOR):
+            raise InfeasibleError(
+                f"swarm acceptance rate {len(out)}/{proposals} fell below "
+                f"{gtl.datagen._RATE_FLOOR:%} — constraint too tight for the proposal"
+            )
+        proposals += 1
+        nl = np.zeros((g.n_nodes, scenario.L))
+        x = rng.dirichlet([scenario.alpha] * g.n_nodes)
+        nl[:, 0] = x
+        for k in range(1, scenario.L):
+            fresh = rng.dirichlet([scenario.alpha] * g.n_nodes)
+            x = scenario.smoothing * x + (1 - scenario.smoothing) * fresh
+            x = x / x.sum()
+            nl[:, k] = x
+        traj = GraphTemporalTrajectory(g, nl, el.copy())
+        if sat_vector(traj, f).all():
+            out.append(traj)
+    return out, proposals
+
+
+def gen_planted_loop(separator, prior, n_pos, n_neg, seed=None, node_frac=0.95):
+    """The one-proposal-at-a-time reference: a `sample_prior` call from a
+    seed of its own and a `sat_vector` call per proposal.  Returns the
+    labeled trajectories and the number of proposals."""
+    rng = np.random.default_rng(seed)
+    pos, neg = [], []
+    proposals = 0
+    stalled = 0
+    while len(pos) < n_pos or len(neg) < n_neg:
+        if stalled >= gtl.datagen._STALL_LIMIT or proposals >= gtl.datagen._MAX_PROPOSALS:
+            raise InfeasibleError(
+                f"planted acceptance stalled after {proposals} proposals "
+                f"({len(pos)}/{n_pos} positive, {len(neg)}/{n_neg} negative) — "
+                "the separator splits the prior too unevenly"
+            )
+        proposals += 1
+        stalled += 1
+        traj = sample_prior(prior, 1, seed=rng.integers(2 ** 63))[0]
+        frac = float(sat_vector(traj, separator).mean())
+        if frac >= node_frac and len(pos) < n_pos:
+            pos.append(GraphTemporalTrajectory(
+                traj.graph, traj.node_labels, traj.edge_labels, label=1))
+            stalled = 0
+        elif frac <= 1 - node_frac and len(neg) < n_neg:
+            neg.append(GraphTemporalTrajectory(
+                traj.graph, traj.node_labels, traj.edge_labels, label=-1))
+            stalled = 0
+    return pos + neg, proposals
+
+
+def assert_same_outcome(block_call, loop_call):
+    """Both calls return equal trajectories, or raise the same error."""
+    try:
+        want, _ = loop_call()
+    except (InfeasibleError, UsageError) as exc:
+        with pytest.raises(type(exc)) as got:
+            block_call()
+        assert str(got.value) == str(exc)
+        return
+    got = block_call()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.node_labels, b.node_labels)
+        assert np.array_equal(a.edge_labels, b.edge_labels)
+        assert a.label == b.label
+
+
+def six_node_prior():
+    """A complete graph of six nodes, L = 3, two equally likely bins, and
+    static edge labels 3 and 1 in turn, so a (y <= 2) hop skips some edges."""
+    g = LabeledGraph.complete([f"n{i}" for i in range(6)])
+    return PriorModel(g, 3, ((0.0, 0.9), (1.1, 2.0)),
+                      {v: np.tile([0.5, 0.5], (3, 1)) for v in g.nodes},
+                      {e: 3.0 if i % 2 == 0 else 1.0 for i, e in enumerate(g.edges)})
+
+
+CHAIN_SEPARATORS = (
+    "E 2 via (y <= 2) : x >= 1",
+    "E 1 via (y <= 2) via (y <= 2) : F x <= 0.9 & E 1 via (y <= 2) : x >= 1",
+)
+SEEDS = range(20)
+
+
+class TestBlocksEqualLoop:
+    """The block samplers against the one-proposal-at-a-time loops."""
+
+    @pytest.mark.parametrize("text", CHAIN_SEPARATORS)
+    def test_planted_neighbor_chain(self, text):
+        prior, sep = six_node_prior(), parse(text)
+        for seed in SEEDS:
+            assert_same_outcome(lambda: gen_planted(sep, prior, 3, 3, seed=seed),
+                                lambda: gen_planted_loop(sep, prior, 3, 3, seed=seed))
+
+    def test_planted_zero_edge_one_node_graph(self):
+        prior = two_bin_prior(LabeledGraph(["a"], []), 3)
+        sep = parse("x >= 1.5 | E 1 via (y <= 1) : x >= 1")
+        for seed in SEEDS:
+            assert_same_outcome(lambda: gen_planted(sep, prior, 2, 2, seed=seed),
+                                lambda: gen_planted_loop(sep, prior, 2, 2, seed=seed))
+
+    def test_planted_stall(self, monkeypatch):
+        # the stall limit spans three blocks; the message names the proposal count
+        monkeypatch.setattr(gtl.datagen, "_STALL_LIMIT", 150)
+        prior = two_bin_prior(LabeledGraph(["a"], []), 1)
+        for seed in SEEDS:
+            assert_same_outcome(lambda: gen_planted(parse("TRUE"), prior, 1, 1, seed=seed),
+                                lambda: gen_planted_loop(parse("TRUE"), prior, 1, 1, seed=seed))
+
+    def test_planted_proposal_cap(self, monkeypatch):
+        monkeypatch.setattr(gtl.datagen, "_MAX_PROPOSALS", 100)
+        prior, sep = six_node_prior(), parse("F E 4 via (y <= 2) : x >= 1")
+        for seed in SEEDS:
+            assert_same_outcome(lambda: gen_planted(sep, prior, 3, 3, seed=seed),
+                                lambda: gen_planted_loop(sep, prior, 3, 3, seed=seed))
+
+    def test_planted_free_parameter(self):
+        prior, sep = six_node_prior(), parse("E 2 via (y <= 2) : x >= ?c")
+        for seed in SEEDS:
+            assert_same_outcome(lambda: gen_planted(sep, prior, 1, 1, seed=seed),
+                                lambda: gen_planted_loop(sep, prior, 1, 1, seed=seed))
+
+    @pytest.mark.parametrize("rows, cols, L, n", [(3, 3, 6, 3), (2, 2, 4, 1)])
+    def test_swarm(self, rows, cols, L, n):
+        # nine nodes take the per-row density sum past numpy's 8-element
+        # pairwise block; the 2 x 2 scenario rejects for several blocks
+        for seed in SEEDS:
+            sc = SwarmScenario(rows=rows, cols=cols, L=L, seed=seed)
+            assert_same_outcome(lambda: gen_swarm(sc, n), lambda: gen_swarm_loop(sc, n))
+
+    def test_swarm_rate_floor(self, monkeypatch):
+        monkeypatch.setattr(gtl.datagen, "_MAX_PROPOSALS", 100)
+        monkeypatch.setattr(gtl.datagen, "_RATE_FLOOR", 0.5)
+        for seed in SEEDS:
+            sc = SwarmScenario(rows=2, cols=2, L=4, seed=seed)
+            assert_same_outcome(lambda: gen_swarm(sc, 5), lambda: gen_swarm_loop(sc, 5))
+
+
+class TestOneQueryPerBlock:
+    @pytest.mark.parametrize("which", ["planted", "swarm"])
+    def test_counts(self, monkeypatch, which):
+        # each chain is walked once per call, each block is one query, and
+        # only accepted proposals become trajectories
+        calls = {"reach": [], "tables": 0, "trajectories": 0}
+
+        def counting_reach(graph, edge_labels, chain):
+            calls["reach"].append(tuple(chain))
+            return gtl.graph.reach(graph, edge_labels, chain)
+
+        def counting_tables(self, g, values):
+            calls["tables"] += 1
+            return tables(self, g, values)
+
+        def counting_trajectory(*args, **kwargs):
+            calls["trajectories"] += 1
+            return GraphTemporalTrajectory(*args, **kwargs)
+
+        if which == "planted":
+            prior, sep = six_node_prior(), parse(CHAIN_SEPARATORS[1])
+            want, proposals = gen_planted_loop(sep, prior, 4, 4, seed=3)
+            run = lambda: gen_planted(sep, prior, 4, 4, seed=3)  # noqa: E731
+            chains = {sep.left.chain, sep.right.chain}
+        else:
+            sc = SwarmScenario(rows=2, cols=2, L=4, seed=3)
+            want, proposals = gen_swarm_loop(sc, 2)
+            run = lambda: gen_swarm(sc, 2)  # noqa: E731
+            chains = {swarm_constraint().sub.right.sub.chain}
+        tables = gtl.semantics._Evaluator.tables
+        monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
+        monkeypatch.setattr(gtl.semantics._Evaluator, "tables", counting_tables)
+        monkeypatch.setattr(gtl.datagen, "GraphTemporalTrajectory", counting_trajectory)
+        got = run()
+        assert len(got) == len(want)
+        assert proposals > gtl.datagen._BLOCK  # more than one block
+        assert len(calls["reach"]) == len(chains) and set(calls["reach"]) == chains
+        assert calls["tables"] == math.ceil(proposals / gtl.datagen._BLOCK)
+        assert calls["trajectories"] == len(got)
 
 
 class TestSamplePrior:
@@ -126,6 +320,8 @@ class TestSwarmScenario:
                    for x, y in zip(a, b))
 
     def test_validation(self):
+        with pytest.raises(InputError, match="n must be >= 0"):
+            gen_swarm(SwarmScenario(), -3)
         with pytest.raises(InputError):
             SwarmScenario(rows=0)
         with pytest.raises(InputError):
@@ -148,3 +344,10 @@ class TestGenPlanted:
         prior = two_bin_prior(g, 1)
         with pytest.raises(InfeasibleError):
             gen_planted(parse("TRUE"), prior, 1, 1, seed=0)
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(-1, 1), (1, -1)])
+    def test_negative_count_rejected(self, n_pos, n_neg):
+        prior = two_bin_prior(LabeledGraph(["a"], []), 1)
+        with pytest.raises(InputError, match="n_pos and n_neg must be >= 0"):
+            gen_planted(parse("F x >= 1"), prior, n_pos, n_neg, seed=0)
+        assert gen_planted(parse("x >= ?c"), prior, 0, 0, seed=0) == []

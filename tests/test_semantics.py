@@ -295,7 +295,7 @@ class TestEvaluator:
         rng = np.random.default_rng(31)
         g = random_graph(rng, 5, 0.6)
         trajs = [random_trajectory(rng, g, L=4) for _ in range(3)]
-        evaluator = gtl.semantics._Evaluator(trajs)
+        evaluator = gtl.semantics._Evaluator.of(trajs)
         previous = set()
         for f in self.queries(rng, 200):
             monkeypatch.setattr(gtl.semantics, "reach", counting_reach)
@@ -315,7 +315,7 @@ class TestEvaluator:
     def test_editing_a_table_changes_no_later_one(self, path3):
         f = parse("F E 1 via (y <= 1) : x >= 0.5")
         g = parse("E 2 via (y <= 1) : x >= 0.5")
-        evaluator = gtl.semantics._Evaluator([path3, path3])
+        evaluator = gtl.semantics._Evaluator.of([path3, path3])
         tab = evaluator.tables(desugar(f), {})
         want_f, want_g = tab.copy(), sat_table(path3, g)
         tab[:] = ~tab
@@ -325,7 +325,7 @@ class TestEvaluator:
             assert np.array_equal(evaluator.tables(desugar(g), {})[n], want_g)
 
     def test_checks_stay_per_query(self, path3):
-        evaluator = gtl.semantics._Evaluator([path3])
+        evaluator = gtl.semantics._Evaluator.of([path3])
         with pytest.raises(UsageError):
             evaluator.tables(desugar(parse("E 1 via (y <= 1) : x >= ?c")), {})
         f = parse("E 1 via (y <= 1) : x >= 0.5")
@@ -351,13 +351,13 @@ class TestOneValueCheck:
         good = {"i": 1, "N": 1, "c": 0.5, "d": 1.0}
         values = {n: [good[n], v] for n, v in theta.items()}
         with pytest.raises(UsageError):
-            gtl.semantics._Evaluator([path3]).tables(desugar(f), values)
+            gtl.semantics._Evaluator.of([path3]).tables(desugar(f), values)
 
     def test_largest_integer_accepted(self, path3):
         f = parse("F[<=?i] x >= 0.5")
         g = instantiate(f, {"i": 2.0 ** 53})
         assert g.bound.hi == 2 ** 53 and type(g.bound.hi) is int
-        tabs = gtl.semantics._Evaluator([path3]).tables(desugar(f), {"i": [2 ** 53, 1]})
+        tabs = gtl.semantics._Evaluator.of([path3]).tables(desugar(f), {"i": [2 ** 53, 1]})
         assert np.array_equal(tabs[0, 0], sat_table(path3, g))
         assert np.array_equal(tabs[1, 0], sat_table(path3, parse("F[<=1] x >= 0.5")))
 
@@ -397,7 +397,7 @@ class TestValuationAxis:
         rng = np.random.default_rng(41)
         g = random_graph(rng, 5, 0.6)
         trajs = [random_trajectory(rng, g, L=4) for _ in range(3)]
-        evaluator = gtl.semantics._Evaluator(trajs)
+        evaluator = gtl.semantics._Evaluator.of(trajs)
         templates = [parse(t) for t in self.HAND] + [self.template(rng) for _ in range(150)]
         seen = set()
         for tpl in templates:
@@ -416,10 +416,27 @@ class TestValuationAxis:
                 assert np.array_equal(tabs[k], want), (text, theta)
         assert seen == {"atom", "count", "chain", "lo", "hi", "paired", "zero lo", "implies"}
 
+    def test_shared_edge_block(self):
+        # one (|E|, L) edge block for all N: its reach arrays serve any node
+        # labels, so x may change between queries
+        rng = np.random.default_rng(43)
+        g = random_graph(rng, 5, 0.6)
+        edge = random_trajectory(rng, g, L=4).edge_labels
+        shared = gtl.semantics._Evaluator(g, None, edge)
+        for _ in range(60):
+            tpl = self.template(rng)
+            trajs = [GraphTemporalTrajectory(g, rng.random((5, 4)), edge)
+                     for _ in range(int(rng.integers(1, 4)))]
+            thetas = self.valuations(rng, tpl, int(rng.integers(1, 4)))
+            values = {n: np.array([theta[n] for theta in thetas]) for n in free_parameters(tpl)}
+            shared.x = np.array([t.node_labels for t in trajs])
+            want = gtl.semantics._Evaluator.of(trajs).tables(desugar(tpl), values)
+            assert np.array_equal(shared.tables(desugar(tpl), values), want), print_formula(tpl)
+
     def test_zero_lower_bound_column(self, path3):
         # desugar keeps G[>=?i] but drops a literal G[>=0]: both give G's table
         tpl = parse("G[>=?i] x <= 0.5")
-        tabs = gtl.semantics._Evaluator([path3]).tables(desugar(tpl), {"i": np.array([0, 1])})
+        tabs = gtl.semantics._Evaluator.of([path3]).tables(desugar(tpl), {"i": np.array([0, 1])})
         assert np.array_equal(tabs[0, 0], sat_table(path3, parse("G x <= 0.5")))
         assert np.array_equal(tabs[1, 0], sat_table(path3, parse("G[>=1] x <= 0.5")))
 
@@ -432,4 +449,4 @@ class TestValuationAxis:
     def test_slot_values_checked(self, path3, values):
         g = desugar(parse("E ?N via (y <= 1) : x >= ?c"))
         with pytest.raises(UsageError):
-            gtl.semantics._Evaluator([path3]).tables(g, values)
+            gtl.semantics._Evaluator.of([path3]).tables(g, values)

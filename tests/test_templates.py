@@ -68,6 +68,14 @@ class TestParamSpec:
         assert ParamSpec(-(2 ** 53), 2 ** 53, "integer").grid()[-1] == 2 ** 53
 
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 0.2e308)])
+    def test_width_beyond_float_range_rejected(self, lo, hi):
+        # each end is finite, but max - min overflows to inf
+        with pytest.raises(InputError, match="wider than a float holds"):
+            ParamSpec(lo, hi, "continuous")
+        assert ParamSpec(-0.8e308, 0.8e308, "continuous").max == 0.8e308
+
+
 class TestTemplate:
     def test_box_must_match_parameters(self):
         f = parse("F[<=?i] x >= ?c")

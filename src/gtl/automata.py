@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
     Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Not, Or,
-    TrueF, Until, _children, _subformulas, desugar, is_ground,
+    TrueF, Until, _children, _keep, _rebuild, _subformulas, desugar, is_ground,
 )
 from .semantics import _table
 
@@ -64,6 +64,26 @@ def extract_aps(f: Formula) -> list[Formula]:
 
     walk(f)
     return aps
+
+
+def skeleton(f: Formula) -> tuple[Formula, list[Formula]]:
+    """(key, aps): f with each atomic predicate replaced by the placeholder
+    atom `x <= i`, i its index in aps = extract_aps(f).
+
+    Progression sees a predicate only through its letter bit, so formulas
+    with equal keys have the same automaton: to_dfa gives each of them the
+    same transitions, acceptance and initial state, over its own aps.  Equal
+    thresholds that merge two predicates of one formula change its aps and
+    hence its key.
+    """
+    aps = extract_aps(f)
+    index = {ap: i for i, ap in enumerate(aps)}
+
+    def sub(g):
+        i = index.get(g)
+        return _rebuild(g, sub, _keep) if i is None else Atom("<=", i)
+
+    return sub(f), aps
 
 
 def label_word(traj, v: str, aps: list[Formula]) -> list[int]:

@@ -316,8 +316,10 @@ def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, fmt, seed)
     data = gen_planted(f, prior, npos, nneg, seed=_seed(seed))
     if out:
         save_trajectories(out, data)
+    # an empty set has no misclassification rate
     result = {"npos": npos, "nneg": nneg,
-              "separator_mr": misclassification_rate(data, f), "written": out}
+              "separator_mr": misclassification_rate(data, f) if data else None,
+              "written": out}
     _emit(_report("gen planted", {"formula": formula, "npos": npos, "nneg": nneg},
                   _seed(seed), started, result), None, fmt)
 

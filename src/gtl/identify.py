@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, UsageError
 from .formula import polarity, print_formula
-from .prior import PriorModel, compute_ig
+from .prior import PriorModel, _info_gains
 from .semantics import _coverage, _Evaluator
 from .templates import Template
 
@@ -267,10 +267,11 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
         else:
             knees = _lift(knees, cand, steps)
 
+    # each front point was queried, with its valuation; one call scores them all
+    omegas = sorted(front)
+    formulas = [template.instantiate(known[omega][1]) for omega in omegas]
     best = None
-    for omega in sorted(front):  # each front point was queried, with its valuation
-        f = template.instantiate(known[omega][1])
-        rep = compute_ig(prior, f)
+    for omega, f, rep in zip(omegas, formulas, _info_gains(prior, formulas)):
         if best is None or rep.average_ig > best[2].average_ig + 1e-15:
             best = (omega, f, rep)
     res.omega, res.formula, rep = best

@@ -3,15 +3,24 @@
 The prior assigns every (node, time) an independent histogram over a shared
 set of label bins, with within-bin uniformity, and holds edge labels fixed.
 Satisfaction probabilities run a backward recursion over the formula's DFA
-using exact joint letter distributions.  Every atomic predicate counts as
+using exact joint letter distributions.  Words have length L, so time
+bounds above L are lowered to L first.  Every atomic predicate counts as
 "at least n of a reach set satisfy a proposition": a bare atom is 1 of [v],
-`E n via chain : atom` is n of v's static reach.  One call cuts the real
-line into cells at its thresholds, which gives every node an (L, cells) mass
-table; one array DP over a flat (node, time) batch axis counts each
-predicate's successes and yields an (L, letters) array per node.  An
-outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
+`E n via chain : atom` is n of v's static reach.  A letter table cuts the
+real line into cells at its thresholds, which gives every node an
+(L, cells) mass table; one array DP over a flat (node, time) batch axis
+counts each predicate's successes and yields an (L, letters) array per node.
+An outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
 through a Poisson-binomial tail.  Information gain is reported in nats per
 time step.
+
+Several formulas, such as the points of an identification front, are
+scored in one call: formulas whose automata share a skeleton (the formula
+with its predicates numbered, `automata.skeleton`) share one DFA and one
+backward recursion over all their (formula, node) words, and those whose
+predicates differ only in their thresholds share one letter DP, their
+letter tables stacked on the time axis.  The results are those of one call
+per formula, bit for bit.  `compute_ig` is the one-formula case.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import to_dfa
+from .automata import skeleton, to_dfa
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
-    Atom, Exists, FalseF, Formula, Not, Param, TrueF, classify_subtype,
-    desugar, is_ground,
+    Atom, Bound, Exists, FalseF, Formula, Not, Param, TrueF, _children, _keep, _rebuild,
+    classify_subtype, desugar, is_ground,
 )
 from .graph import _MALFORMED, LabeledGraph, _read_json, reach
 
@@ -203,18 +212,20 @@ def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
     """
     vi = prior.graph.index_of(v)
     _check_time(prior, k)
-    masses, truth, preds = _letter_table(prior, aps)
+    [(masses, truth)], preds = _letter_table(prior, aps)
     # the DP on time k's masses alone, so its cost does not grow with L
-    return _letters(masses[:, k - 1:k], truth, preds, [vi])[0, 0]
+    return _letters([(masses[:, k - 1:k], truth)], preds, [vi])[0, 0]
 
 
-def _letter_table(prior, aps):
-    """(masses, truth, preds) shared by every node of one call: the cell
-    masses and truth table of the aps' atoms, and each ap as (n, rows): it
-    holds at v when at least n of the nodes marked in rows[v] satisfy its
-    atom.  A bare atom is 1 of [v]; each distinct chain is reached once."""
+def _letter_table(prior, aps, rows=None):
+    """([(masses, truth)], preds) of one alphabet: the cell masses and truth
+    table of the aps' atoms, and each ap as (n, rows): it holds at v when at
+    least n of the nodes marked in rows[v] satisfy its atom.  A bare atom is
+    1 of [v]; `rows` maps each chain to its static reach rows, so a chain
+    is reached once however many alphabets share the dict."""
+    rows = {} if rows is None else rows
     own = np.eye(prior.graph.n_nodes, dtype=bool)
-    rows, preds, atoms = {}, [], []
+    preds, atoms = [], []
     for ap in aps:
         if isinstance(ap, Atom):
             preds.append((1, own))
@@ -226,24 +237,28 @@ def _letter_table(prior, aps):
             atoms.append(ap.body)
         else:
             raise UsageError(f"not an atomic predicate: {ap}")
-    return (*_cell_masses(prior, atoms), preds)
+    return [_cell_masses(prior, atoms)], preds
 
 
-def _letters(masses, truth, preds, nodes) -> np.ndarray:
-    """(len(nodes), L, 2^|preds|) joint letter distributions at the node
-    indices `nodes`, all times.
+def _letters(tables, preds, nodes) -> np.ndarray:
+    """(len(nodes), T, 2^|preds|) joint letter distributions at the node
+    indices `nodes`, all times of every table.
 
-    A node whose DP needs more than MAX_DP_STATES states per time step falls
-    back to predicate independence.  The others share one array DP over a
-    flat (node, time) batch axis, run in chunks of at most MAX_DP_STATES
-    cells.  The state has one axis per predicate counting its successes so
-    far, pooled at the largest min(n, |reach|) over the batch's nodes.
+    Each table is one (masses, truth) pair of `_letter_table` for predicates
+    that differ only in their thresholds, and the tables are stacked on the
+    time axis: T is the sum of their time steps.  A node whose DP needs more
+    than MAX_DP_STATES states per time step falls back to predicate
+    independence.  The others share one array DP over a flat (node, time)
+    batch axis, run in chunks of at most MAX_DP_STATES cells.  The state has
+    one axis per predicate counting its successes so far, pooled at the
+    largest min(n, |reach|) over the batch's nodes.
     """
-    m, L, V = len(preds), masses.shape[1], len(masses)
+    m, V = len(preds), len(tables[0][0])
+    T = sum(masses.shape[1] for masses, _ in tables)
     ns = np.array([n for n, _ in preds], dtype=int)
     hits = np.array([r[nodes] for _, r in preds], dtype=bool).reshape(m, len(nodes), V)
     caps = np.minimum(ns[:, None], hits.sum(axis=2))
-    out = np.empty((len(nodes), L, 1 << m))
+    out = np.empty((len(nodes), T, 1 << m))
     batch = []
     for i in range(len(nodes)):
         states = math.prod(int(c) + 1 for c in caps[:, i])
@@ -252,26 +267,27 @@ def _letters(masses, truth, preds, nodes) -> np.ndarray:
                 f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
                 "falling back to predicate independence"
             )
-            out[i] = _independent_letters(masses, truth, ns, hits[:, i])
+            out[i] = np.concatenate([_independent_letters(masses, truth, ns, hits[:, i])
+                                     for masses, truth in tables])
         else:
             batch.append(i)
     if not batch:
         return out
     # nodes whose pooled state would pass the cap run one by one
     pooled = math.prod(int(c) + 1 for c in caps[:, batch].max(axis=1))
-    flat = out.reshape(len(nodes) * L, -1)
+    flat = out.reshape(len(nodes) * T, -1)
     for group in [batch] if pooled <= MAX_DP_STATES else [[i] for i in batch]:
         group_caps = caps[:, group].max(axis=1)
-        node_of_row, time_of_row = np.repeat(group, L), np.tile(np.arange(L), len(group))
+        node_of_row, time_of_row = np.repeat(group, T), np.tile(np.arange(T), len(group))
         step = max(1, MAX_DP_STATES // math.prod(int(c) + 1 for c in group_caps))
         for lo in range(0, len(node_of_row), step):
             rows = slice(lo, lo + step)
-            flat[node_of_row[rows] * L + time_of_row[rows]] = _count_dp(
-                masses, truth, ns, hits, group_caps, node_of_row[rows], time_of_row[rows])
+            flat[node_of_row[rows] * T + time_of_row[rows]] = _count_dp(
+                tables, ns, hits, group_caps, node_of_row[rows], time_of_row[rows])
     return out
 
 
-def _count_dp(masses, truth, ns, hits, caps, node_of_row, time_of_row):
+def _count_dp(tables, ns, hits, caps, node_of_row, time_of_row):
     """(rows, 2^m) letter rows for the (node, time) pairs of one chunk.
 
     Source nodes are taken in index order.  A row moves only where the
@@ -285,12 +301,12 @@ def _count_dp(masses, truth, ns, hits, caps, node_of_row, time_of_row):
     dp[(slice(None),) + (0,) * m] = 1.0
     # touched[i, u]: bitmask of the predicates of node i that source u touches
     touched = np.tensordot(1 << np.arange(m), hits, axes=1)
-    moves = {}  # bitmask -> [(count axes to bump, (V, L) mass)], one per truth pattern
+    moves = {}  # bitmask -> [(count axes to bump, (V, T) mass)], one per truth pattern
     for u in np.flatnonzero(touched[np.unique(node_of_row)].any(axis=0)):
         row_keys = touched[node_of_row, u]
         for key in sorted(set(row_keys.tolist()) - {0}):
             if key not in moves:
-                moves[key] = _moves(masses, truth, m, key)
+                moves[key] = _moves(tables, m, key)
             sel = np.flatnonzero(row_keys == key)
             whole = len(sel) == n_rows
             cur = dp if whole else dp[sel]
@@ -315,16 +331,35 @@ def _count_dp(masses, truth, ns, hits, caps, node_of_row, time_of_row):
     return dp.reshape(n_rows, -1)
 
 
-def _moves(masses, truth, m, key):
+def _moves(tables, m, key):
     """One DP step's terms for a source touching the predicates in bitmask
-    key: per truth pattern of those predicates, in order of first cell, the
-    count axes it bumps and its (V, L) mass, summed over its cells in order."""
+    key: per truth pattern of those predicates, the count axes it bumps and
+    its (V, T) mass, each table's block summed over its cells in order.
+
+    Along the real line each >= predicate turns true once and each <= one
+    false once, so ordering the patterns by (>= true) - (<= true) gives every
+    table its own order of first cells.  A table without a pattern has zero
+    mass there, which adds exactly nothing to its rows.
+    """
     touch = [j for j in range(m) if key >> j & 1]
-    pattern_mass = {}
-    for c, pattern in enumerate(map(tuple, truth[touch].T)):
-        pattern_mass[pattern] = pattern_mass.get(pattern, 0.0) + masses[:, :, c]
-    return [([m - j for j, hit in zip(touch, pattern) if hit], mass)
-            for pattern, mass in pattern_mass.items()]
+    # a >= predicate holds on the top cell, a <= one does not
+    signs = [1 if ge else -1 for ge in tables[0][1][touch, -1]]
+    blocks = {}  # pattern -> {table index: (V, L) mass}
+    for p, (masses, truth) in enumerate(tables):
+        for c, pattern in enumerate(map(tuple, truth[touch].T)):
+            block = blocks.setdefault(pattern, {})
+            block[p] = block.get(p, 0.0) + masses[:, :, c]
+    ends = np.cumsum([masses.shape[1] for masses, _ in tables])
+    moves = []
+    for pattern in sorted(blocks, key=lambda pat: sum(s for s, hit in zip(signs, pat) if hit)):
+        if len(tables) == 1:
+            mass = blocks[pattern][0]
+        else:
+            mass = np.zeros((len(tables[0][0]), ends[-1]))
+            for p, block in blocks[pattern].items():
+                mass[:, ends[p] - block.shape[1]:ends[p]] = block
+        moves.append(([m - j for j, hit in zip(touch, pattern) if hit], mass))
+    return moves
 
 
 def _bump(dp, axis):
@@ -350,60 +385,152 @@ def _independent_letters(masses, truth, ns, hits):
 
 def satisfaction_probability(prior: PriorModel, f: Formula, v: str) -> float:
     """Exact probability that a prior-drawn trajectory satisfies f at (v, 1)."""
-    return _probabilities(prior, f, [v])[v]
+    return _probabilities(prior, [f], [v])[0][v]
 
 
-def _probabilities(prior, f, nodes) -> dict:
-    """{v: P(f at (v, 1))} for every node: f is checked, desugared and
-    classified once, and one DFA serves every node."""
-    for v in nodes:
-        prior.graph.index_of(v)
-    if not is_ground(f):
-        raise UsageError("formula still has free parameters; instantiate it first")
-    g = desugar(f)
-    if isinstance(g, (TrueF, FalseF)):
-        return dict.fromkeys(nodes, 1.0 if isinstance(g, TrueF) else 0.0)
-    sub = classify_subtype(g)
-    if sub.typeII:
-        if not isinstance(g, Exists):
-            raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
-        rows, names = _static_reach_rows(prior, g.chain), prior.graph.nodes
-        reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
-                   for v in nodes}
-        betas = _inner_probabilities(prior, g.body, classify_subtype(g.body),
-                                     sorted({u for r in reached.values() for u in r}))
-        return {v: float(_poisson_binomial_tail([betas[u] for u in r], int(g.count)))
-                for v, r in reached.items()}
-    if sub.typeI:
-        return _inner_probabilities(prior, g, sub, nodes)
-    raise OutOfScopeError(
-        "satisfaction probability supports only formulas whose neighbor "
-        "predicates wrap atoms, or one outer neighbor predicate over a "
-        "neighbor-free formula"
-    )
+def _clip_bounds(f, L):
+    """f with every time bound above L lowered to L.  On words of length L
+    the two are equivalent: from every time, either bound reaches past the
+    word's end."""
+    g = _rebuild(f, lambda h: _clip_bounds(h, L), _keep)
+    b = getattr(g, "bound", None)
+    if b is None or max(b.lo or 0, b.hi or 0) <= L:
+        return g
+    return type(g)(*_children(g), bound=Bound(None if b.lo is None else min(b.lo, L),
+                                              None if b.hi is None else min(b.hi, L)))
 
 
-def _inner_probabilities(prior, f, sub, nodes):
-    """{v: P} through f's DFA if f is co-safe, else as 1 - P(!f) through the
-    DFA of !f if f is safe."""
+@dataclass
+class _Run:
+    """One formula's DFA run: the co-safe target (f itself, or !f for a
+    safe f) over the words of the node indices `nodes`; `accept` holds one
+    acceptance probability per node once `_accept` has run."""
+
+    target: Formula
+    safe: bool
+    nodes: list
+    accept: np.ndarray | None = None
+
+    def probabilities(self) -> list:
+        """Per node, P that the formula holds: the acceptance, or its
+        complement for a safe formula."""
+        probs = [float(a) for a in self.accept]
+        return [1.0 - p for p in probs] if self.safe else probs
+
+
+def _run(f, sub, nodes):
     if not (sub.cosafe or sub.safe):
         raise OutOfScopeError(
             "formula is neither syntactically co-safe nor safe; its satisfaction "
             "is not decidable on finite prefixes"
         )
-    dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
-    letters = _letters(*_letter_table(prior, aps), [prior.graph.node_index[v] for v in nodes])
-    probs = {v: _acceptance(dfa, rows) for v, rows in zip(nodes, letters)}
-    return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
+    return _Run(f if sub.cosafe else Not(f), not sub.cosafe, nodes)
 
 
-def _acceptance(dfa, letters) -> float:
-    """P that a word drawn row by row from the (L, letters) array is accepted."""
-    u, transitions = dfa.accepting.astype(float), dfa.transitions
-    for row in letters[::-1]:
-        u = u[transitions] @ row
-    counters["transition_evals"] += dfa.n_states * dfa.n_letters * len(letters)
-    return float(u[dfa.initial])
+def _probabilities(prior, formulas, nodes) -> list:
+    """[{v: P(f at (v, 1))} for f in formulas].
+
+    Each formula is checked, desugared, clipped to the horizon and
+    classified once.  A type-I formula is one DFA run over every node; a
+    type-II one runs its body over the nodes its outer chain reaches and
+    lifts their probabilities through a Poisson-binomial tail.  All runs are
+    scored together by `_accept`.
+    """
+    index = [prior.graph.index_of(v) for v in nodes]
+    names = prior.graph.nodes
+    rows = {}  # chain -> static reach rows, shared by every run of the call
+    parts = []  # per formula: a constant, or (run, None), or (run, (count, reached names))
+    for f in formulas:
+        if not is_ground(f):
+            raise UsageError("formula still has free parameters; instantiate it first")
+        g = _clip_bounds(desugar(f), prior.L)
+        if isinstance(g, (TrueF, FalseF)):
+            parts.append(1.0 if isinstance(g, TrueF) else 0.0)
+            continue
+        sub = classify_subtype(g)
+        if sub.typeII:
+            if not isinstance(g, Exists):
+                raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
+            if g.chain not in rows:
+                rows[g.chain] = _static_reach_rows(prior, g.chain)
+            reached = [[names[u] for u in np.flatnonzero(rows[g.chain][i])] for i in index]
+            inner = sorted({u for r in reached for u in r})
+            run = _run(g.body, classify_subtype(g.body), [prior.graph.node_index[u] for u in inner])
+            parts.append((run, (int(g.count), reached)))
+        elif sub.typeI:
+            parts.append((_run(g, sub, index), None))
+        else:
+            raise OutOfScopeError(
+                "satisfaction probability supports only formulas whose neighbor "
+                "predicates wrap atoms, or one outer neighbor predicate over a "
+                "neighbor-free formula"
+            )
+    _accept(prior, [part[0] for part in parts if isinstance(part, tuple)], rows)
+    out = []
+    for part in parts:
+        if not isinstance(part, tuple):
+            out.append(dict.fromkeys(nodes, part))
+            continue
+        run, lift = part
+        if lift is None:
+            out.append(dict(zip(nodes, run.probabilities())))
+            continue
+        count, reached = lift
+        betas = dict(zip((names[u] for u in run.nodes), run.probabilities()))
+        out.append({v: float(_poisson_binomial_tail([betas[u] for u in r], count))
+                    for v, r in zip(nodes, reached)})
+    return out
+
+
+def _accept(prior, runs, rows):
+    """Fill every run's acceptance probabilities.
+
+    Runs whose targets share a skeleton (`automata.skeleton`) share one DFA
+    and one backward recursion over all their (run, node) words.  Within a
+    skeleton, runs whose predicates differ only in their thresholds, over
+    the same nodes, share one `_letters` call with one letter table each.
+    A single run computes no skeleton key.
+    """
+    if len(runs) == 1:
+        groups = [[(runs[0], None)]]
+    else:
+        by_key = {}
+        for run in runs:
+            key, aps = skeleton(run.target)
+            by_key.setdefault(key, []).append((run, aps))
+        groups = list(by_key.values())
+    for group in groups:
+        dfa, first_aps = to_dfa(group[0][0].target, prior.L)
+        letter_groups = {}  # (predicate shapes, nodes) -> [slots in group, tables, preds]
+        for slot, (run, aps) in enumerate(group):
+            aps = first_aps if aps is None else aps
+            tables, preds = _letter_table(prior, aps, rows)
+            shape = (tuple((ap.op,) if isinstance(ap, Atom) else (ap.body.op, ap.count, ap.chain)
+                           for ap in aps), tuple(run.nodes))
+            entry = letter_groups.setdefault(shape, [[], [], preds])
+            entry[0].append(slot)
+            entry[1] += tables
+        words = [None] * len(group)
+        for slots, tables, preds in letter_groups.values():
+            stacked = _letters(tables, preds, group[slots[0]][0].nodes)
+            per_run = stacked.reshape(len(stacked), len(slots), prior.L, stacked.shape[2])
+            for p, slot in enumerate(slots):
+                words[slot] = per_run[:, p]
+        accept = _acceptance(dfa, words[0] if len(words) == 1 else np.concatenate(words))
+        for (run, _), end in zip(group, np.cumsum([len(w) for w in words])):
+            run.accept = accept[end - len(run.nodes):end]
+
+
+def _acceptance(dfa, words) -> np.ndarray:
+    """P that each word, drawn row by row from one (L, letters) array of the
+    (N, L, letters) stack, is accepted.  `take` keeps each word's gathered
+    values contiguous, so each step is one matrix-vector product per word,
+    the same as for a word on its own."""
+    u = np.tile(dfa.accepting.astype(float), (len(words), 1))
+    for k in range(words.shape[1] - 1, -1, -1):
+        u = (u.take(dfa.transitions, axis=1) @ words[:, k, :, None])[..., 0]
+    counters["transition_evals"] += dfa.n_states * dfa.n_letters * words.shape[1] * len(words)
+    return u[:, dfa.initial]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +550,19 @@ def compute_ig(prior: PriorModel, f: Formula, nodes=None) -> InfoGainReport:
     IG_v = -ln(P_v)/L; tautologies, contradictions, and zero-probability
     formulas yield 0.
     """
+    return _info_gains(prior, [f], nodes)[0]
+
+
+def _info_gains(prior, formulas, nodes=None) -> list:
+    """compute_ig of every formula, scored together by one _probabilities call."""
     nodes = list(prior.graph.nodes if nodes is None else nodes)
     if not nodes:
         raise UsageError("empty node subset")
-    probs = _probabilities(prior, f, nodes)
-    # P = 1 exactly (tautologies among them) gains 0, not -0
-    igs = {v: 0.0 if p <= 0.0 or p == 1.0 else -math.log(p) / prior.L
-           for v, p in probs.items()}
-    avg = sum(igs.values()) / len(nodes)
-    return InfoGainReport(probabilities=probs, info_gain=igs, average_ig=avg)
+    reports = []
+    for probs in _probabilities(prior, formulas, nodes):
+        # P = 1 exactly (tautologies among them) gains 0, not -0
+        igs = {v: 0.0 if p <= 0.0 or p == 1.0 else -math.log(p) / prior.L
+               for v, p in probs.items()}
+        reports.append(InfoGainReport(probabilities=probs, info_gain=igs,
+                                      average_ig=sum(igs.values()) / len(nodes)))
+    return reports

@@ -304,6 +304,18 @@ class TestGen:
         assert rep["npos"] == 2 and rep["nneg"] == 2
         assert rep["separator_mr"] <= 0.05
 
+    def test_empty_planted_set(self, workspace, tmp_path, capsys):
+        out_file = tmp_path / "empty.json"
+        code, out = run(capsys, "gen", "planted",
+                        "--formula", "F x >= 1",
+                        "--prior", str(workspace["prior"]),
+                        "--graph", str(workspace["graph"]),
+                        "--npos", "0", "--nneg", "0", "--out", str(out_file))
+        assert code == 0
+        rep = json.loads(out)["result"]
+        assert rep["npos"] == 0 and rep["nneg"] == 0
+        assert rep["separator_mr"] is None
+        assert json.loads(out_file.read_text()) == []
 
     @pytest.mark.parametrize("command, flag", [
         ("swarm", "--n"), ("planted", "--npos"), ("planted", "--nneg"),

@@ -17,7 +17,8 @@ from gtl.identify import (
     _ROUND, _lift, identify, knee_points, map_pi,
     map_pi_inv, snap,
 )
-from gtl.prior import PriorModel, satisfaction_probability
+import gtl.prior
+from gtl.prior import PriorModel, compute_ig, counters, reset_counters, satisfaction_probability
 from gtl.semantics import coverage
 from gtl.templates import ParamSpec, Template
 
@@ -220,6 +221,38 @@ class TestCompiledRoute:
         assert calls["instantiate"] == sum(len(r.front) for r in rep.results)
         assert calls["is_ground"] == calls["query desugar"] == 0
         assert calls["tables"] == sum(r.n_queries for r in rep.results)
+
+
+class TestFrontScoring:
+    """Identification scores its whole front in one prior call."""
+
+    def test_one_automaton_one_letter_dp(self, monkeypatch):
+        train, prior = TestCompiledRoute.swarm()
+        tpl = TestCompiledRoute.templates()[0]  # the swarm shape with a and c free
+        calls = {"to_dfa": 0, "_letters": 0, "instantiate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for module, name in [(gtl.prior, "to_dfa"), (gtl.prior, "_letters"),
+                             (gtl.templates, "instantiate")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        reset_counters()
+        res = identify(train, prior, [tpl], p_th=0.98, eps=0.05).best
+        evals = counters["transition_evals"]
+        thetas = [next(q["theta"] for q in res.query_log if q["omega"] == w) for w in res.front]
+        # the front reorders the thresholds a and c, so it spans two truth
+        # tables of one skeleton
+        assert {t["a"] > t["c"] for t in thetas} == {True, False}
+        assert calls == {"to_dfa": 1, "_letters": 1, "instantiate": len(res.front)}
+        # the transition count is that of one compute_ig per front point
+        reset_counters()
+        reports = [compute_ig(prior, tpl.instantiate(t)) for t in thetas]
+        assert counters["transition_evals"] == evals
+        assert res.average_ig == max(r.average_ig for r in reports)
 
 
 class TestIdentify:

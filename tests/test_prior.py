@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import gtl.prior
-from gtl.automata import to_dfa
+from gtl.automata import Dfa, skeleton, to_dfa
 from gtl.errors import InputError, OutOfScopeError, UsageError
-from gtl.formula import Atom, EdgeAtom, Exists, parse
+from gtl.formula import (
+    Atom, EdgeAtom, Exists, FalseF, Not, TrueF, classify_subtype, desugar, instantiate, parse,
+)
 from gtl.graph import LabeledGraph, reach
 from gtl.prior import (
     PriorModel, atom_probability, compute_ig, counters, letter_distribution,
@@ -294,9 +296,11 @@ class TestLetterOracle:
                 assert np.allclose(got, want, rtol=0, atol=1e-12), (v, k)
 
 
-def letters_loop(masses, truth, preds, vi):
-    """(L, 2^|preds|) letter array at node index vi: the per-node array DP
-    that the batched route replaced, kept as its differential oracle."""
+def letters_loop(tables, preds, vi):
+    """(L, 2^|preds|) letter array at node index vi of a one-table
+    `_letter_table`: the per-node array DP that the batched route replaced,
+    kept as its differential oracle."""
+    [(masses, truth)] = tables
     m, L = len(preds), masses.shape[1]
     ns = [n for n, _ in preds]
     hits = np.array([r[vi] for _, r in preds], dtype=bool).reshape(m, len(masses))
@@ -364,7 +368,7 @@ class TestBatchedLetters:
         with pytest.warns(UserWarning, match="independence") as caught:
             got = gtl.prior._letters(*table, [0, 1, 2, 3, 4])
         assert len(caught) == 1
-        masses, truth, preds = table
+        [(masses, truth)], preds = table
         hits = np.array([r[0] for _, r in preds])
         want_hub = gtl.prior._independent_letters(masses, truth, [4, 4], hits)
         assert np.array_equal(got[0], want_hub)
@@ -554,6 +558,206 @@ class TestOneRoute:
                                   for q in range(dfa.n_states)])
                 assert satisfaction_probability(prior, f, v) == \
                     pytest.approx(u[dfa.initial], abs=1e-12), (text, v)
+
+
+def probabilities_one_by_one(prior, f, nodes):
+    """{v: P} through the unbatched route that front scoring replaced, kept
+    as its differential oracle: the formula's own DFA, its own letter DP
+    and one backward recursion per node."""
+    g = desugar(f)
+    if isinstance(g, (TrueF, FalseF)):
+        return dict.fromkeys(nodes, float(isinstance(g, TrueF)))
+    sub = classify_subtype(g)
+    if not sub.typeII:
+        return inner_one_by_one(prior, g, sub, nodes)
+    rows, names = gtl.prior._static_reach_rows(prior, g.chain), prior.graph.nodes
+    reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
+               for v in nodes}
+    betas = inner_one_by_one(prior, g.body, classify_subtype(g.body),
+                             sorted({u for r in reached.values() for u in r}))
+    return {v: float(gtl.prior._poisson_binomial_tail([betas[u] for u in r], int(g.count)))
+            for v, r in reached.items()}
+
+
+def inner_one_by_one(prior, f, sub, nodes):
+    dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
+    letters = gtl.prior._letters(*gtl.prior._letter_table(prior, aps),
+                                 [prior.graph.node_index[v] for v in nodes])
+    probs = {}
+    for v, word in zip(nodes, letters):
+        u = dfa.accepting.astype(float)
+        for row in word[::-1]:
+            u = u[dfa.transitions] @ row
+        probs[v] = float(u[dfa.initial])
+    return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
+
+
+def scored_target(f):
+    """The formula whose DFA the prior route runs for f."""
+    g = desugar(f)
+    sub = classify_subtype(g)
+    if sub.typeII:
+        g = g.body
+        sub = classify_subtype(g)
+    return g if sub.cosafe else Not(g)
+
+
+# front-scoring templates: free time bounds and counts span several
+# skeletons, a free chain threshold ?d changes the reach rows per point,
+# and thresholds drawn from one small pool merge predicates and reorder
+# the truth table within one skeleton
+FRONT_TEMPLATES = [
+    "F[<=?i] (x >= ?a & E ?N via (y <= ?d) : x <= ?c)",  # co-safe
+    "G (x >= ?a -> G[<=?i] E ?N via (y <= ?d) : x <= ?c)",  # safe
+    "x <= ?a U[<=?i] (x >= ?c | E ?N via (y <= 1) : x >= ?e)",
+    "F x >= ?a & F[<=?i] x >= ?c",  # merges its two predicates at a = c
+    "F[<=?i] (E 1 via (y <= 2) : x >= ?a & E ?N via (y <= 2) : x >= ?c)",
+    "E ?N via (y <= ?d) : F[<=?i] (x >= ?a & x <= ?c)",  # type-II
+    "E ?N via (y <= 1) : G (x <= ?a | x >= ?c)",  # type-II, safe body
+]
+
+
+class TestFrontScoring:
+    """Scoring a whole front in one call against one unbatched call per
+    formula: equal probabilities bit for bit, and one DFA per skeleton that
+    is exactly the automaton to_dfa builds for each of its members."""
+
+    def front(self, rng, text, L):
+        thresholds = [0.3, 0.5, 0.8, 1.2, 1.5]
+        return [instantiate(parse(text), {
+            "a": float(rng.choice(thresholds)), "c": float(rng.choice(thresholds)),
+            "e": float(rng.choice(thresholds)),
+            "i": int(rng.integers(1, L + 1)), "N": int(rng.integers(0, 3)),
+            "d": float(rng.choice([1.0, 2.0]))}) for _ in range(int(rng.integers(2, 9)))]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_fronts(self, monkeypatch, seed):
+        rng = np.random.default_rng(500 + seed)
+        g = random_graph(rng, int(rng.integers(3, 6)), 0.6)
+        prior = three_bin_prior(g, int(rng.integers(1, 4)), rng,
+                                {e: float(rng.choice([1.0, 2.0])) for e in g.edges})
+        built = []
+
+        def recording_to_dfa(f, L=None):
+            out = to_dfa(f, L)
+            built.append(out[0])
+            return out
+
+        monkeypatch.setattr(gtl.prior, "to_dfa", recording_to_dfa)
+        for text in FRONT_TEMPLATES:
+            formulas = self.front(rng, text, prior.L)
+            nodes = list(g.nodes) if rng.random() < 0.7 else list(g.nodes[:2])
+            built.clear()
+            reports = gtl.prior._info_gains(prior, formulas, nodes)
+            for f, rep in zip(formulas, reports):
+                assert rep.probabilities == probabilities_one_by_one(prior, f, nodes), str(f)
+            keys = {}
+            for f in formulas:
+                key, aps = skeleton(scored_target(f))
+                keys.setdefault(key, []).append(aps)
+            assert len(built) == len(keys), text
+            for dfa, (key, members) in zip(built, keys.items()):
+                for f in formulas:
+                    target = scored_target(f)
+                    if skeleton(target)[0] != key:
+                        continue
+                    own, aps = to_dfa(target)
+                    shared = Dfa(aps, dfa.transitions, dfa.accepting, dfa.initial)
+                    assert shared.to_dot() == own.to_dot(), str(f)
+
+    @pytest.mark.parametrize("text, valuations, n_skeletons, n_letter_calls", [
+        # a < c and a > c reorder the truth table within one skeleton, a = c
+        # merges the two predicates, and i = 1 is a second time bound
+        ("F x >= ?a & F[<=?i] x >= ?c",
+         [(0.5, 0.8, 2, 1, 1.0), (1.2, 0.8, 2, 1, 1.0), (0.8, 0.8, 2, 1, 1.0),
+          (0.5, 0.8, 1, 1, 1.0)], 3, 3),
+        # one skeleton; the chain threshold d and the count N change a
+        # predicate's reach rows and count, so each needs its own DP
+        ("G (x >= ?a -> G[<=?i] E ?N via (y <= ?d) : x <= ?c)",
+         [(0.5, 0.8, 2, 1, 1.0), (1.2, 0.8, 2, 1, 1.0), (0.5, 0.8, 2, 1, 2.0),
+          (0.5, 1.2, 2, 2, 1.0)], 1, 3),
+        # two predicates on one chain, saturated at n = 1 from b's two
+        # neighbors: a < c and a > c order the same terms differently
+        ("F (E 1 via (y <= 2) : x >= ?a & E 1 via (y <= 2) : x >= ?c)",
+         [(0.5, 0.8, 2, 1, 1.0), (1.2, 0.8, 2, 1, 1.0), (0.3, 1.5, 2, 1, 1.0)], 1, 1),
+        # type-II: d changes the reached nodes whose bodies are scored
+        ("E ?N via (y <= ?d) : F[<=?i] (x >= ?a & x <= ?c)",
+         [(0.5, 0.8, 2, 1, 1.0), (1.2, 0.8, 2, 1, 1.0), (0.5, 0.8, 2, 1, 2.0),
+          (0.5, 1.2, 2, 2, 1.0)], 1, 2),
+    ])
+    def test_hand_picked_fronts(self, monkeypatch, text, valuations, n_skeletons,
+                                n_letter_calls):
+        calls = {"to_dfa": 0, "_letters": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(gtl.prior, name, counting(name, getattr(gtl.prior, name)))
+        # d = 1 reaches a and b, d = 2 also c; d is isolated
+        g = LabeledGraph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = three_bin_prior(g, 3, np.random.default_rng(11), {"e1": 1.0, "e2": 2.0})
+        formulas = [instantiate(parse(text), dict(zip("aciNd", val))) for val in valuations]
+        reports = gtl.prior._info_gains(prior, formulas)
+        assert calls == {"to_dfa": n_skeletons, "_letters": n_letter_calls}
+        for f, rep in zip(formulas, reports):
+            assert rep.probabilities == probabilities_one_by_one(prior, f, list(g.nodes)), str(f)
+
+    def test_one_formula_computes_no_skeleton_key(self, monkeypatch):
+        def failing(f):
+            raise AssertionError("skeleton key computed for a single formula")
+
+        monkeypatch.setattr(gtl.prior, "skeleton", failing)
+        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
+        prior = two_bin_prior(g, 3, rng_np=np.random.default_rng(3))
+        compute_ig(prior, parse("G (x >= 1 -> F[<=1] E 1 via (y <= 1) : x <= 0.5)"))
+        compute_ig(prior, parse("E 1 via (y <= 1) : F x >= 1"))
+
+
+class TestClippedBounds:
+    """Words have length L, so the prior route lowers every time bound
+    above L to L before it builds an automaton."""
+
+    SHAPES = ["F[<=?b] x >= 1", "G[<=?b] x <= 1.2", "x <= 1.5 U[<=?b] x >= 0.8",
+              "F[>=?b] x >= 1", "G[>=?b] x <= 1.2",
+              "G (x >= 1 -> F[<=?b] E 1 via (y <= 1) : x <= 0.5)",
+              "E 1 via (y <= 1) : F[<=?b] x >= 0.8"]
+
+    @pytest.mark.filterwarnings("ignore:time bound")  # the unbatched oracle keeps its bounds
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_past_the_horizon_equal_the_horizon(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        prior = two_bin_prior(g, int(rng.integers(1, 4)), rng_np=rng)
+        for text in self.SHAPES:
+            at_L = compute_ig(prior, instantiate(parse(text), {"b": prior.L})).probabilities
+            past = instantiate(parse(text), {"b": prior.L + 1})
+            assert at_L == pytest.approx(prob_oracle_all(prior, past), abs=1e-12), text
+            for b in range(prior.L + 1, prior.L + 6):
+                f = instantiate(parse(text), {"b": b})
+                assert compute_ig(prior, f).probabilities == at_L, (text, b)
+                assert probabilities_one_by_one(prior, f, list(g.nodes)) == \
+                    pytest.approx(at_L, abs=1e-12), (text, b)
+
+    def test_long_bound_builds_a_small_automaton(self, monkeypatch):
+        built = []
+
+        def recording_to_dfa(f, L=None):
+            out = to_dfa(f, L)
+            built.append(out[0].n_states)
+            return out
+
+        monkeypatch.setattr(gtl.prior, "to_dfa", recording_to_dfa)
+        prior = two_bin_prior(LabeledGraph(["a"], []), 4, rng_np=np.random.default_rng(1))
+        rep = compute_ig(prior, parse("F[<=3000] x <= 1"))
+        assert rep.probabilities == compute_ig(prior, parse("F[<=4] x <= 1")).probabilities
+        assert built[0] == built[1] < 10
+        with pytest.warns(UserWarning, match="exceeds horizon"):
+            unclipped, _ = to_dfa(parse("F[<=30] x <= 1"), prior.L)  # to_dfa keeps its bounds
+        assert unclipped.n_states > 30
 
 
 class TestInfoGain:

@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     GtlError, InfeasibleError, InputError, OutOfScopeError, ParseError,
     RangeError, UsageError,
@@ -13,21 +15,14 @@ from .formula import (
     parse, polarity, print_formula, rename_parameters,
 )
 from .graph import (
-    GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories,
-    neighbor_op, save_trajectories,
+    GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories, save_trajectories,
 )
-from .semantics import (
-    coverage, misclassification_rate, sat, sat_signature, sat_table, sat_vector,
-)
+from .semantics import coverage, misclassification_rate, sat, sat_table
 from .automata import Dfa, extract_aps, label_word, to_dfa
 from .prior import (
-    InfoGainReport, PriorModel, atom_probability, compute_ig,
-    letter_distribution, load_prior, satisfaction_probability,
+    InfoGainReport, PriorModel, compute_ig, load_prior, satisfaction_probability,
 )
-from .identify import (
-    IdentifyReport, TemplateResult, identify, knee_points,
-    map_pi, map_pi_inv,
-)
+from .identify import IdentifyReport, TemplateResult, identify, map_pi, map_pi_inv
 from .classify import ClassifierResult, PsoConfig, infer_classifier, pso_minimize_mr
 from .templates import (
     ParamSpec, Template, builtin_templates, default_box, load_templates,
@@ -37,4 +32,5 @@ from .datagen import (
     SwarmScenario, gen_planted, gen_swarm, sample_prior, swarm_constraint,
 )
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# names only: the submodules that the imports above bind are not part of the list
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

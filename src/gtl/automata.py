@@ -36,6 +36,8 @@ from .semantics import _table
 
 TRUE_DNF = frozenset({frozenset()})
 FALSE_DNF = frozenset()
+#: states above which to_dfa stops construction, before minimization
+MAX_DFA_STATES = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,8 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
     Returns (dfa, atomic predicate list).  The automaton is horizon-aware
     only through its end-of-word acceptance rule, so the same automaton is
     valid for every word length; L, when given, must be >= 1 and is used
-    to warn about clipped bounds.
+    to warn about clipped bounds.  Construction stops with an input error
+    once it passes MAX_DFA_STATES states.
     """
     if L is not None and L < 1:
         raise InputError("horizon L must be >= 1")
@@ -347,6 +350,10 @@ def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
         for letter in range(n_letters):
             t = prog.state(s, letter)
             if t not in states:
+                if len(order) == MAX_DFA_STATES:
+                    raise InputError(
+                        f"automaton passes {MAX_DFA_STATES} states; the formula's largest "
+                        f"time bound is {max(_all_bounds(f), default='none')}")
                 states[t] = len(order)
                 order.append(t)
                 queue.append(t)

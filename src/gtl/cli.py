@@ -31,15 +31,16 @@ from .templates import load_templates
 
 
 def _seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get("GTL_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"GTL_SEED must be an integer, got {env!r}") from None
+    source = "--seed"
+    if value is None:
+        source, value = "GTL_SEED", os.environ.get("GTL_SEED") or 0
+        try:
+            value = int(value)
+        except ValueError:
+            raise UsageError(f"GTL_SEED must be an integer, got {value!r}") from None
+    if value < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def _report(command, config, seed, started, result):

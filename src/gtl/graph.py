@@ -9,7 +9,7 @@ to share between threads.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class LabeledGraph:
     """Static undirected graph with opaque string node and edge ids.
 
     Node pairs carry at most one edge and self-loops are rejected.
-    Adjacency lists serve `neighbor_op`, the per-edge reference walk.
     """
 
     def __init__(self, nodes: Sequence[str], edges: Sequence[tuple[str, str, str]]):
@@ -64,13 +63,6 @@ class LabeledGraph:
             [[self.node_index[endpoints[e][0]], self.node_index[endpoints[e][1]]] for e in self.edges],
             dtype=np.int64,
         ).reshape(len(self.edges), 2)
-        # adjacency: node index -> list of (edge index, other node index)
-        adj = [[] for _ in self.nodes]
-        for j, e in enumerate(self.edges):
-            a, b = self.edge_ends[j]
-            adj[a].append((j, b))
-            adj[b].append((j, a))
-        self.adjacency = tuple(tuple(lst) for lst in adj)
 
     def index_of(self, v: str) -> int:
         """The index of node v; an unknown id is an input error."""
@@ -225,28 +217,6 @@ def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeAtom]) -> np.nda
         H[t, b[j], a[j]] = True
         R = H if R is None else R @ H  # boolean product: OR of ANDs, no count to overflow
     return R
-
-
-def neighbor_op(
-    traj: GraphTemporalTrajectory,
-    sources: Iterable[str],
-    k: int,
-    chain: Sequence[EdgeAtom],
-) -> set[str]:
-    """Nodes reachable from `sources` through the edge-atom chain at time k.
-
-    A set walk over the adjacency lists, one edge test at a time: the
-    reference that the tests hold `reach` to.
-    """
-    traj._check_time(k)
-    if len(chain) < 1:
-        raise InputError("neighbor chain must have length >= 1")
-    g = traj.graph
-    frontier = {g.index_of(v) for v in sources}
-    y = traj.edge_labels[:, k - 1]
-    for e in chain:
-        frontier = {u for i in frontier for j, u in g.adjacency[i] if e.holds(y[j])}
-    return {g.nodes[i] for i in frontier}
 
 
 def _read_json(path):

@@ -86,19 +86,6 @@ def map_pi_inv(omega, box, polarities, names) -> dict:
     return theta
 
 
-def snap(omega, box, polarities, names) -> tuple:
-    """Round integer coordinates of a normalized point onto their grid."""
-    out = []
-    for w, name in zip(omega, names):
-        w = min(max(w, 0.0), 1.0)
-        spec = box[name]
-        if spec.kind == "integer":
-            n = len(spec.grid())
-            w = round(w * (n - 1)) / (n - 1)
-        out.append(round(w, _ROUND))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # staircase geometry
 
@@ -132,25 +119,6 @@ def _lift(knees, u, steps) -> list:
     pool = kept + sorted(lifts)
     return kept + [k for k in pool[len(kept):]
                    if not any(o != k and _dominates(k, o) for o in pool)]
-
-
-def knee_points(unsat_points, z=None) -> list:
-    """Knees of the staircase of infeasible points on real axes.
-
-    Each knee is the least corner of a box {x : x > k} that no infeasible
-    point lies above, and together the boxes cover every point of [0,1]^z
-    not below an infeasible point (the boundary at 0 aside).  Knees with a
-    coordinate at 1 bound nothing and are left out.
-    """
-    unsat_points = list(unsat_points)
-    if unsat_points:
-        z = len(unsat_points[0])
-    elif z is None:
-        raise UsageError("need the dimension to produce the trivial knee")
-    knees = [(0.0,) * z]
-    for u in unsat_points:
-        knees = _lift(knees, u, (None,) * z)
-    return knees
 
 
 def _gap_to_front(point, front) -> float:
@@ -237,8 +205,8 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
 
     steps = [len(box[n].grid()) - 1 if box[n].kind == "integer" else None
              for n in names]
-    one = snap((1.0,) * z, box, pols, names)
-    zero = snap((0.0,) * z, box, pols, names)
+    # the corners lie on every grid: a free integer axis has >= 2 points
+    one, zero = (1.0,) * z, (0.0,) * z
     cov1 = query(one)
     if cov1 < p_th:
         res.reason = (f"even the easiest corner reaches coverage {cov1:.4f} "

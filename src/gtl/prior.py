@@ -39,14 +39,10 @@ from .formula import (
 )
 from .graph import _MALFORMED, LabeledGraph, _read_json, reach
 
-#: running totals used by the complexity tests; see reset_counters().
+#: running totals: readers take differences across the work they measure
 counters = {"transition_evals": 0}
 #: DP states above which a joint letter distribution assumes independence
 MAX_DP_STATES = 10 ** 6
-
-
-def reset_counters():
-    counters["transition_evals"] = 0
 
 
 @dataclass(frozen=True)
@@ -134,11 +130,6 @@ def load_prior(path, graph: LabeledGraph) -> PriorModel:
 # ---------------------------------------------------------------------------
 # cell masses: the real line cut once at a call's thresholds
 
-def _check_time(prior, k):
-    if not 1 <= k <= prior.L:
-        raise InputError(f"time index {k} outside 1..{prior.L}")
-
-
 def _cell_masses(prior, atoms):
     """(masses, truth) for the real line cut into cells at the atoms'
     distinct thresholds: masses[u, k - 1, c] is the prior mass of node u's
@@ -160,22 +151,9 @@ def _cell_masses(prior, atoms):
     return masses, np.where(le[:, None], below, ~below)
 
 
-def atom_probability(prior: PriorModel, atom: Atom, v: str, k: int) -> float:
-    """Probability that the atom holds at (v, k) under the prior."""
-    vi = prior.graph.index_of(v)
-    _check_time(prior, k)
-    masses, truth = _cell_masses(prior, [atom])
-    return float(masses[vi, k - 1] @ truth[0])
-
-
-def static_reach(prior: PriorModel, v: str, chain) -> list[str]:
-    """Nodes reachable from v through the chain under the static edge labels."""
-    row = _static_reach_rows(prior, chain)[prior.graph.index_of(v)]
-    return [prior.graph.nodes[u] for u in np.flatnonzero(row)]
-
-
-def _static_reach_rows(prior, chain) -> np.ndarray:
-    """(V, V) bool: row v marks static_reach(prior, v, chain), from one reach array."""
+def _reach_rows(prior, chain) -> np.ndarray:
+    """(V, V) bool: row v marks the nodes reachable from v through the chain
+    under the static edge labels, from one reach array."""
     g = prior.graph
     labels = np.array([prior.static_edge_labels[e] for e in g.edges], dtype=float)
     return reach(g, labels.reshape(g.n_edges, 1), chain)[0]
@@ -203,20 +181,6 @@ def _poisson_binomial_tail(probs, n: int):
 # ---------------------------------------------------------------------------
 # joint letter distribution
 
-def letter_distribution(prior: PriorModel, aps, v: str, k: int) -> np.ndarray:
-    """Exact joint distribution over predicate bitmasks at (v, k).
-
-    Factors over the nodes the predicates touch; predicates sharing nodes
-    stay exactly correlated.  Above MAX_DP_STATES DP states, falls back to
-    predicate independence with a warning.
-    """
-    vi = prior.graph.index_of(v)
-    _check_time(prior, k)
-    [(masses, truth)], preds = _letter_table(prior, aps)
-    # the DP on time k's masses alone, so its cost does not grow with L
-    return _letters([(masses[:, k - 1:k], truth)], preds, [vi])[0, 0]
-
-
 def _letter_table(prior, aps, rows=None):
     """([(masses, truth)], preds) of one alphabet: the cell masses and truth
     table of the aps' atoms, and each ap as (n, rows): it holds at v when at
@@ -232,7 +196,7 @@ def _letter_table(prior, aps, rows=None):
             atoms.append(ap)
         elif isinstance(ap, Exists):
             if ap.chain not in rows:
-                rows[ap.chain] = _static_reach_rows(prior, ap.chain)
+                rows[ap.chain] = _reach_rows(prior, ap.chain)
             preds.append((int(ap.count), rows[ap.chain]))
             atoms.append(ap.body)
         else:
@@ -452,7 +416,7 @@ def _probabilities(prior, formulas, nodes) -> list:
             if not isinstance(g, Exists):
                 raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
             if g.chain not in rows:
-                rows[g.chain] = _static_reach_rows(prior, g.chain)
+                rows[g.chain] = _reach_rows(prior, g.chain)
             reached = [[names[u] for u in np.flatnonzero(rows[g.chain][i])] for i in index]
             inner = sorted({u for r in reached for u in r})
             run = _run(g.body, classify_subtype(g.body), [prior.graph.node_index[u] for u in inner])

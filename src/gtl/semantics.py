@@ -203,16 +203,6 @@ def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:
     return bool(sat_table(traj, f)[vi, k - 1])
 
 
-def sat_signature(traj: GraphTemporalTrajectory, f: Formula, v: str) -> int:
-    """+1 iff the formula holds at node v at time index 1, else -1."""
-    return 1 if sat(traj, f, v, 1) else -1
-
-
-def sat_vector(traj: GraphTemporalTrajectory, f: Formula) -> np.ndarray:
-    """Satisfaction at time index 1 for all nodes (bool, shape |V|)."""
-    return sat_table(traj, f)[:, 0]
-
-
 def coverage(trajectories: Sequence[GraphTemporalTrajectory], f: Formula) -> float:
     """Averaged proportion of nodes at which f holds across the set."""
     if not trajectories:

@@ -118,7 +118,10 @@ class Template:
             }
         except _MALFORMED as exc:
             raise InputError(f"malformed template: {exc}") from exc
-        return cls(formula=f, box=box, name=d.get("name", ""))
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise InputError(f"malformed template: name must be a string, got {name!r}")
+        return cls(formula=f, box=box, name=name)
 
 
 def load_templates(path) -> list[Template]:

@@ -17,8 +17,8 @@ from gtl.formula import (
     Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, FalseF, Implies,
     Not, Or, TrueF, Until, parse,
 )
-from gtl.graph import GraphTemporalTrajectory, LabeledGraph, neighbor_op
-from gtl.prior import PriorModel
+from gtl.graph import GraphTemporalTrajectory, LabeledGraph
+from gtl.prior import PriorModel, _letter_table, _letters, _reach_rows
 
 
 @pytest.fixture
@@ -51,6 +51,22 @@ def path3():
 
 # ---------------------------------------------------------------------------
 # satisfaction oracle: direct recursion over (node, time)
+
+def neighbor_op(traj, sources, k, chain):
+    """Nodes reachable from `sources` through the edge-atom chain at time k:
+    a set walk over adjacency lists, one edge test at a time, the reference
+    that `reach` is held to."""
+    g = traj.graph
+    adjacency = [[] for _ in g.nodes]
+    for j, (a, b) in enumerate(g.edge_ends.tolist()):
+        adjacency[a].append((j, b))
+        adjacency[b].append((j, a))
+    frontier = {g.index_of(v) for v in sources}
+    y = traj.edge_labels[:, k - 1]
+    for e in chain:
+        frontier = {u for i in frontier for j, u in adjacency[i] if e.holds(y[j])}
+    return {g.nodes[i] for i in frontier}
+
 
 def sat_oracle(traj, f, v, k):
     L = traj.L
@@ -190,6 +206,22 @@ def letter_oracle(prior, aps, v, k):
         traj = GraphTemporalTrajectory(g, nl, el)
         out[sum(1 << i for i, ap in enumerate(aps) if sat_oracle(traj, ap, v, 1))] += mass
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-row views of the prior's letter route, for tests that compare at (v, k)
+
+def letter_distribution(prior, aps, v, k):
+    """The joint letter distribution at (v, k): the letter DP of `_letters`
+    on time k's cell masses alone."""
+    [(masses, truth)], preds = _letter_table(prior, aps)
+    return _letters([(masses[:, k - 1:k], truth)], preds, [prior.graph.index_of(v)])[0, 0]
+
+
+def static_reach(prior, v, chain):
+    """Nodes reachable from v through the chain under the static edge labels."""
+    row = _reach_rows(prior, chain)[prior.graph.index_of(v)]
+    return [prior.graph.nodes[u] for u in np.flatnonzero(row)]
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ class TestDfaIg:
         assert code == 1
         assert capsys.readouterr().err.startswith("error [input]: horizon L must be >= 1")
 
+    def test_dfa_state_cap_exit_one(self, capsys):
+        code = main(["dfa", "--formula", "F[<=100000] x <= 1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [input]: automaton passes") and "100000" in err
+
     def test_ig_report(self, workspace, capsys):
         code, out = run(capsys, "ig", "--prior", str(workspace["prior"]),
                         "--graph", str(workspace["graph"]),
@@ -346,6 +352,18 @@ class TestSeedFallback:
         code = main(["gen", "swarm", "--n", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [usage]: GTL_SEED")
+
+    @pytest.mark.parametrize("flag, env, source", [
+        (["--seed", "-1"], None, "--seed"), ([], "-3", "GTL_SEED")])
+    def test_negative_seed_exit_one(self, capsys, monkeypatch, tmp_path, flag, env, source):
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("GTL_SEED", env)
+        code = main(["gen", "swarm", "--n", "1", *flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [usage]: {source} must be a non-negative integer")
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         code, out = run(capsys, "--help")

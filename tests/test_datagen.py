@@ -14,7 +14,7 @@ from gtl.datagen import (
 from gtl.formula import parse, print_formula
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.prior import PriorModel
-from gtl.semantics import sat_vector
+from gtl.semantics import sat_table
 
 from conftest import two_bin_prior
 
@@ -40,7 +40,7 @@ def sample_prior_loop(prior, n, seed=None):
 
 def gen_swarm_loop(scenario, n):
     """The one-proposal-at-a-time reference: L `dirichlet` calls, a
-    trajectory and a `sat_vector` call per proposal.  Returns the
+    trajectory and a `sat_table` call per proposal.  Returns the
     trajectories and the number of proposals."""
     rng = np.random.default_rng(scenario.seed)
     g = scenario.graph()
@@ -65,14 +65,14 @@ def gen_swarm_loop(scenario, n):
             x = x / x.sum()
             nl[:, k] = x
         traj = GraphTemporalTrajectory(g, nl, el.copy())
-        if sat_vector(traj, f).all():
+        if sat_table(traj, f)[:, 0].all():
             out.append(traj)
     return out, proposals
 
 
 def gen_planted_loop(separator, prior, n_pos, n_neg, seed=None, node_frac=0.95):
     """The one-proposal-at-a-time reference: a `sample_prior` call from a
-    seed of its own and a `sat_vector` call per proposal.  Returns the
+    seed of its own and a `sat_table` call per proposal.  Returns the
     labeled trajectories and the number of proposals."""
     rng = np.random.default_rng(seed)
     pos, neg = [], []
@@ -88,7 +88,7 @@ def gen_planted_loop(separator, prior, n_pos, n_neg, seed=None, node_frac=0.95):
         proposals += 1
         stalled += 1
         traj = sample_prior(prior, 1, seed=rng.integers(2 ** 63))[0]
-        frac = float(sat_vector(traj, separator).mean())
+        frac = float(sat_table(traj, separator)[:, 0].mean())
         if frac >= node_frac and len(pos) < n_pos:
             pos.append(GraphTemporalTrajectory(
                 traj.graph, traj.node_labels, traj.edge_labels, label=1))
@@ -308,7 +308,7 @@ class TestSwarmScenario:
         f = swarm_constraint()
         assert len(trajs) == 4
         for t in trajs:
-            assert sat_vector(t, f).all()
+            assert sat_table(t, f)[:, 0].all()
             # densities stay a distribution at every step
             assert np.allclose(t.node_labels.sum(axis=0), 1.0)
 
@@ -336,7 +336,7 @@ class TestGenPlanted:
         data = gen_planted(sep, prior, 5, 5, seed=0)
         assert [t.label for t in data] == [1] * 5 + [-1] * 5
         for t in data:
-            frac = sat_vector(t, sep).mean()
+            frac = sat_table(t, sep)[:, 0].mean()
             assert frac >= 0.95 if t.label == 1 else frac <= 0.05
 
     def test_ungenerable_class_aborts(self):

@@ -10,12 +10,11 @@ from gtl.errors import InputError, RangeError, UsageError
 from gtl.formula import Atom, EdgeAtom, Param
 from gtl.graph import (
     GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories,
-    neighbor_op, reach, save_trajectories,
+    reach, save_trajectories,
 )
-from gtl.prior import static_reach
 from gtl.semantics import sat_table
 
-from conftest import random_graph, two_bin_prior
+from conftest import neighbor_op, random_graph, static_reach, two_bin_prior
 
 
 class TestLabeledGraph:
@@ -23,9 +22,7 @@ class TestLabeledGraph:
         g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
         assert g.n_nodes == 3 and g.n_edges == 2
         assert g.endpoints["e1"] == ("a", "b")
-        assert dict(g.adjacency[g.node_index["b"]]) == {
-            g.edge_index["e1"]: g.node_index["a"],
-            g.edge_index["e2"]: g.node_index["c"]}
+        assert g.edge_ends.tolist() == [[0, 1], [1, 2]]
 
     @pytest.mark.parametrize("nodes,edges", [
         (["a", "a"], []),
@@ -42,7 +39,7 @@ class TestLabeledGraph:
     def test_complete(self):
         g = LabeledGraph.complete(["a", "b", "c", "d"])
         assert g.n_edges == 6
-        assert all(len(g.adjacency[i]) == 3 for i in range(4))
+        assert np.bincount(g.edge_ends.ravel()).tolist() == [3, 3, 3, 3]
 
     def test_json_round_trip(self):
         g = LabeledGraph(["a", "b"], [("e1", "a", "b")])

@@ -15,12 +15,12 @@ from gtl.formula import (
 )
 from gtl.graph import LabeledGraph, reach
 from gtl.prior import (
-    PriorModel, atom_probability, compute_ig, counters, letter_distribution,
-    load_prior, reset_counters, satisfaction_probability, static_reach,
+    PriorModel, compute_ig, counters, load_prior, satisfaction_probability,
 )
 
 from conftest import (
-    letter_oracle, prob_oracle, prob_oracle_all, random_graph, two_bin_prior,
+    letter_distribution, letter_oracle, prob_oracle, prob_oracle_all, random_graph,
+    static_reach, two_bin_prior,
 )
 
 
@@ -86,25 +86,18 @@ class TestAtomProbability:
     def test_within_bin_uniform(self):
         prior = one_node_prior()
         # bins (0,1), (1,2) with mass 0.5 each; x <= 1.5 covers 0.5 + 0.25
-        assert atom_probability(prior, parse("x <= 1.5"), "a", 1) == \
-            pytest.approx(0.75)
-        assert atom_probability(prior, Atom(">=", 0.5), "a", 2) == \
-            pytest.approx(0.75)
-        assert atom_probability(prior, parse("x <= 0"), "a", 1) == 0.0
-        assert atom_probability(prior, parse("x >= 1"), "a", 1) == \
-            pytest.approx(0.5)
-
-    def test_time_bounds_checked(self):
-        with pytest.raises(InputError):
-            atom_probability(one_node_prior(), parse("x <= 1"), "a", 3)
+        assert letter_distribution(prior, [parse("x <= 1.5")], "a", 1)[1] == pytest.approx(0.75)
+        assert letter_distribution(prior, [Atom(">=", 0.5)], "a", 2)[1] == pytest.approx(0.75)
+        assert letter_distribution(prior, [parse("x <= 0")], "a", 1)[1] == 0.0
+        assert letter_distribution(prior, [parse("x >= 1")], "a", 1)[1] == pytest.approx(0.5)
 
     def test_parametric_atom_rejected(self):
         with pytest.raises(UsageError):
-            atom_probability(one_node_prior(), parse("x <= ?c"), "a", 1)
+            letter_distribution(one_node_prior(), [parse("x <= ?c")], "a", 1)
 
     def test_unknown_node_rejected_with_default_pmf(self):
         with pytest.raises(InputError):
-            atom_probability(default_pmf_prior(), parse("x <= 1"), "zzz", 1)
+            letter_distribution(default_pmf_prior(), [parse("x <= 1")], "zzz", 1)
 
 
 class TestStaticReach:
@@ -172,10 +165,10 @@ class TestLetterDistribution:
             edge_labels={e: six_node.edge_label(e, 1)
                          for e in six_node.graph.edges})
         aps = [parse("x <= 0.6"), parse("E 2 via (y <= 1) : x >= 1")]
+        p0 = letter_distribution(prior, [aps[0]], "v4", 1)[1]
         monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 1)
         with pytest.warns(UserWarning, match="independence"):
             dist = letter_distribution(prior, aps, "v4", 1)
-        p0 = atom_probability(prior, aps[0], "v4", 1)
         p1 = 0.25  # both of v4's two reached nodes at x >= 1
         assert np.allclose(dist, [(1 - p0) * (1 - p1), p0 * (1 - p1),
                                   (1 - p0) * p1, p0 * p1])
@@ -206,11 +199,6 @@ class TestLetterDistribution:
                     got = letter_distribution(prior, aps, v, k)
                     assert np.array_equal(got, full[k - 1]), (seed, v, k)
                     assert rows == [1]
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_time_outside_horizon_rejected(self, k):
-        with pytest.raises(InputError):
-            letter_distribution(one_node_prior(L=2), [parse("x <= 1.5")], "a", k)
 
     def test_unknown_node_rejected_with_default_pmf(self):
         with pytest.raises(InputError):
@@ -488,9 +476,9 @@ class TestCounters:
 
         def evals(L):
             prior = two_bin_prior(g, L)
-            reset_counters()
+            before = counters["transition_evals"]
             satisfaction_probability(prior, f, "a")
-            return counters["transition_evals"]
+            return counters["transition_evals"] - before
 
         e1, e2 = evals(4), evals(8)
         assert e2 == 2 * e1
@@ -570,7 +558,7 @@ def probabilities_one_by_one(prior, f, nodes):
     sub = classify_subtype(g)
     if not sub.typeII:
         return inner_one_by_one(prior, g, sub, nodes)
-    rows, names = gtl.prior._static_reach_rows(prior, g.chain), prior.graph.nodes
+    rows, names = gtl.prior._reach_rows(prior, g.chain), prior.graph.nodes
     reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
                for v in nodes}
     betas = inner_one_by_one(prior, g.body, classify_subtype(g.body),

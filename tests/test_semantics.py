@@ -14,10 +14,7 @@ from gtl.formula import (
     parse, print_formula,
 )
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
-from gtl.semantics import (
-    coverage, misclassification_rate, sat, sat_signature, sat_table,
-    sat_vector,
-)
+from gtl.semantics import coverage, misclassification_rate, sat, sat_table
 
 from conftest import random_formula, random_graph, random_trajectory, sat_oracle
 
@@ -112,8 +109,8 @@ class TestTables:
         f = parse("F x >= 0.8")
         tab = sat_table(path3, f)
         assert tab.shape == (3, 3) and tab.dtype == bool
-        assert sat_signature(path3, f, "a") == (1 if tab[0, 0] else -1)
-        assert sat_signature(path3, parse("FALSE"), "a") == -1
+        assert sat(path3, f, "a", 1) == tab[0, 0]
+        assert not sat(path3, parse("FALSE"), "a", 1)
 
     def test_no_state_outlives_the_call(self, path3):
         f = parse("F[>=1][<=2] E 1 via (y <= 1) : x >= 0.5")
@@ -149,10 +146,6 @@ class TestTables:
         coverage([path3] * 4, f)
         misclassification_rate([pos] * 4, f)
         assert len(calls) == 2
-
-    def test_sat_vector_is_time_one_row(self, path3):
-        f = parse("G x <= 1")
-        assert np.array_equal(sat_vector(path3, f), sat_table(path3, f)[:, 0])
 
     def test_differential_against_oracle(self, six_node, path3):
         rng = np.random.default_rng(7)

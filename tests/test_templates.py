@@ -8,7 +8,7 @@ import pytest
 from gtl.classify import _round_integers
 from gtl.errors import InputError
 from gtl.formula import parse, print_formula
-from gtl.identify import _axes, map_pi, map_pi_inv, snap
+from gtl.identify import _axes, map_pi, map_pi_inv
 from gtl.templates import (
     ParamSpec, Template, builtin_templates, default_box, load_templates,
     save_templates,
@@ -47,7 +47,6 @@ class TestParamSpec:
         w = map_pi({"N": 250_000_000}, box, {"N": "+"}, ["N"])
         assert w == (0.25,)
         assert map_pi_inv(w, box, {"N": "+"}, ["N"]) == {"N": 250_000_000}
-        assert snap((0.3,), box, {"N": "+"}, ["N"]) == (0.3,)
         assert perf_counter() - t0 < 0.1
 
     @pytest.mark.parametrize("lo, hi", [("-Infinity", "1"), ("0", "Infinity"),
@@ -113,6 +112,13 @@ class TestTemplate:
         save_templates(path, builtin_templates("type-II", default_box(6))[:1])
         path.write_text(path.read_text()[1:-1])  # unwrap the array
         assert len(load_templates(path)) == 1
+
+    @pytest.mark.parametrize("name", [5, None, ["P1-1"]])
+    def test_non_string_name_rejected(self, name):
+        # a grow stage joins component names into a string
+        doc = {"formula": "F x >= ?c", "params": {"c": {"min": 0, "max": 1}}, "name": name}
+        with pytest.raises(InputError, match="name"):
+            Template.from_json_dict(doc)
 
 
 class TestBuiltinLibrary:

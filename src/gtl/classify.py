@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import (
-    And, Formula, Not, Or, formula_size, print_formula, rename_parameters,
+    And, Formula, Not, Or, _check_int, formula_size, print_formula, rename_parameters,
 )
 from .semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from .templates import Template
@@ -35,23 +35,19 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm < 1:
-            raise InputError("swarm size must be >= 1")
-        if self.iterations < 0:
-            raise InputError("iteration count must be >= 0")
+        _check_int("swarm", self.swarm, 1)
+        _check_int("iterations", self.iterations, 0)
+        _check_int("seed", self.seed, 0)
         if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social))):
             raise InputError("PSO coefficients must be finite")
 
 
-def _round_integers(theta, box):
-    out = {}
-    for name, spec in box.items():
-        v = theta[name]
-        if spec.kind == "integer":
-            grid = spec.grid()
-            v = min(max(int(round(v)), grid[0]), grid[-1])
-        out[name] = v
-    return out
+def _rounded(positions, box, names):
+    """positions with the integer columns rounded half to even and clipped to their grids."""
+    integer = [box[n].kind == "integer" for n in names]
+    grids = [box[n].grid() if i else range(1) for n, i in zip(names, integer)]  # range(1): unused
+    return np.where(integer, np.clip(np.rint(positions), [g[0] for g in grids],
+                                     [g[-1] for g in grids]), positions)
 
 
 def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
@@ -61,7 +57,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     Integer dimensions are rounded at every fitness evaluation.  Optional
     warm_starts (valuations inside the box) replace the first particles'
     initial positions.  The template is compiled once per run, and each
-    swarm step evaluates the valuations it has not seen before in one query.
+    swarm step is one array step and one query of its unseen valuations.
     """
     if not data:
         raise UsageError("empty dataset")
@@ -84,35 +80,26 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
     evaluator = _Evaluator.of(data)  # one per run: labels stacked once, reach reused
     formula = template.compile()
     size = len(data) * data[0].graph.n_nodes  # (trajectory, node) pairs
-    cache = {}
+    cache = {}  # rounded valuation -> misclassified pairs
 
     def fitness(positions):
-        """(MR, theta) of each particle; the uncached valuations share one query."""
-        thetas = [_round_integers(dict(zip(names, p)), box) for p in positions]
-        keys = [tuple(theta[n] for n in names) for theta in thetas]
-        new = {key: theta for key, theta in zip(keys, thetas) if key not in cache}
+        """MR of each particle; unseen valuations share one query, first-seen first."""
+        keys = list(map(tuple, _rounded(positions, box, names).tolist()))
+        new = list(dict.fromkeys(key for key in keys if key not in cache))
         if new:
-            values = {n: np.array([theta[n] for theta in new.values()], dtype=float)
-                      for n in names}
+            values = dict(zip(names, np.array(new).T))
             wrong = _misclassified(evaluator.tables(formula, values), positive)
-            for key, w in zip(new, np.broadcast_to(wrong, len(new))):
-                cache[key] = int(w) / size
-        return [(cache[key], theta) for key, theta in zip(keys, thetas)]
+            cache.update(zip(new, np.broadcast_to(wrong, len(new)).tolist()))
+        return np.array([cache[key] for key in keys]) / size
 
     pos = lo + rng.random((cfg.swarm, len(names))) * width
-    for i, theta in enumerate(warm_starts):
-        if i >= cfg.swarm:
-            break
+    for i, theta in zip(range(cfg.swarm), warm_starts):
         pos[i] = [theta[n] for n in names]
     vel = (rng.random((cfg.swarm, len(names))) - 0.5) * width
 
-    pbest = pos.copy()
-    pbest_val = np.empty(cfg.swarm)
-    pbest_theta = [None] * cfg.swarm
-    for i, (val, theta) in enumerate(fitness(pos)):
-        pbest_val[i], pbest_theta[i] = val, theta
+    pbest, pbest_val = pos.copy(), fitness(pos)
     g = int(np.argmin(pbest_val))
-    gbest, gbest_val, gbest_theta = pbest[g].copy(), pbest_val[g], pbest_theta[g]
+    gbest, gbest_val = pbest[g].copy(), pbest_val[g]
 
     for _ in range(cfg.iterations):
         if gbest_val == 0.0:
@@ -124,12 +111,14 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
                + cfg.social * r2 * (gbest - pos))
         vel = np.clip(vel, -vmax, vmax)
         pos = np.clip(pos + vel, lo, hi)
-        for i, (val, theta) in enumerate(fitness(pos)):
-            if val < pbest_val[i]:
-                pbest_val[i], pbest[i], pbest_theta[i] = val, pos[i].copy(), theta
-                if val < gbest_val:
-                    gbest_val, gbest, gbest_theta = val, pos[i].copy(), theta
-    return gbest_theta, float(gbest_val)
+        val = fitness(pos)
+        better = val < pbest_val
+        pbest[better], pbest_val[better] = pos[better], val[better]
+        g = int(np.argmin(val))  # every pbest is >= gbest: only a new least MR moves it
+        if val[g] < gbest_val:
+            gbest, gbest_val = pos[g].copy(), val[g]
+    rounded = zip(names, _rounded(gbest, box, names))
+    return {n: int(v) if box[n].kind == "integer" else v for n, v in rounded}, float(gbest_val)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +166,7 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
     """
     if not 0 <= m_th < mhat_th < 1:
         raise InputError("thresholds must satisfy 0 <= m_th < mhat_th < 1")
-    if eta_th < 1:
-        raise InputError("eta_th must be >= 1")
+    _check_int("eta_th", eta_th, 1)
     if cfg is None:
         cfg = PsoConfig()
     labels = {t.label for t in data}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .formula import Always, Atom, Bound, EdgeAtom, Exists, Implies
+from .formula import Always, Atom, Bound, EdgeAtom, Exists, Implies, _check_int
 from .graph import GraphTemporalTrajectory, LabeledGraph
 from .prior import PriorModel
 from .semantics import _Evaluator, _ground
@@ -30,6 +30,13 @@ _MAX_PROPOSALS = 10 ** 6
 _RATE_FLOOR = 1e-3
 _STALL_LIMIT = 10_000  # proposals without an accept before giving up
 _BLOCK = 64  # proposals drawn and checked per evaluator query
+_NODE_FRAC = 0.95  # least share of a planted trajectory's nodes that vote its label
+
+
+def _check_seed(seed):
+    """A generator seed is None or a non-negative integer."""
+    if seed is not None:
+        _check_int("seed", seed, 0)
 
 
 def _prior_sampler(prior: PriorModel):
@@ -60,8 +67,8 @@ def _prior_sampler(prior: PriorModel):
 
 def sample_prior(prior: PriorModel, n: int, seed=None) -> list:
     """n independent trajectories: bin per pmf, uniform within the bin."""
-    if n < 0:
-        raise InputError("n must be >= 0")
+    _check_int("n", n, 0)
+    _check_seed(seed)
     g = prior.graph
     edge, labels = _prior_sampler(prior)
     nl = labels(np.random.default_rng(seed).random((n, g.n_nodes, prior.L, 2)))
@@ -101,10 +108,13 @@ class SwarmScenario:
     alpha: float = 2.0  # Dirichlet concentration of proposals
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1 or self.L < 1:
-            raise InputError("scenario dimensions must be positive")
+        for name in ("rows", "cols", "L"):
+            _check_int(name, getattr(self, name), 1)
+        _check_seed(self.seed)
         if not 0 <= self.smoothing < 1:
             raise InputError("smoothing must be in [0, 1)")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError(f"alpha must be finite and > 0, got {self.alpha}")
 
     def graph(self) -> LabeledGraph:
         names = [f"v{r}{c}" for r in range(self.rows) for c in range(self.cols)]
@@ -130,8 +140,7 @@ def swarm_constraint():
 
 def gen_swarm(scenario: SwarmScenario, n: int) -> list:
     """n density trajectories each satisfying the swarm constraint at every node."""
-    if n < 0:
-        raise InputError("n must be >= 0")
+    _check_int("n", n, 0)
     rng = np.random.default_rng(scenario.seed)
     g = scenario.graph()
     el = scenario.edge_labels(g)
@@ -168,12 +177,13 @@ def gen_swarm(scenario: SwarmScenario, n: int) -> list:
 # planted classification data
 
 def gen_planted(separator, prior: PriorModel, n_pos: int, n_neg: int,
-                seed=None, node_frac: float = 0.95) -> list:
-    """Labeled dataset where the separator votes +1 on at least node_frac of
-    the nodes of every +1 trajectory and -1 on at least node_frac of every
-    -1 trajectory, so its misclassification rate is at most 1 - node_frac."""
+                seed=None) -> list:
+    """Labeled dataset where the separator votes +1 on at least 95% of the
+    nodes of every +1 trajectory and -1 on at least 95% of every -1
+    trajectory, so its misclassification rate is at most 0.05."""
     if n_pos < 0 or n_neg < 0:
         raise InputError("n_pos and n_neg must be >= 0")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     g = prior.graph
     edge, labels = _prior_sampler(prior)
@@ -198,10 +208,10 @@ def gen_planted(separator, prior: PriorModel, n_pos: int, n_neg: int,
         stalled += 1
         nl, votes = next(checked)
         frac = np.count_nonzero(votes) / g.n_nodes
-        if frac >= node_frac and len(pos) < n_pos:
+        if frac >= _NODE_FRAC and len(pos) < n_pos:
             pos.append(GraphTemporalTrajectory(g, nl.copy(), edge, label=1))
             stalled = 0
-        elif frac <= 1 - node_frac and len(neg) < n_neg:
+        elif frac <= 1 - _NODE_FRAC and len(neg) < n_neg:
             neg.append(GraphTemporalTrajectory(g, nl.copy(), edge, label=-1))
             stalled = 0
     return pos + neg

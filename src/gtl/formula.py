@@ -623,6 +623,12 @@ def _checked_value(p, kind, valuation):
     return a.item() if a.ndim == 0 else a
 
 
+def _check_int(name, value, least):
+    """Raise InputError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
 def instantiate(f: Formula, valuation: Mapping[str, float]) -> Formula:
     """Replace every parameter position with its value from the valuation."""
     return _map_params(f, lambda p, kind: _checked_value(p, kind, valuation))

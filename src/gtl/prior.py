@@ -464,7 +464,7 @@ def _accept(prior, runs, rows):
             by_key.setdefault(key, []).append((run, aps))
         groups = list(by_key.values())
     for group in groups:
-        dfa, first_aps = to_dfa(group[0][0].target, prior.L)
+        dfa, first_aps = to_dfa(group[0][0].target)  # bounds already clipped to L
         letter_groups = {}  # (predicate shapes, nodes) -> [slots in group, tables, preds]
         for slot, (run, aps) in enumerate(group):
             aps = first_aps if aps is None else aps

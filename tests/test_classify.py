@@ -9,11 +9,13 @@ import gtl.classify
 import gtl.graph
 import gtl.semantics
 import gtl.templates
+from gtl.classify import (
+    ClassifierResult, PsoConfig, _rounded, infer_classifier, pso_minimize_mr,
+)
 from gtl.errors import InputError, UsageError
-from gtl.classify import ClassifierResult, PsoConfig, infer_classifier, pso_minimize_mr
-from gtl.formula import formula_size, parse
+from gtl.formula import formula_size, free_parameters, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
-from gtl.semantics import misclassification_rate
+from gtl.semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from gtl.templates import ParamSpec, Template
 
 
@@ -40,6 +42,98 @@ def threshold_data(split=5.0, n=8, L=3, seed=0):
 def g_template():
     return Template(parse("G x <= ?c"),
                     {"c": ParamSpec(0.0, 10.0, "continuous")}, name="Gle")
+
+
+# `pso_minimize_mr` as it was before its iterations became array steps, kept
+# verbatim as the per-particle reference: one theta dict and one key per
+# particle, and an in-order pbest/gbest loop.
+def _round_integers(theta, box):
+    out = {}
+    for name, spec in box.items():
+        v = theta[name]
+        if spec.kind == "integer":
+            grid = spec.grid()
+            v = min(max(int(round(v)), grid[0]), grid[-1])
+        out[name] = v
+    return out
+
+
+def pso_loop(template: Template, data, cfg: PsoConfig,
+             warm_starts=()) -> tuple[dict, float]:
+    """Global-best PSO over the template box; returns (theta, MR).
+
+    Integer dimensions are rounded at every fitness evaluation.  Optional
+    warm_starts (valuations inside the box) replace the first particles'
+    initial positions.  The template is compiled once per run, and each
+    swarm step evaluates the valuations it has not seen before in one query.
+    """
+    if not data:
+        raise UsageError("empty dataset")
+    names = template.param_names
+    box = template.box
+    for theta in warm_starts:
+        for n in names:
+            if n not in theta:
+                raise InputError(f"warm start {theta} has no value for parameter {n!r}")
+            tol = 1e-9 if box[n].kind == "integer" else 0.0  # as ParamSpec.grid() allows
+            if not box[n].min - tol <= theta[n] <= box[n].max + tol:
+                raise InputError(f"warm start {n}={theta[n]} lies outside the box "
+                                 f"[{box[n].min}, {box[n].max}]")
+    lo = np.array([box[n].min for n in names])
+    hi = np.array([box[n].max for n in names])
+    width = hi - lo
+    vmax = 0.5 * width
+    rng = np.random.default_rng(cfg.seed)
+    positive = _positive(data)
+    evaluator = _Evaluator.of(data)  # one per run: labels stacked once, reach reused
+    formula = template.compile()
+    size = len(data) * data[0].graph.n_nodes  # (trajectory, node) pairs
+    cache = {}
+
+    def fitness(positions):
+        """(MR, theta) of each particle; the uncached valuations share one query."""
+        thetas = [_round_integers(dict(zip(names, p)), box) for p in positions]
+        keys = [tuple(theta[n] for n in names) for theta in thetas]
+        new = {key: theta for key, theta in zip(keys, thetas) if key not in cache}
+        if new:
+            values = {n: np.array([theta[n] for theta in new.values()], dtype=float)
+                      for n in names}
+            wrong = _misclassified(evaluator.tables(formula, values), positive)
+            for key, w in zip(new, np.broadcast_to(wrong, len(new))):
+                cache[key] = int(w) / size
+        return [(cache[key], theta) for key, theta in zip(keys, thetas)]
+
+    pos = lo + rng.random((cfg.swarm, len(names))) * width
+    for i, theta in enumerate(warm_starts):
+        if i >= cfg.swarm:
+            break
+        pos[i] = [theta[n] for n in names]
+    vel = (rng.random((cfg.swarm, len(names))) - 0.5) * width
+
+    pbest = pos.copy()
+    pbest_val = np.empty(cfg.swarm)
+    pbest_theta = [None] * cfg.swarm
+    for i, (val, theta) in enumerate(fitness(pos)):
+        pbest_val[i], pbest_theta[i] = val, theta
+    g = int(np.argmin(pbest_val))
+    gbest, gbest_val, gbest_theta = pbest[g].copy(), pbest_val[g], pbest_theta[g]
+
+    for _ in range(cfg.iterations):
+        if gbest_val == 0.0:
+            break
+        r1 = rng.random((cfg.swarm, len(names)))
+        r2 = rng.random((cfg.swarm, len(names)))
+        vel = (cfg.inertia * vel
+               + cfg.cognitive * r1 * (pbest - pos)
+               + cfg.social * r2 * (gbest - pos))
+        vel = np.clip(vel, -vmax, vmax)
+        pos = np.clip(pos + vel, lo, hi)
+        for i, (val, theta) in enumerate(fitness(pos)):
+            if val < pbest_val[i]:
+                pbest_val[i], pbest[i], pbest_theta[i] = val, pos[i].copy(), theta
+                if val < gbest_val:
+                    gbest_val, gbest, gbest_theta = val, pos[i].copy(), theta
+    return gbest_theta, float(gbest_val)
 
 
 class TestPso:
@@ -69,8 +163,6 @@ class TestPso:
         theta, mr = pso_minimize_mr(g_template(), data,
                                     PsoConfig(swarm=1, iterations=0, seed=3))
         assert 0.0 <= mr <= 1.0 and 0.0 <= theta["c"] <= 10.0
-        with pytest.raises(InputError):
-            PsoConfig(swarm=0)
         with pytest.raises(UsageError):
             pso_minimize_mr(g_template(), [], PsoConfig())
 
@@ -93,6 +185,13 @@ class TestPso:
         theta, mr = pso_minimize_mr(t, data, PsoConfig(swarm=6, iterations=5, seed=3))
         assert len(calls) == 1
         assert misclassification_rate(data, t.instantiate(theta)) == mr
+
+    @pytest.mark.parametrize("field, value", [
+        ("swarm", 0), ("swarm", 2.5), ("swarm", True), ("iterations", -1),
+        ("iterations", 1.5), ("seed", -1), ("seed", 1.5), ("seed", None), ("seed", False)])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be >= [01] and an integer"):
+            PsoConfig(**{field: value})
 
     @pytest.mark.parametrize("coef", [
         {"inertia": math.nan}, {"cognitive": -math.inf}, {"social": math.inf}])
@@ -203,6 +302,9 @@ class TestInferClassifier:
         data = threshold_data(n=1)
         with pytest.raises(InputError):
             infer_classifier(data, [g_template()], m_th=0.5, mhat_th=0.1)
+        for eta in (0, 1.5, True):
+            with pytest.raises(InputError, match="eta_th must be >= 1 and an integer"):
+                infer_classifier(data, [g_template()], eta_th=eta)
 
     def test_labels_required(self):
         g = LabeledGraph(["a"], [])
@@ -215,3 +317,50 @@ class TestInferClassifier:
         r1 = infer_classifier(data, [g_template()], cfg=PsoConfig(seed=9))
         r2 = infer_classifier(data, [g_template()], cfg=PsoConfig(seed=9))
         assert r1.formula == r2.formula and r1.train_mr == r2.train_mr
+
+
+# every axis kind the rounding meets: on-grid, off-grid ends, frozen (one
+# integer inside, or a point), a 10^9-wide grid, and continuous ones
+_INTEGER_BOXES = [(0, 3), (0.4, 3.6), (2, 2), (0.4, 1.6), (0, 10 ** 9), (1, 4)]
+_CONTINUOUS_BOXES = [(0.0, 2.0), (1.0, 1.0), (-1.0, 3.0), (0.5, 0.75)]
+_SHAPES = ["F[<=?i] E ?N via (y <= ?d) : x >= ?c", "G[<=?i] x <= ?c",
+           "E ?N via (y <= 1) : x >= 1", "F x >= ?c"]
+
+
+class TestArrayStepDifferential:
+    """pso_minimize_mr against `pso_loop`, the per-particle reference, on
+    random boxes: the same theta (values and types) and MR, exactly."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_per_particle_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        g = LabeledGraph.complete(["a", "b", "c", "d"])
+        data = [GraphTemporalTrajectory(g, rng.random((4, 3)) * 2, rng.random((6, 3)) * 3,
+                                        label=lab) for lab in (1, -1) * int(rng.integers(1, 3))]
+        formula = parse(_SHAPES[int(rng.integers(len(_SHAPES)))])
+        box = {}
+        for n in free_parameters(formula):
+            boxes = _INTEGER_BOXES if n in ("i", "N") else _CONTINUOUS_BOXES
+            box[n] = ParamSpec(*boxes[int(rng.integers(len(boxes)))],
+                               "integer" if n in ("i", "N") else "continuous")
+        t = Template(formula, box)
+        swarm = int(rng.integers(1, 13))
+        warm = []  # integer axes at k + 0.5, the rounding's ties
+        for _ in range(int(rng.integers(0, swarm + 3))):
+            warm.append({n: float(np.clip(rng.integers(math.floor(s.min), math.floor(s.max) + 1)
+                                          + 0.5, s.min, s.max))
+                         if s.kind == "integer" else float(rng.uniform(s.min, s.max))
+                         for n, s in box.items()})
+        cfg = PsoConfig(swarm=swarm, iterations=int(rng.integers(0, 9)), seed=seed)
+        want = pso_loop(t, data, cfg, warm)
+        got = pso_minimize_mr(t, data, cfg, warm)
+        assert got == want
+        assert [type(v) for v in got[0].values()] == [type(v) for v in want[0].values()]
+        assert list(got[0]) == list(want[0])
+
+    def test_rounding_clamps_to_the_grid_ends(self):
+        box = {"N": ParamSpec(0, 10 ** 9, "integer"), "c": ParamSpec(0.0, 1.0, "continuous"),
+               "i": ParamSpec(0.4, 3.6, "integer")}
+        p = np.array([[2e9, 2.5, 0.4], [-3.4, -0.5, 3.6], [2.5, 0.25, 2.5], [3.5, 7.0, 1.5]])
+        assert _rounded(p, box, ["N", "c", "i"]).tolist() == [
+            [1e9, 2.5, 1.0], [0.0, -0.5, 3.0], [2.0, 0.25, 2.0], [4.0, 7.0, 2.0]]

@@ -327,6 +327,13 @@ class TestSwarmScenario:
         with pytest.raises(InputError):
             SwarmScenario(smoothing=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("rows", 2.5), ("cols", True),
+        ("L", 0), ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan), ("alpha", math.inf)])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            SwarmScenario(**{field: value})
+
 
 class TestGenPlanted:
     def test_labels_and_margin(self):
@@ -351,3 +358,26 @@ class TestGenPlanted:
         with pytest.raises(InputError, match="n_pos and n_neg must be >= 0"):
             gen_planted(parse("F x >= 1"), prior, n_pos, n_neg, seed=0)
         assert gen_planted(parse("x >= ?c"), prior, 0, 0, seed=0) == []
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_bad_seed_rejected(self, seed):
+        prior = two_bin_prior(LabeledGraph(["a"], []), 1)
+        with pytest.raises(InputError, match="seed must be >= 0 and an integer"):
+            sample_prior(prior, 1, seed=seed)
+        with pytest.raises(InputError, match="seed must be >= 0 and an integer"):
+            gen_planted(parse("F x >= 1"), prior, 1, 1, seed=seed)
+
+    def test_fractional_count_rejected(self):
+        prior = two_bin_prior(LabeledGraph(["a"], []), 1)
+        with pytest.raises(InputError, match="n must be >= 0 and an integer"):
+            sample_prior(prior, 2.5)
+        with pytest.raises(InputError, match="n must be >= 0 and an integer"):
+            gen_swarm(SwarmScenario(), 2.5)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(3), np.uint32(2 ** 32 - 1)])
+    def test_none_and_numpy_integers_accepted(self, seed):
+        prior = two_bin_prior(LabeledGraph(["a"], []), 1)
+        assert len(sample_prior(prior, 2, seed=seed)) == 2
+        assert SwarmScenario(seed=seed).seed is seed

@@ -3,9 +3,10 @@
 import json
 from time import perf_counter
 
+import numpy as np
 import pytest
 
-from gtl.classify import _round_integers
+from gtl.classify import _rounded
 from gtl.errors import InputError
 from gtl.formula import parse, print_formula
 from gtl.identify import _axes, map_pi, map_pi_inv
@@ -41,8 +42,7 @@ class TestParamSpec:
         box = {"N": ParamSpec(0, 10 ** 9, "integer")}
         t0 = perf_counter()
         assert len(box["N"].grid()) == 10 ** 9 + 1
-        assert _round_integers({"N": 2e9}, box) == {"N": 10 ** 9}
-        assert _round_integers({"N": -3.4}, box) == {"N": 0}
+        assert _rounded(np.array([[2e9], [-3.4]]), box, ["N"]).tolist() == [[10 ** 9], [0]]
         assert _axes(Template(parse("E ?N via (y <= 1) : x >= 1"), box)) == (["N"], {})
         w = map_pi({"N": 250_000_000}, box, {"N": "+"}, ["N"])
         assert w == (0.25,)

@@ -22,7 +22,6 @@ node propositions or neighbor-count predicates applied to one proposition.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,24 +310,17 @@ class Dfa:
         return "{" + ";".join(names) + "}"
 
 
-def to_dfa(f: Formula, L: int | None = None) -> tuple[Dfa, list[Formula]]:
+def to_dfa(f: Formula) -> tuple[Dfa, list[Formula]]:
     """Build the DFA accepting exactly the words of trajectories satisfying f.
 
     Returns (dfa, atomic predicate list).  The automaton is horizon-aware
     only through its end-of-word acceptance rule, so the same automaton is
-    valid for every word length; L, when given, must be >= 1 and is used
-    to warn about clipped bounds.  Construction stops with an input error
+    valid for every word length.  Construction stops with an input error
     once it passes MAX_DFA_STATES states.
     """
-    if L is not None and L < 1:
-        raise InputError("horizon L must be >= 1")
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
     f = desugar(f)
-    if L is not None:
-        for b in _all_bounds(f):
-            if b > L:
-                warnings.warn(f"time bound {b} exceeds horizon {L}; clipped by the finite-trace rule")
     aps = extract_aps(f)
     prog = _Progression({ap: i for i, ap in enumerate(aps)})
     n_letters = 1 << len(aps)

@@ -63,6 +63,7 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
         raise UsageError("empty dataset")
     names = template.param_names
     box = template.box
+    warm_starts = list(warm_starts)  # validated and placed: a generator is read once
     for theta in warm_starts:
         for n in names:
             if n not in theta:
@@ -205,10 +206,7 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
 
     kept = [row for row in stage1 if row["mr"] < mhat_th]
     if not kept:
-        result.train_mr = best[0] if best else 1.0
-        result.formula = best[2] if best else None
-        result.size = best[1] if best else 0
-        return result
+        return _finish(result, best, data, m_th)
     kept.sort(key=lambda r: r["mr"])
 
     for arity in range(2, len(kept) + 1):
@@ -235,6 +233,9 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
 
 
 def _finish(result, best, data, m_th):
+    if best is None:  # no candidate fits eta_th
+        result.train_mr, result.formula, result.size = 1.0, None, 0
+        return result
     mr, size, formula = best
     # recompute, never trust the cached search value
     actual = misclassification_rate(data, formula)

@@ -155,14 +155,13 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
 
 @cli.command("dfa")
 @click.option("--formula", required=True)
-@click.option("--L", "horizon", type=int, default=None)
 @click.option("--dot", "dot_path", type=click.Path(), default=None)
 @common_options
-def dfa_cmd(formula, horizon, dot_path, out, fmt, seed):
+def dfa_cmd(formula, dot_path, out, fmt, seed):
     """Build the automaton of a formula and optionally export DOT."""
     started = time.perf_counter()
     f = parse(formula)
-    dfa, aps = to_dfa(f, horizon)
+    dfa, aps = to_dfa(f)
     if dot_path:
         with open(dot_path, "w") as fh:
             fh.write(dfa.to_dot() + "\n")
@@ -174,7 +173,7 @@ def dfa_cmd(formula, horizon, dot_path, out, fmt, seed):
         "accepting": [int(q) for q in range(dfa.n_states) if dfa.accepting[q]],
         "atomic_predicates": [str(a) for a in aps],
     }
-    _emit(_report("dfa", {"formula": formula, "L": horizon}, _seed(seed), started, result), out, fmt)
+    _emit(_report("dfa", {"formula": formula}, _seed(seed), started, result), out, fmt)
 
 
 @cli.command("ig")

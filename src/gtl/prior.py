@@ -181,13 +181,12 @@ def _poisson_binomial_tail(probs, n: int):
 # ---------------------------------------------------------------------------
 # joint letter distribution
 
-def _letter_table(prior, aps, rows=None):
+def _letter_table(prior, aps, rows):
     """([(masses, truth)], preds) of one alphabet: the cell masses and truth
     table of the aps' atoms, and each ap as (n, rows): it holds at v when at
     least n of the nodes marked in rows[v] satisfy its atom.  A bare atom is
     1 of [v]; `rows` maps each chain to its static reach rows, so a chain
     is reached once however many alphabets share the dict."""
-    rows = {} if rows is None else rows
     own = np.eye(prior.graph.n_nodes, dtype=bool)
     preds, atoms = [], []
     for ap in aps:
@@ -316,12 +315,9 @@ def _moves(tables, m, key):
     ends = np.cumsum([masses.shape[1] for masses, _ in tables])
     moves = []
     for pattern in sorted(blocks, key=lambda pat: sum(s for s, hit in zip(signs, pat) if hit)):
-        if len(tables) == 1:
-            mass = blocks[pattern][0]
-        else:
-            mass = np.zeros((len(tables[0][0]), ends[-1]))
-            for p, block in blocks[pattern].items():
-                mass[:, ends[p] - block.shape[1]:ends[p]] = block
+        mass = np.zeros((len(tables[0][0]), ends[-1]))
+        for p, block in blocks[pattern].items():
+            mass[:, ends[p] - block.shape[1]:ends[p]] = block
         moves.append(([m - j for j, hit in zip(touch, pattern) if hit], mass))
     return moves
 
@@ -364,46 +360,21 @@ def _clip_bounds(f, L):
                                               None if b.hi is None else min(b.hi, L)))
 
 
-@dataclass
-class _Run:
-    """One formula's DFA run: the co-safe target (f itself, or !f for a
-    safe f) over the words of the node indices `nodes`; `accept` holds one
-    acceptance probability per node once `_accept` has run."""
-
-    target: Formula
-    safe: bool
-    nodes: list
-    accept: np.ndarray | None = None
-
-    def probabilities(self) -> list:
-        """Per node, P that the formula holds: the acceptance, or its
-        complement for a safe formula."""
-        probs = [float(a) for a in self.accept]
-        return [1.0 - p for p in probs] if self.safe else probs
-
-
-def _run(f, sub, nodes):
-    if not (sub.cosafe or sub.safe):
-        raise OutOfScopeError(
-            "formula is neither syntactically co-safe nor safe; its satisfaction "
-            "is not decidable on finite prefixes"
-        )
-    return _Run(f if sub.cosafe else Not(f), not sub.cosafe, nodes)
-
-
 def _probabilities(prior, formulas, nodes) -> list:
     """[{v: P(f at (v, 1))} for f in formulas].
 
     Each formula is checked, desugared, clipped to the horizon and
-    classified once.  A type-I formula is one DFA run over every node; a
+    classified once, and appends one run to a list: its co-safe target (the
+    formula, or its negation for a safe one) and the node indices whose
+    words the target reads.  A type-I formula runs over every node; a
     type-II one runs its body over the nodes its outer chain reaches and
     lifts their probabilities through a Poisson-binomial tail.  All runs are
     scored together by `_accept`.
     """
     index = [prior.graph.index_of(v) for v in nodes]
-    names = prior.graph.nodes
     rows = {}  # chain -> static reach rows, shared by every run of the call
-    parts = []  # per formula: a constant, or (run, None), or (run, (count, reached names))
+    runs = []  # (target, node indices)
+    parts = []  # per formula: a constant, or (safe, lift): lift None or (count, reach rows)
     for f in formulas:
         if not is_ground(f):
             raise UsageError("formula still has free parameters; instantiate it first")
@@ -417,72 +388,80 @@ def _probabilities(prior, formulas, nodes) -> list:
                 raise OutOfScopeError("type-II route needs a neighbor predicate at the root")
             if g.chain not in rows:
                 rows[g.chain] = _reach_rows(prior, g.chain)
-            reached = [[names[u] for u in np.flatnonzero(rows[g.chain][i])] for i in index]
-            inner = sorted({u for r in reached for u in r})
-            run = _run(g.body, classify_subtype(g.body), [prior.graph.node_index[u] for u in inner])
-            parts.append((run, (int(g.count), reached)))
+            reached = rows[g.chain][index]
+            run_nodes, lift = np.flatnonzero(reached.any(axis=0)), (int(g.count), reached)
+            g = g.body
+            sub = classify_subtype(g)
         elif sub.typeI:
-            parts.append((_run(g, sub, index), None))
+            run_nodes, lift = index, None
         else:
             raise OutOfScopeError(
                 "satisfaction probability supports only formulas whose neighbor "
                 "predicates wrap atoms, or one outer neighbor predicate over a "
                 "neighbor-free formula"
             )
-    _accept(prior, [part[0] for part in parts if isinstance(part, tuple)], rows)
+        if not (sub.cosafe or sub.safe):
+            raise OutOfScopeError(
+                "formula is neither syntactically co-safe nor safe; its satisfaction "
+                "is not decidable on finite prefixes"
+            )
+        runs.append((g if sub.cosafe else Not(g), run_nodes))
+        parts.append((not sub.cosafe, lift))
+    accepts = iter(_accept(prior, runs, rows))
     out = []
     for part in parts:
         if not isinstance(part, tuple):
             out.append(dict.fromkeys(nodes, part))
             continue
-        run, lift = part
+        safe, lift = part
+        probs = [float(a) for a in next(accepts)]
+        probs = [1.0 - p for p in probs] if safe else probs
         if lift is None:
-            out.append(dict(zip(nodes, run.probabilities())))
+            out.append(dict(zip(nodes, probs)))
             continue
         count, reached = lift
-        betas = dict(zip((names[u] for u in run.nodes), run.probabilities()))
-        out.append({v: float(_poisson_binomial_tail([betas[u] for u in r], count))
+        betas = np.zeros(prior.graph.n_nodes)
+        betas[reached.any(axis=0)] = probs
+        out.append({v: float(_poisson_binomial_tail(betas[r], count))
                     for v, r in zip(nodes, reached)})
     return out
 
 
-def _accept(prior, runs, rows):
-    """Fill every run's acceptance probabilities.
+def _accept(prior, runs, rows) -> list:
+    """Per (target, node indices) run, the acceptance probability of each of
+    its nodes' words.
 
     Runs whose targets share a skeleton (`automata.skeleton`) share one DFA
     and one backward recursion over all their (run, node) words.  Within a
     skeleton, runs whose predicates differ only in their thresholds, over
     the same nodes, share one `_letters` call with one letter table each.
-    A single run computes no skeleton key.
     """
-    if len(runs) == 1:
-        groups = [[(runs[0], None)]]
-    else:
-        by_key = {}
-        for run in runs:
-            key, aps = skeleton(run.target)
-            by_key.setdefault(key, []).append((run, aps))
-        groups = list(by_key.values())
-    for group in groups:
-        dfa, first_aps = to_dfa(group[0][0].target)  # bounds already clipped to L
-        letter_groups = {}  # (predicate shapes, nodes) -> [slots in group, tables, preds]
-        for slot, (run, aps) in enumerate(group):
-            aps = first_aps if aps is None else aps
+    groups = {}  # skeleton key -> (first target, [(run number, aps)])
+    for r, (target, _) in enumerate(runs):
+        key, aps = skeleton(target)
+        groups.setdefault(key, (target, []))[1].append((r, aps))
+    accepts = [None] * len(runs)
+    for target, group in groups.values():
+        dfa, _ = to_dfa(target)  # bounds already clipped to L
+        letter_groups = {}  # (predicate shapes, nodes) -> [slots in group, tables, preds, nodes]
+        for slot, (r, aps) in enumerate(group):
             tables, preds = _letter_table(prior, aps, rows)
+            nodes = runs[r][1]
             shape = (tuple((ap.op,) if isinstance(ap, Atom) else (ap.body.op, ap.count, ap.chain)
-                           for ap in aps), tuple(run.nodes))
-            entry = letter_groups.setdefault(shape, [[], [], preds])
+                           for ap in aps), tuple(nodes))
+            entry = letter_groups.setdefault(shape, [[], [], preds, nodes])
             entry[0].append(slot)
             entry[1] += tables
         words = [None] * len(group)
-        for slots, tables, preds in letter_groups.values():
-            stacked = _letters(tables, preds, group[slots[0]][0].nodes)
+        for slots, tables, preds, nodes in letter_groups.values():
+            stacked = _letters(tables, preds, nodes)
             per_run = stacked.reshape(len(stacked), len(slots), prior.L, stacked.shape[2])
             for p, slot in enumerate(slots):
                 words[slot] = per_run[:, p]
-        accept = _acceptance(dfa, words[0] if len(words) == 1 else np.concatenate(words))
-        for (run, _), end in zip(group, np.cumsum([len(w) for w in words])):
-            run.accept = accept[end - len(run.nodes):end]
+        accept, start = _acceptance(dfa, np.concatenate(words)), 0
+        for (r, _), w in zip(group, words):
+            accepts[r], start = accept[start:start + len(w)], start + len(w)
+    return accepts
 
 
 def _acceptance(dfa, words) -> np.ndarray:

@@ -214,7 +214,7 @@ def letter_oracle(prior, aps, v, k):
 def letter_distribution(prior, aps, v, k):
     """The joint letter distribution at (v, k): the letter DP of `_letters`
     on time k's cell masses alone."""
-    [(masses, truth)], preds = _letter_table(prior, aps)
+    [(masses, truth)], preds = _letter_table(prior, aps, {})
     return _letters([(masses[:, k - 1:k], truth)], preds, [prior.graph.index_of(v)])[0, 0]
 
 

@@ -92,8 +92,8 @@ def test_c2_sat_agrees_with_dfa(capsys):
     bad = 0
     for _ in range(250):
         f = random_formula(rng, depth=3)
-        dfa, aps = to_dfa(f, L=4)
-        ndfa, naps = to_dfa(Not(f), L=4)
+        dfa, aps = to_dfa(f)
+        ndfa, naps = to_dfa(Not(f))
         for _ in range(10):
             traj = random_trajectory(rng, g, L=4)
             for v in ("a", "b"):

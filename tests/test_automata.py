@@ -1,14 +1,13 @@
 """DFA construction by formula progression, word generation, soundness."""
 
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
 
 import gtl.automata
 from gtl.cli import main
-from gtl.errors import InputError, OutOfScopeError, UsageError
+from gtl.errors import OutOfScopeError, UsageError
 from gtl.automata import extract_aps, label_word, minimize, to_dfa
 from gtl.formula import Not, parse, print_formula
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
@@ -56,7 +55,7 @@ class TestToDfa:
         assert not dfa.run_word([0, 1, 1])
 
     def test_bounded_eventually_enumeration(self):
-        dfa, aps = to_dfa(parse("F[<=1] x >= 1"), L=2)
+        dfa, aps = to_dfa(parse("F[<=1] x >= 1"))
         for w in [[0, 0], [0, 1], [1, 0], [1, 1]]:
             assert dfa.run_word(w) == (w[0] == 1 or w[1] == 1)
 
@@ -81,11 +80,6 @@ class TestToDfa:
         with pytest.raises(UsageError):
             to_dfa(parse("x <= ?c"))
 
-    @pytest.mark.parametrize("L", [0, -2])
-    def test_horizon_below_one_rejected(self, L):
-        with pytest.raises(InputError, match="horizon"):
-            to_dfa(parse("F[<=1] x >= 1"), L)
-
     def test_transitions_total(self):
         dfa, aps = to_dfa(parse("x <= 0 U F[<=2] x >= 1"))
         assert dfa.transitions.shape == (dfa.n_states, 2 ** len(aps))
@@ -95,10 +89,10 @@ class TestToDfa:
 
 class TestSoundness:
     def _check(self, traj, f, v):
-        dfa, aps = to_dfa(f, L=traj.L)
+        dfa, aps = to_dfa(f)
         word = label_word(traj, v, aps)
         assert dfa.run_word(word) == sat(traj, f, v, 1), str(f)
-        ndfa, naps = to_dfa(Not(f), L=traj.L)
+        ndfa, naps = to_dfa(Not(f))
         nword = label_word(traj, v, naps)
         assert ndfa.run_word(nword) == (not sat(traj, f, v, 1)), str(f)
 
@@ -133,7 +127,7 @@ class TestMinimize:
         rng = np.random.default_rng(9)
         for _ in range(40):
             f = random_formula(rng, depth=3, allow_exists=False)
-            dfa, aps = to_dfa(f, L=4)
+            dfa, aps = to_dfa(f)
             small = minimize(dfa)
             assert small.n_states <= dfa.n_states
             for _ in range(20):
@@ -169,7 +163,7 @@ class _Forgetful(dict):
 class TestProgressionMemo:
     def test_memo_changes_no_automaton(self, monkeypatch):
         formulas = [g for f in c2_formulas(50) for g in (f, Not(f))]
-        built = [to_dfa(f, L=4) for f in formulas]
+        built = [to_dfa(f) for f in formulas]
         init = gtl.automata._Progression.__init__
 
         def forgetful_init(self, ap_bits):
@@ -178,7 +172,7 @@ class TestProgressionMemo:
 
         monkeypatch.setattr(gtl.automata._Progression, "__init__", forgetful_init)
         for f, (dfa, aps) in zip(formulas, built):
-            ref, ref_aps = to_dfa(f, L=4)
+            ref, ref_aps = to_dfa(f)
             assert aps == ref_aps, str(f)
             assert np.array_equal(dfa.transitions, ref.transitions), str(f)
             assert np.array_equal(dfa.accepting, ref.accepting), str(f)
@@ -199,16 +193,14 @@ class TestProgressionMemo:
 
 
 def c2_corpus_sha256():
-    """sha256 over the DOT text and the atomic predicates of to_dfa(f, L=4)
-    and to_dfa(Not(f), L=4) for the 250 C2 formulas."""
+    """sha256 over the DOT text and the atomic predicates of to_dfa(f)
+    and to_dfa(Not(f)) for the 250 C2 formulas."""
     h = hashlib.sha256()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # bounds above L are clipped
-        for f in c2_formulas(250):
-            for g in (f, Not(f)):
-                dfa, aps = to_dfa(g, L=4)
-                h.update(dfa.to_dot().encode() + b"\n")
-                h.update("".join(f"{ap}\n" for ap in aps).encode())
+    for f in c2_formulas(250):
+        for g in (f, Not(f)):
+            dfa, aps = to_dfa(g)
+            h.update(dfa.to_dot().encode() + b"\n")
+            h.update("".join(f"{ap}\n" for ap in aps).encode())
     return h.hexdigest()
 
 
@@ -220,7 +212,7 @@ def test_c2_corpus_automata_unchanged():
     assert c2_corpus_sha256() == C2_CORPUS_SHA256
 
 
-# sha256 of `gtl dfa --L 12 --dot` output for the ten built-in shapes at
+# sha256 of `gtl dfa --dot` output for the ten built-in shapes at
 # i1=2, i2=8, i3=3, N=2, d=1.5, c=0.11, a=0.125 (type-II shapes: their body),
 # recorded before progression was memoized
 BUILTIN_DOT_SHA256 = {
@@ -250,6 +242,6 @@ BUILTIN_DOT_SHA256 = {
 @pytest.mark.parametrize("text", sorted(BUILTIN_DOT_SHA256))
 def test_builtin_shape_dot_unchanged(text, tmp_path):
     dot = tmp_path / "dfa.dot"
-    assert main(["dfa", "--formula", text, "--L", "12", "--dot", str(dot),
+    assert main(["dfa", "--formula", text, "--dot", str(dot),
                  "--out", str(tmp_path / "report.json")]) == 0
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == BUILTIN_DOT_SHA256[text]

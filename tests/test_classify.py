@@ -245,6 +245,14 @@ class TestPso:
             warm_starts=({"c": 5.0},))
         assert mr == 0.0 and theta["c"] == 5.0
 
+    def test_warm_starts_from_a_generator(self):
+        # the starts are validated and then placed: a generator must serve both
+        data, cfg = threshold_data(), PsoConfig(swarm=2, iterations=0, seed=4)
+        listed = pso_minimize_mr(g_template(), data, cfg, warm_starts=[{"c": 5.0}])
+        generated = pso_minimize_mr(g_template(), data, cfg,
+                                    warm_starts=({"c": 5.0} for _ in range(1)))
+        assert generated == listed == ({"c": 5.0}, 0.0)
+
 
 class TestInferClassifier:
     def test_single_primitive_suffices(self):
@@ -297,6 +305,23 @@ class TestInferClassifier:
         assert res.formula is not None  # best effort is still returned
         assert formula_size(res.formula) <= 1
         assert res.stage1
+
+    def test_no_candidate_within_eta(self):
+        # every primitive has size 2 > eta_th, yet some fits mhat_th
+        t = Template(parse("G (x <= ?c & x >= ?d & x <= ?e)"),
+                     {n: ParamSpec(0.0, 10.0, "continuous") for n in "cde"})
+        res = infer_classifier(threshold_data(), [t], eta_th=1, mhat_th=0.9)
+        assert (res.success, res.formula, res.train_mr, res.size) == (False, None, 1.0, 0)
+        assert len(res.stage1) == 2 and min(row["mr"] for row in res.stage1) < 0.9
+
+    def test_no_survivor_reports_its_best_primitive(self):
+        data = threshold_data()
+        bad = Template(parse("G x <= ?c"), {"c": ParamSpec(0.0, 1.0, "continuous")})
+        res = infer_classifier(data, [bad], m_th=0.0, mhat_th=0.01,
+                               cfg=PsoConfig(seed=8, iterations=10))
+        assert min(row["mr"] for row in res.stage1) >= 0.01  # nothing is kept to grow
+        assert not res.success and res.size == 0
+        assert res.train_mr == misclassification_rate(data, res.formula) == 0.5
 
     def test_threshold_validation(self):
         data = threshold_data(n=1)

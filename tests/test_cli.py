@@ -139,11 +139,12 @@ class TestDfaIg:
         assert rep["result"]["states"] >= 2
         assert dot.read_text().startswith("digraph")
 
-    @pytest.mark.parametrize("horizon", ["0", "-2"])
-    def test_dfa_horizon_below_one_exit_one(self, horizon, capsys):
+    @pytest.mark.parametrize("horizon", ["0", "-2", "2"])
+    def test_dfa_horizon_option_gone_exit_one(self, horizon, capsys):
+        # the automaton does not depend on the horizon, so `gtl dfa` takes none
         code = main(["dfa", "--formula", "F[<=1] x >= 1", "--L", horizon])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error [input]: horizon L must be >= 1")
+        assert re.search(r"No such option:? '?--L", capsys.readouterr().err)  # click words vary
 
     def test_dfa_state_cap_exit_one(self, capsys):
         code = main(["dfa", "--formula", "F[<=100000] x <= 1"])
@@ -271,6 +272,20 @@ class TestClassify:
                      "--templates", str(workspace["templates"])])
         assert code == 1
         assert "error [input]" in capsys.readouterr().err
+
+    def test_no_candidate_within_eta_exit_two(self, workspace, capsys):
+        save_templates(workspace["templates"], [
+            Template(parse("G (x <= ?c & x >= ?d & x <= ?e)"),
+                     {n: ParamSpec(0.0, 2.0, "continuous") for n in "cde"})])
+        code = main(["classify", "--trajectories", str(workspace["trajs"]),
+                     "--templates", str(workspace["templates"]),
+                     "--eta", "1", "--mhat", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error [infeasible]: no formula reached MR <= 0.02")
+        result = json.loads(captured.out)["result"]
+        assert (result["success"], result["formula"], result["train_mr"], result["size"]) == \
+            (False, None, 1.0, 0)
 
     def test_failure_exit_two(self, workspace, capsys):
         save_templates(workspace["templates"], [

@@ -191,7 +191,7 @@ class TestLetterDistribution:
         for seed in range(5):
             prior = two_bin_prior(g, 4, rng_np=np.random.default_rng(seed),
                                   edge_labels={"e1": 1.0, "e2": 2.0})
-            table = gtl.prior._letter_table(prior, aps)
+            table = gtl.prior._letter_table(prior, aps, {})
             for vi, v in enumerate(g.nodes):
                 full = gtl.prior._letters(*table, [vi])[0]
                 for k in range(1, prior.L + 1):
@@ -318,7 +318,7 @@ class TestBatchedLetters:
     """The batched (node, time) DP against the per-node DP, bit for bit."""
 
     def check(self, prior, aps):
-        table = gtl.prior._letter_table(prior, aps)
+        table = gtl.prior._letter_table(prior, aps, {})
         nodes = list(range(prior.graph.n_nodes))
         got = gtl.prior._letters(*table, nodes)
         for vi in nodes:
@@ -351,7 +351,7 @@ class TestBatchedLetters:
                          [(f"e{i}", "h", v) for i, v in enumerate("pqrs")])
         prior = three_bin_prior(g, 3, np.random.default_rng(9), {f"e{i}": 1.0 for i in range(4)})
         aps = [parse(t) for t in ["E 4 via (y <= 1) : x >= 0.5", "E 4 via (y <= 1) : x <= 1.2"]]
-        table = gtl.prior._letter_table(prior, aps)
+        table = gtl.prior._letter_table(prior, aps, {})
         monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 24)  # the hub needs 25, a leaf 4
         with pytest.warns(UserWarning, match="independence") as caught:
             got = gtl.prior._letters(*table, [0, 1, 2, 3, 4])
@@ -568,8 +568,8 @@ def probabilities_one_by_one(prior, f, nodes):
 
 
 def inner_one_by_one(prior, f, sub, nodes):
-    dfa, aps = to_dfa(f if sub.cosafe else Not(f), prior.L)
-    letters = gtl.prior._letters(*gtl.prior._letter_table(prior, aps),
+    dfa, aps = to_dfa(f if sub.cosafe else Not(f))
+    letters = gtl.prior._letters(*gtl.prior._letter_table(prior, aps, {}),
                                  [prior.graph.node_index[v] for v in nodes])
     probs = {}
     for v, word in zip(nodes, letters):
@@ -626,8 +626,8 @@ class TestFrontScoring:
                                 {e: float(rng.choice([1.0, 2.0])) for e in g.edges})
         built = []
 
-        def recording_to_dfa(f, L=None):
-            out = to_dfa(f, L)
+        def recording_to_dfa(f):
+            out = to_dfa(f)
             built.append(out[0])
             return out
 
@@ -694,16 +694,6 @@ class TestFrontScoring:
         for f, rep in zip(formulas, reports):
             assert rep.probabilities == probabilities_one_by_one(prior, f, list(g.nodes)), str(f)
 
-    def test_one_formula_computes_no_skeleton_key(self, monkeypatch):
-        def failing(f):
-            raise AssertionError("skeleton key computed for a single formula")
-
-        monkeypatch.setattr(gtl.prior, "skeleton", failing)
-        g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
-        prior = two_bin_prior(g, 3, rng_np=np.random.default_rng(3))
-        compute_ig(prior, parse("G (x >= 1 -> F[<=1] E 1 via (y <= 1) : x <= 0.5)"))
-        compute_ig(prior, parse("E 1 via (y <= 1) : F x >= 1"))
-
 
 class TestClippedBounds:
     """Words have length L, so the prior route lowers every time bound
@@ -714,7 +704,6 @@ class TestClippedBounds:
               "G (x >= 1 -> F[<=?b] E 1 via (y <= 1) : x <= 0.5)",
               "E 1 via (y <= 1) : F[<=?b] x >= 0.8"]
 
-    @pytest.mark.filterwarnings("ignore:time bound")  # the unbatched oracle keeps its bounds
     @pytest.mark.parametrize("seed", range(4))
     def test_bounds_past_the_horizon_equal_the_horizon(self, seed):
         rng = np.random.default_rng(700 + seed)
@@ -733,8 +722,8 @@ class TestClippedBounds:
     def test_long_bound_builds_a_small_automaton(self, monkeypatch):
         built = []
 
-        def recording_to_dfa(f, L=None):
-            out = to_dfa(f, L)
+        def recording_to_dfa(f):
+            out = to_dfa(f)
             built.append(out[0].n_states)
             return out
 
@@ -743,8 +732,7 @@ class TestClippedBounds:
         rep = compute_ig(prior, parse("F[<=3000] x <= 1"))
         assert rep.probabilities == compute_ig(prior, parse("F[<=4] x <= 1")).probabilities
         assert built[0] == built[1] < 10
-        with pytest.warns(UserWarning, match="exceeds horizon"):
-            unclipped, _ = to_dfa(parse("F[<=30] x <= 1"), prior.L)  # to_dfa keeps its bounds
+        unclipped, _ = to_dfa(parse("F[<=30] x <= 1"))  # to_dfa keeps its bounds
         assert unclipped.n_states > 30
 
 

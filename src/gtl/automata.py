@@ -324,14 +324,7 @@ def to_dfa(f: Formula) -> tuple[Dfa, list[Formula]]:
     aps = extract_aps(f)
     prog = _Progression({ap: i for i, ap in enumerate(aps)})
     n_letters = 1 << len(aps)
-
-    if isinstance(f, TrueF):
-        init = TRUE_DNF
-    elif isinstance(f, FalseF):
-        init = FALSE_DNF
-    else:
-        init = _lit(f)
-
+    init = _lit(f)
     states = {init: 0}
     order = [init]
     trans = []

@@ -87,8 +87,16 @@ class LabeledGraph:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LabeledGraph":
         try:
-            nodes = list(d["nodes"])
-            edges = [(e["id"], e["ends"][0], e["ends"][1]) for e in d["edges"]]
+            nodes = d["nodes"]
+            if not isinstance(nodes, list):
+                raise InputError(f"malformed graph JSON: 'nodes' must be a list, got {nodes!r}")
+            edges = []
+            for e in d["edges"]:
+                ends = e["ends"]
+                if not isinstance(ends, list) or len(ends) != 2:
+                    raise InputError(f"malformed graph JSON: 'ends' of edge {e['id']!r} must "
+                                     f"list two node ids, got {ends!r}")
+                edges.append((e["id"], *ends))
         except _MALFORMED as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
         if not all(isinstance(x, str) for x in nodes + [x for e in edges for x in e]):
@@ -162,25 +170,19 @@ class GraphTemporalTrajectory:
     def from_json_dict(cls, d: Mapping, graph: LabeledGraph | None = None) -> "GraphTemporalTrajectory":
         if not isinstance(d, Mapping):
             raise InputError("malformed trajectory JSON: expected an object")
+        g = d.get("graph")
+        inline = (load_graph(g) if isinstance(g, str)
+                  else LabeledGraph.from_json_dict(g) if isinstance(g, Mapping) else None)
         if graph is None:
-            g = d.get("graph")
-            if isinstance(g, str):
-                graph = load_graph(g)
-            elif isinstance(g, Mapping):
-                graph = LabeledGraph.from_json_dict(g)
-            else:
+            if inline is None:
                 raise InputError("trajectory JSON carries no graph and none was supplied")
+            graph = inline
+        elif inline is not None and inline.to_json_dict() != graph.to_json_dict():
+            raise InputError("trajectory's inline 'graph' differs from the graph it is read on")
         try:
-            L = int(d["L"])
-            node_labels = np.array([d["node_labels"][v] for v in graph.nodes], dtype=float).reshape(
-                graph.n_nodes, L
-            )
-            if graph.n_edges:
-                edge_labels = np.array([d["edge_labels"][e] for e in graph.edges], dtype=float).reshape(
-                    graph.n_edges, L
-                )
-            else:
-                edge_labels = np.zeros((0, L))
+            L = _json_int(d["L"], "trajectory 'L'")
+            node_labels = _label_rows(d, "node_labels", graph.nodes, L)
+            edge_labels = _label_rows(d, "edge_labels", graph.edges, L)
         except _MALFORMED as exc:
             raise InputError(f"malformed trajectory JSON: {exc}") from exc
         label = d.get("label")
@@ -193,6 +195,46 @@ class GraphTemporalTrajectory:
     def __repr__(self):
         tag = "" if self.label is None else f", label={self.label:+d}"
         return f"GraphTemporalTrajectory(L={self.L}{tag})"
+
+
+def _json_int(value, what):
+    """A JSON integer field as an int, 2.0 read as 2; a bool, a string or a
+    fraction is an input error."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return int(value)
+
+
+def _json_real(value, what):
+    """A JSON number field as a float; a bool or a string is an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _label_rows(d, key, ids, L):
+    """(len(ids), L) labels from the JSON object d[key], which holds one row
+    of L numbers per id and no other key.  The key may be absent when ids
+    is empty."""
+    table = d[key] if ids or key in d else {}
+    if not isinstance(table, Mapping):
+        raise InputError(f"malformed trajectory JSON: {key!r} must be an object keyed by id")
+    unknown = sorted(set(table) - set(ids))
+    if unknown:
+        raise InputError(f"malformed trajectory JSON: {key!r} has a row for unknown id "
+                         f"{unknown[0]!r}")
+    rows = []
+    for v in ids:
+        if v not in table:
+            raise InputError(f"malformed trajectory JSON: {key!r} has no row for {v!r}")
+        row = table[v]
+        if not (isinstance(row, list) and len(row) == L
+                and all(type(x) in (int, float) for x in row)):
+            raise InputError(f"malformed trajectory JSON: {key}[{v!r}] must list L = {L} "
+                             "numbers")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(ids), L)
 
 
 def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeAtom]) -> np.ndarray:

@@ -12,7 +12,9 @@ real line into cells at its thresholds, which gives every node an
 counts each predicate's successes and yields an (L, letters) array per node.
 An outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
 through a Poisson-binomial tail.  Information gain is reported in nats per
-time step.
+time step.  Co-safe, safe and constant formulas alike are scored through
+their own automaton, which accepts a word of length L exactly when the
+formula holds on it.
 
 Several formulas, such as the points of an identification front, are
 scored in one call: formulas whose automata share a skeleton (the formula
@@ -34,10 +36,10 @@ import numpy as np
 from .automata import skeleton, to_dfa
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
-    Atom, Bound, Exists, FalseF, Formula, Not, Param, TrueF, _children, _keep, _rebuild,
-    classify_subtype, desugar, is_ground,
+    Atom, Bound, Exists, Formula, Param, _children, _keep, _rebuild, classify_subtype, desugar,
+    is_ground,
 )
-from .graph import _MALFORMED, LabeledGraph, _read_json, reach
+from .graph import _MALFORMED, LabeledGraph, _json_int, _json_real, _read_json, reach
 
 #: running totals: readers take differences across the work they measure
 counters = {"transition_evals": 0}
@@ -100,9 +102,14 @@ class PriorModel:
     @classmethod
     def from_json_dict(cls, d, graph: LabeledGraph) -> "PriorModel":
         try:
-            L = int(d["L"])
-            bins = tuple((float(lo), float(hi)) for lo, hi in d["bins"])
-            edge_labels = {str(k): float(x) for k, x in d["edge_labels"].items()}
+            L = _json_int(d["L"], "prior 'L'")
+            bins = tuple((_json_real(lo, "a prior bin end"), _json_real(hi, "a prior bin end"))
+                         for lo, hi in d["bins"])
+            edge_labels = {k: _json_real(x, f"prior edge label {k!r}")
+                           for k, x in d["edge_labels"].items()}
+            unknown = sorted(set(edge_labels) - set(graph.edges))
+            if unknown:
+                raise InputError(f"prior 'edge_labels' names unknown edge {unknown[0]!r}")
             pmf = {v: np.asarray(rows, dtype=float) for v, rows in d.get("pmf", {}).items()}
             default = d.get("default_pmf")
             default = np.asarray(default, dtype=float) if default is not None else None
@@ -364,24 +371,21 @@ def _probabilities(prior, formulas, nodes) -> list:
     """[{v: P(f at (v, 1))} for f in formulas].
 
     Each formula is checked, desugared, clipped to the horizon and
-    classified once, and appends one run to a list: its co-safe target (the
-    formula, or its negation for a safe one) and the node indices whose
-    words the target reads.  A type-I formula runs over every node; a
-    type-II one runs its body over the nodes its outer chain reaches and
-    lifts their probabilities through a Poisson-binomial tail.  All runs are
-    scored together by `_accept`.
+    classified once, and appends one run to a list: its target and the node
+    indices whose words the target reads.  A type-I formula is its own
+    target and runs over every node; a type-II one runs its body over the
+    nodes its outer chain reaches and lifts their probabilities through a
+    Poisson-binomial tail.  Co-safe, safe and constant targets all take
+    this one route.  All runs are scored together by `_accept`.
     """
     index = [prior.graph.index_of(v) for v in nodes]
     rows = {}  # chain -> static reach rows, shared by every run of the call
     runs = []  # (target, node indices)
-    parts = []  # per formula: a constant, or (safe, lift): lift None or (count, reach rows)
+    parts = []  # per formula: its lift, None or (count, reach rows)
     for f in formulas:
         if not is_ground(f):
             raise UsageError("formula still has free parameters; instantiate it first")
         g = _clip_bounds(desugar(f), prior.L)
-        if isinstance(g, (TrueF, FalseF)):
-            parts.append(1.0 if isinstance(g, TrueF) else 0.0)
-            continue
         sub = classify_subtype(g)
         if sub.typeII:
             if not isinstance(g, Exists):
@@ -405,17 +409,11 @@ def _probabilities(prior, formulas, nodes) -> list:
                 "formula is neither syntactically co-safe nor safe; its satisfaction "
                 "is not decidable on finite prefixes"
             )
-        runs.append((g if sub.cosafe else Not(g), run_nodes))
-        parts.append((not sub.cosafe, lift))
-    accepts = iter(_accept(prior, runs, rows))
+        runs.append((g, run_nodes))
+        parts.append(lift)
     out = []
-    for part in parts:
-        if not isinstance(part, tuple):
-            out.append(dict.fromkeys(nodes, part))
-            continue
-        safe, lift = part
-        probs = [float(a) for a in next(accepts)]
-        probs = [1.0 - p for p in probs] if safe else probs
+    for lift, accept in zip(parts, _accept(prior, runs, rows)):
+        probs = [float(a) for a in accept]
         if lift is None:
             out.append(dict(zip(nodes, probs)))
             continue
@@ -503,8 +501,9 @@ def _info_gains(prior, formulas, nodes=None) -> list:
         raise UsageError("empty node subset")
     reports = []
     for probs in _probabilities(prior, formulas, nodes):
-        # P = 1 exactly (tautologies among them) gains 0, not -0
-        igs = {v: 0.0 if p <= 0.0 or p == 1.0 else -math.log(p) / prior.L
+        # P = 1 (tautologies among them) gains 0, not -0, and so does a P
+        # rounded a few ulps above 1
+        igs = {v: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p) / prior.L
                for v, p in probs.items()}
         reports.append(InfoGainReport(probabilities=probs, info_gain=igs,
                                       average_ig=sum(igs.values()) / len(nodes)))

@@ -17,7 +17,7 @@ from .formula import (
     _MAX_INT, Formula, _checked_value, _map_params, desugar, free_parameters, instantiate, parse,
     print_formula,
 )
-from .graph import _MALFORMED, _read_json
+from .graph import _MALFORMED, _json_real, _read_json
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ class Template:
         try:
             f = parse(d["formula"])
             box = {
-                n: ParamSpec(float(s["min"]), float(s["max"]), s.get("kind", "continuous"))
+                n: ParamSpec(_json_real(s["min"], f"'min' of parameter {n!r}"),
+                             _json_real(s["max"], f"'max' of parameter {n!r}"),
+                             s.get("kind", "continuous"))
                 for n, s in d["params"].items()
             }
         except _MALFORMED as exc:

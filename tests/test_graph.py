@@ -215,3 +215,60 @@ class TestIO:
         tpath.write_text(json.dumps([d]))
         with pytest.raises(InputError):
             load_trajectories(tpath)
+
+
+class TestStrictReaders:
+    """Malformed graph and trajectory documents are input errors that name
+    the offending key, not coerced into something readable."""
+
+    def doc(self):
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        return GraphTemporalTrajectory(g, [[0.5, 1.5], [1.0, 2.0]], [[1.0, 1.0]]).to_json_dict()
+
+    def test_edge_with_three_ends(self):
+        d = {"nodes": ["a", "b", "c"], "edges": [{"id": "e1", "ends": ["a", "b", "c"]}]}
+        with pytest.raises(InputError, match="'ends' of edge 'e1'"):
+            LabeledGraph.from_json_dict(d)
+
+    def test_nodes_must_be_a_list(self):
+        with pytest.raises(InputError, match="'nodes'"):
+            LabeledGraph.from_json_dict({"nodes": "ab", "edges": []})
+
+    @pytest.mark.parametrize("L", [2.5, "2", True])
+    def test_horizon_must_be_a_json_integer(self, L):
+        d = self.doc()
+        d["L"] = L
+        with pytest.raises(InputError, match="trajectory 'L'"):
+            GraphTemporalTrajectory.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["node_labels", "edge_labels"])
+    def test_row_for_unknown_id(self, key):
+        d = self.doc()
+        d[key]["zzz"] = [0.0, 0.0]
+        with pytest.raises(InputError, match=f"'{key}' has a row for unknown id 'zzz'"):
+            GraphTemporalTrajectory.from_json_dict(d)
+
+    @pytest.mark.parametrize("key, v", [("node_labels", "a"), ("edge_labels", "e1")])
+    def test_missing_row_names_its_id(self, key, v):
+        d = self.doc()
+        del d[key][v]
+        with pytest.raises(InputError, match=f"'{key}' has no row for '{v}'"):
+            GraphTemporalTrajectory.from_json_dict(d)
+
+    @pytest.mark.parametrize("row", [[0.5], [0.5, 1.5, 2.0], [0.5, "1.5"], [0.5, True]])
+    def test_row_of_the_wrong_length_or_type(self, row):
+        d = self.doc()
+        d["node_labels"]["b"] = row
+        with pytest.raises(InputError, match=r"node_labels\['b'\] must list L = 2 numbers"):
+            GraphTemporalTrajectory.from_json_dict(d)
+
+    def test_later_inline_graph_must_match_the_first(self, tmp_path):
+        first, later = self.doc(), self.doc()
+        later["graph"]["nodes"] = ["b", "a"]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps([first, later]))
+        with pytest.raises(InputError, match="inline 'graph' differs"):
+            load_trajectories(path)
+        later["graph"] = first["graph"]  # a repeated equal graph is fine
+        path.write_text(json.dumps([first, later]))
+        assert len(load_trajectories(path)) == 2

@@ -11,7 +11,7 @@ import gtl.prior
 from gtl.automata import Dfa, skeleton, to_dfa
 from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.formula import (
-    Atom, EdgeAtom, Exists, FalseF, Not, TrueF, classify_subtype, desugar, instantiate, parse,
+    Atom, EdgeAtom, Exists, FalseF, TrueF, classify_subtype, desugar, instantiate, parse,
 )
 from gtl.graph import LabeledGraph, reach
 from gtl.prior import (
@@ -80,6 +80,21 @@ class TestPriorModel:
         back = load_prior(path, prior.graph)
         assert back.bins == prior.bins and back.L == prior.L
         assert np.allclose(back.node_pmf("a"), prior.node_pmf("a"))
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("L", 2.5, "prior 'L' must be a JSON integer"),
+        ("L", True, "prior 'L' must be a JSON integer"),
+        ("L", "2", "prior 'L' must be a JSON integer"),
+        ("edge_labels", {"e1": 1.0, "e9": 1.0}, "unknown edge 'e9'"),
+        ("edge_labels", {"e1": "1.0"}, "prior edge label 'e1' must be a JSON number"),
+        ("bins", [[0, 1], [1, "2"]], "bin end must be a JSON number"),
+    ])
+    def test_json_fields_are_not_coerced(self, key, value, match):
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        d = two_bin_prior(g, 2).to_json_dict()
+        d[key] = value
+        with pytest.raises(InputError, match=match):
+            PriorModel.from_json_dict(d, g)
 
 
 class TestAtomProbability:
@@ -443,6 +458,29 @@ class TestSatisfactionProbability:
                 assert got == pytest.approx(want[v], abs=1e-10), (text, v)
                 assert probs[v] == got, (text, v)
 
+    @pytest.mark.parametrize("text", [
+        "G x >= 1",
+        "G x >= 1 & G[<=2] E 1 via (y <= 1) : x >= 1",
+        "G E 1 via (y <= 1) : x >= 1",
+        "E 1 via (y <= 1) : G x >= 1",  # type-II, safe body
+    ])
+    def test_small_safe_probabilities_to_relative_precision(self, text):
+        # P below 1e-6, where an absolute tolerance sees nothing: every
+        # digit of P must match the oracle, not only those above 1e-16
+        g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
+        rng = np.random.default_rng(19)
+        L = 5
+        high = rng.uniform(0.005, 0.03, size=(2, L))
+        prior = PriorModel(g, L, ((0.0, 1.0), (1.0, 2.0)),
+                           {v: np.stack([1 - h, h], axis=1) for v, h in zip(g.nodes, high)},
+                           {"e1": 1.0})
+        f = parse(text)
+        want = prob_oracle_all(prior, f)
+        probs = compute_ig(prior, f).probabilities
+        for v in g.nodes:
+            assert 0.0 < want[v] < 1e-6, (text, v)
+            assert probs[v] == pytest.approx(want[v], rel=1e-9, abs=0.0), (text, v)
+
     def test_type_two_out_of_scope_body_rejected_at_every_node(self):
         # c reaches nothing, yet the body is still neither co-safe nor safe
         g = LabeledGraph(["a", "b", "c"], [("e1", "a", "b")])
@@ -486,7 +524,7 @@ class TestCounters:
 
 class TestOneRoute:
     @pytest.mark.parametrize("text", [
-        "G (x >= 1 -> F[<=1] x <= 0.5)",  # type-I, safe: the DFA of its negation
+        "G (x >= 1 -> F[<=1] x <= 0.5)",  # type-I, safe
         "F E 1 via (y <= 1) : x >= 1",  # type-I with a neighbor letter
         "E 1 via (y <= 1) : G x <= 1.5",  # type-II: one DFA for every reached node
     ])
@@ -557,18 +595,17 @@ def probabilities_one_by_one(prior, f, nodes):
         return dict.fromkeys(nodes, float(isinstance(g, TrueF)))
     sub = classify_subtype(g)
     if not sub.typeII:
-        return inner_one_by_one(prior, g, sub, nodes)
+        return inner_one_by_one(prior, g, nodes)
     rows, names = gtl.prior._reach_rows(prior, g.chain), prior.graph.nodes
     reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
                for v in nodes}
-    betas = inner_one_by_one(prior, g.body, classify_subtype(g.body),
-                             sorted({u for r in reached.values() for u in r}))
+    betas = inner_one_by_one(prior, g.body, sorted({u for r in reached.values() for u in r}))
     return {v: float(gtl.prior._poisson_binomial_tail([betas[u] for u in r], int(g.count)))
             for v, r in reached.items()}
 
 
-def inner_one_by_one(prior, f, sub, nodes):
-    dfa, aps = to_dfa(f if sub.cosafe else Not(f))
+def inner_one_by_one(prior, f, nodes):
+    dfa, aps = to_dfa(f)
     letters = gtl.prior._letters(*gtl.prior._letter_table(prior, aps, {}),
                                  [prior.graph.node_index[v] for v in nodes])
     probs = {}
@@ -577,17 +614,13 @@ def inner_one_by_one(prior, f, sub, nodes):
         for row in word[::-1]:
             u = u[dfa.transitions] @ row
         probs[v] = float(u[dfa.initial])
-    return probs if sub.cosafe else {v: 1.0 - p for v, p in probs.items()}
+    return probs
 
 
 def scored_target(f):
     """The formula whose DFA the prior route runs for f."""
     g = desugar(f)
-    sub = classify_subtype(g)
-    if sub.typeII:
-        g = g.body
-        sub = classify_subtype(g)
-    return g if sub.cosafe else Not(g)
+    return g.body if classify_subtype(g).typeII else g
 
 
 # front-scoring templates: free time bounds and counts span several
@@ -751,6 +784,29 @@ class TestInfoGain:
         assert rep.average_ig == pytest.approx(-math.log(0.75) / 2, abs=1e-12)
         assert rep.probabilities["a"] == pytest.approx(0.75, abs=1e-12)
         assert rep.units == "nats per time step"
+
+    @pytest.mark.parametrize("text, nodes", [
+        ("G x >= 1", ["a"]),
+        ("E 1 via (y <= 1) : G x >= 1", ["a", "b"]),  # type-II, safe body
+    ])
+    def test_safe_formula_keeps_its_small_probability(self, text, nodes):
+        # P(x >= 1) = 0.1 at every step, so P = 1e-20 and IG = ln 10: far
+        # below the 1e-16 that a complement 1 - P(not g) can resolve
+        g = LabeledGraph(nodes, [("e1", "a", "b")] if len(nodes) == 2 else [])
+        prior = PriorModel(g, 20, ((0.0, 1.0), (1.0, 2.0)), {}, dict.fromkeys(g.edges, 1.0),
+                           default_pmf=np.array([0.9, 0.1]))
+        rep = compute_ig(prior, parse(text))
+        for v in nodes:
+            assert rep.probabilities[v] == pytest.approx(1e-20, rel=1e-12), v
+            assert rep.info_gain[v] == pytest.approx(math.log(10), rel=1e-12), v
+
+    def test_probability_rounded_above_one_gains_zero(self, monkeypatch):
+        # a P a few ulps above 1 would give an IG of about -1e-16
+        monkeypatch.setattr(gtl.prior, "_probabilities",
+                            lambda prior, formulas, nodes: [{"a": 1.0 + 2.2e-15}])
+        rep = compute_ig(one_node_prior(), parse("G x <= 1.5"))
+        assert rep.info_gain == {"a": 0.0}
+        assert math.copysign(1.0, rep.average_ig) == 1.0
 
     def test_zero_probability_zero_ig(self):
         prior = one_node_prior()

@@ -120,6 +120,14 @@ class TestTemplate:
         with pytest.raises(InputError, match="name"):
             Template.from_json_dict(doc)
 
+    @pytest.mark.parametrize("end", ["min", "max"])
+    @pytest.mark.parametrize("value", ["0", False])
+    def test_range_end_must_be_a_json_number(self, end, value):
+        params = {"c": {"min": 0, "max": 1}}
+        params["c"][end] = value
+        with pytest.raises(InputError, match=f"'{end}' of parameter 'c' must be a JSON number"):
+            Template.from_json_dict({"formula": "F x >= ?c", "params": params})
+
 
 class TestBuiltinLibrary:
     def test_counts_and_names(self):

@@ -9,7 +9,8 @@ to share between threads.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Sequence
+import reprlib
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -17,9 +18,6 @@ from .errors import InputError, RangeError
 
 if TYPE_CHECKING:
     from .formula import EdgeAtom
-
-#: what reading a JSON document of the wrong shape raises
-_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class LabeledGraph:
@@ -85,22 +83,10 @@ class LabeledGraph:
         }
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "LabeledGraph":
-        try:
-            nodes = d["nodes"]
-            if not isinstance(nodes, list):
-                raise InputError(f"malformed graph JSON: 'nodes' must be a list, got {nodes!r}")
-            edges = []
-            for e in d["edges"]:
-                ends = e["ends"]
-                if not isinstance(ends, list) or len(ends) != 2:
-                    raise InputError(f"malformed graph JSON: 'ends' of edge {e['id']!r} must "
-                                     f"list two node ids, got {ends!r}")
-                edges.append((e["id"], *ends))
-        except _MALFORMED as exc:
-            raise InputError(f"malformed graph JSON: {exc}") from exc
-        if not all(isinstance(x, str) for x in nodes + [x for e in edges for x in e]):
-            raise InputError("malformed graph JSON: node and edge ids must be strings")
+    def from_json_dict(cls, d) -> "LabeledGraph":
+        d = _Json.wrap(d, "graph")
+        nodes = [v.str() for v in d["nodes"].list()]
+        edges = [(e["id"].str(), *(v.str() for v in e["ends"].list(2))) for e in d["edges"].list()]
         return cls(nodes, edges)
 
     @classmethod
@@ -167,74 +153,29 @@ class GraphTemporalTrajectory:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: Mapping, graph: LabeledGraph | None = None) -> "GraphTemporalTrajectory":
-        if not isinstance(d, Mapping):
-            raise InputError("malformed trajectory JSON: expected an object")
+    def from_json_dict(cls, d, graph: LabeledGraph | None = None) -> "GraphTemporalTrajectory":
+        d = _Json.wrap(d, "trajectory")
         g = d.get("graph")
-        inline = (load_graph(g) if isinstance(g, str)
-                  else LabeledGraph.from_json_dict(g) if isinstance(g, Mapping) else None)
+        inline = None if g.value is None else LabeledGraph.from_json_dict(g)
         if graph is None:
             if inline is None:
                 raise InputError("trajectory JSON carries no graph and none was supplied")
             graph = inline
         elif inline is not None and inline.to_json_dict() != graph.to_json_dict():
             raise InputError("trajectory's inline 'graph' differs from the graph it is read on")
-        try:
-            L = _json_int(d["L"], "trajectory 'L'")
-            node_labels = _label_rows(d, "node_labels", graph.nodes, L)
-            edge_labels = _label_rows(d, "edge_labels", graph.edges, L)
-        except _MALFORMED as exc:
-            raise InputError(f"malformed trajectory JSON: {exc}") from exc
-        label = d.get("label")
-        if label is not None:
-            if isinstance(label, bool) or label not in (1, -1):
-                raise InputError(f"classification label must be 1 or -1, got {label!r}")
-            label = int(label)
-        return cls(graph, node_labels, edge_labels, label=label)
+        L = d["L"].int()
+        # one row of L numbers per id; a table may be absent when it has no ids
+        tables = [np.reshape([row.numbers(L) for row in d.get(key, {}).keyed(ids)], (len(ids), L))
+                  for key, ids in (("node_labels", graph.nodes), ("edge_labels", graph.edges))]
+        tag = d.get("label")
+        label = None if tag.value is None else tag.int()
+        if label not in (None, 1, -1):
+            tag.fail("1 or -1")
+        return cls(graph, *tables, label=label)
 
     def __repr__(self):
         tag = "" if self.label is None else f", label={self.label:+d}"
         return f"GraphTemporalTrajectory(L={self.L}{tag})"
-
-
-def _json_int(value, what):
-    """A JSON integer field as an int, 2.0 read as 2; a bool, a string or a
-    fraction is an input error."""
-    if isinstance(value, bool) or not (isinstance(value, int)
-                                       or isinstance(value, float) and value.is_integer()):
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
-    return int(value)
-
-
-def _json_real(value, what):
-    """A JSON number field as a float; a bool or a string is an input error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a JSON number, got {value!r}")
-    return float(value)
-
-
-def _label_rows(d, key, ids, L):
-    """(len(ids), L) labels from the JSON object d[key], which holds one row
-    of L numbers per id and no other key.  The key may be absent when ids
-    is empty."""
-    table = d[key] if ids or key in d else {}
-    if not isinstance(table, Mapping):
-        raise InputError(f"malformed trajectory JSON: {key!r} must be an object keyed by id")
-    unknown = sorted(set(table) - set(ids))
-    if unknown:
-        raise InputError(f"malformed trajectory JSON: {key!r} has a row for unknown id "
-                         f"{unknown[0]!r}")
-    rows = []
-    for v in ids:
-        if v not in table:
-            raise InputError(f"malformed trajectory JSON: {key!r} has no row for {v!r}")
-        row = table[v]
-        if not (isinstance(row, list) and len(row) == L
-                and all(type(x) in (int, float) for x in row)):
-            raise InputError(f"malformed trajectory JSON: {key}[{v!r}] must list L = {L} "
-                             "numbers")
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(len(ids), L)
 
 
 def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeAtom]) -> np.ndarray:
@@ -261,11 +202,84 @@ def reach(graph: LabeledGraph, edge_labels, chain: Sequence[EdgeAtom]) -> np.nda
     return R
 
 
-def _read_json(path):
-    """The parsed content of a JSON file; malformed content is an input error."""
+class _Json:
+    """A value of a parsed JSON document and the key path that reached it,
+    such as `prior.json['pmf']['a'][0]`.  Each accessor returns the value as
+    the kind it names, or raises an InputError that names the path, what
+    was expected and a short repr of what was found; nothing is coerced."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path):
+        self.value, self.path = value, path
+
+    @classmethod
+    def wrap(cls, d, root):
+        """d as read from a file, or a plain value under the name root."""
+        return d if isinstance(d, cls) else cls(d, root)
+
+    def fail(self, expected):
+        raise InputError(f"{self.path} must be {expected}, got {reprlib.repr(self.value)}")
+
+    def obj(self) -> dict:
+        if not isinstance(self.value, dict):
+            self.fail("a JSON object")
+        return self.value
+
+    def __getitem__(self, key):
+        if key not in self.obj():
+            raise InputError(f"{self.path}[{key!r}] is missing")
+        return _Json(self.value[key], f"{self.path}[{key!r}]")
+
+    def get(self, key, default=None):
+        """self[key], or default at that path when the key is absent."""
+        return _Json(self.obj().get(key, default), f"{self.path}[{key!r}]")
+
+    def list(self, n=None):
+        if not isinstance(self.value, list) or n is not None and len(self.value) != n:
+            self.fail("a JSON array" if n is None else f"a JSON array of {n} entries")
+        return [_Json(x, f"{self.path}[{i}]") for i, x in enumerate(self.value)]
+
+    def str(self):
+        if not isinstance(self.value, str):
+            self.fail("a JSON string")
+        return self.value
+
+    def int(self):
+        """An integer, 2.0 read as 2; a bool, a string or a fraction fails."""
+        v = self.value
+        if isinstance(v, bool) or not (isinstance(v, int)
+                                       or isinstance(v, float) and v.is_integer()):
+            self.fail("a JSON integer")
+        return int(v)
+
+    def real(self):
+        v = self.value
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            self.fail("a JSON number")
+        try:
+            return float(v)
+        except OverflowError:  # an integer past the float range
+            self.fail("a JSON number that a float holds")
+
+    def numbers(self, n):
+        """A row of exactly n JSON numbers, as floats."""
+        return [x.real() for x in self.list(n)]
+
+    def keyed(self, ids):
+        """The object's values in the order of ids, which must be exactly its keys."""
+        unknown = sorted(set(self.obj()) - set(ids))
+        if unknown:
+            raise InputError(f"{self.path} has unknown key {unknown[0]!r}")
+        return [self[v] for v in ids]
+
+
+def _read_json(path) -> _Json:
+    """The parsed content of a JSON file, rooted at its path; malformed
+    content is an input error."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return _Json(json.load(fh), str(path))
         except (ValueError, RecursionError) as exc:  # bad syntax or encoding; deep nesting
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -277,14 +291,11 @@ def load_graph(path) -> LabeledGraph:
 def load_trajectories(path, graph: LabeledGraph | None = None) -> list[GraphTemporalTrajectory]:
     """Load a trajectory file or trajectory-set file (JSON array)."""
     data = _read_json(path)
-    if isinstance(data, list):
-        out = []
-        for d in data:
-            t = GraphTemporalTrajectory.from_json_dict(d, graph=graph)
-            graph = t.graph  # trajectory sets share one graph
-            out.append(t)
-        return out
-    return [GraphTemporalTrajectory.from_json_dict(data, graph=graph)]
+    out = []
+    for d in data.list() if isinstance(data.value, list) else [data]:
+        out.append(GraphTemporalTrajectory.from_json_dict(d, graph=graph))
+        graph = out[-1].graph  # trajectory sets share one graph
+    return out
 
 
 def save_trajectories(path, trajectories: Sequence[GraphTemporalTrajectory]):

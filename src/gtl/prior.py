@@ -39,7 +39,7 @@ from .formula import (
     Atom, Bound, Exists, Formula, Param, _children, _keep, _rebuild, classify_subtype, desugar,
     is_ground,
 )
-from .graph import _MALFORMED, LabeledGraph, _json_int, _json_real, _read_json, reach
+from .graph import LabeledGraph, _Json, _read_json, reach
 
 #: running totals: readers take differences across the work they measure
 counters = {"transition_evals": 0}
@@ -101,22 +101,16 @@ class PriorModel:
 
     @classmethod
     def from_json_dict(cls, d, graph: LabeledGraph) -> "PriorModel":
-        try:
-            L = _json_int(d["L"], "prior 'L'")
-            bins = tuple((_json_real(lo, "a prior bin end"), _json_real(hi, "a prior bin end"))
-                         for lo, hi in d["bins"])
-            edge_labels = {k: _json_real(x, f"prior edge label {k!r}")
-                           for k, x in d["edge_labels"].items()}
-            unknown = sorted(set(edge_labels) - set(graph.edges))
-            if unknown:
-                raise InputError(f"prior 'edge_labels' names unknown edge {unknown[0]!r}")
-            pmf = {v: np.asarray(rows, dtype=float) for v, rows in d.get("pmf", {}).items()}
-            default = d.get("default_pmf")
-            default = np.asarray(default, dtype=float) if default is not None else None
-        except _MALFORMED as exc:
-            raise InputError(f"malformed prior file: {exc}") from exc
-        return cls(graph=graph, L=L, bins=bins, pmf=pmf,
-                   static_edge_labels=edge_labels, default_pmf=default)
+        d = _Json.wrap(d, "prior")
+        L = d["L"].int()
+        bins = tuple(tuple(b.numbers(2)) for b in d["bins"].list())
+        B = len(bins)
+        labels = d["edge_labels"].keyed(graph.edges)
+        edge_labels = {e: x.real() for e, x in zip(graph.edges, labels)}
+        table, default = d.get("pmf", {}), d.get("default_pmf")
+        pmf = {v: np.array([row.numbers(B) for row in table[v].list()]) for v in table.obj()}
+        return cls(graph=graph, L=L, bins=bins, pmf=pmf, static_edge_labels=edge_labels,
+                   default_pmf=None if default.value is None else np.array(default.numbers(B)))
 
     def to_json_dict(self):
         d = {
@@ -413,15 +407,14 @@ def _probabilities(prior, formulas, nodes) -> list:
         parts.append(lift)
     out = []
     for lift, accept in zip(parts, _accept(prior, runs, rows)):
-        probs = [float(a) for a in accept]
-        if lift is None:
-            out.append(dict(zip(nodes, probs)))
-            continue
-        count, reached = lift
-        betas = np.zeros(prior.graph.n_nodes)
-        betas[reached.any(axis=0)] = probs
-        out.append({v: float(_poisson_binomial_tail(betas[r], count))
-                    for v, r in zip(nodes, reached)})
+        if lift is not None:
+            count, reached = lift
+            betas = np.zeros(prior.graph.n_nodes)
+            betas[reached.any(axis=0)] = accept
+            accept = np.array([_poisson_binomial_tail(betas[r], count) for r in reached])
+        # the recursion sums in floating point and may land a few ulps
+        # outside [0, 1]; only the reported P is clipped
+        out.append(dict(zip(nodes, np.clip(accept, 0.0, 1.0).tolist())))
     return out
 
 

@@ -17,7 +17,7 @@ from .formula import (
     _MAX_INT, Formula, _checked_value, _map_params, desugar, free_parameters, instantiate, parse,
     print_formula,
 )
-from .graph import _MALFORMED, _json_real, _read_json
+from .graph import _Json, _read_json
 
 
 @dataclass(frozen=True)
@@ -110,30 +110,19 @@ class Template:
 
     @classmethod
     def from_json_dict(cls, d) -> "Template":
-        try:
-            f = parse(d["formula"])
-            box = {
-                n: ParamSpec(_json_real(s["min"], f"'min' of parameter {n!r}"),
-                             _json_real(s["max"], f"'max' of parameter {n!r}"),
-                             s.get("kind", "continuous"))
-                for n, s in d["params"].items()
-            }
-        except _MALFORMED as exc:
-            raise InputError(f"malformed template: {exc}") from exc
-        name = d.get("name", "")
-        if not isinstance(name, str):
-            raise InputError(f"malformed template: name must be a string, got {name!r}")
-        return cls(formula=f, box=box, name=name)
+        d = _Json.wrap(d, "template")
+        params = d["params"]
+        box = {n: ParamSpec(params[n]["min"].real(), params[n]["max"].real(),
+                            params[n].get("kind", "continuous").str())
+               for n in params.obj()}
+        return cls(formula=parse(d["formula"].str()), box=box, name=d.get("name", "").str())
 
 
 def load_templates(path) -> list[Template]:
     """Load one template or a JSON array of templates."""
     data = _read_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise InputError("a template file holds one template object or a list of them")
-    return [Template.from_json_dict(d) for d in data]
+    return [Template.from_json_dict(d)
+            for d in (data.list() if isinstance(data.value, list) else [data])]
 
 
 def save_templates(path, templates):

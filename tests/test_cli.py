@@ -102,6 +102,17 @@ class TestEval:
         assert code == 1
         assert "error [input]: malformed JSON" in capsys.readouterr().err
 
+    def test_reader_error_names_the_file_and_key(self, workspace, capsys):
+        doc = json.loads(workspace["prior"].read_text())
+        doc["L"] = "2"
+        workspace["prior"].write_text(json.dumps(doc))
+        code = main(["ig", "--prior", str(workspace["prior"]), "--graph", str(workspace["graph"]),
+                     "--formula", "x <= 1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [input]: ")
+        assert f"{workspace['prior']}['L'] must be a JSON integer" in err
+
     def test_deeply_nested_json_exit_one(self, workspace, capsys):
         workspace["trajs"].write_text("[" * 100_000 + "]" * 100_000)
         code = main(["eval", "--trajectories", str(workspace["trajs"]), "--formula", "x <= 1"])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from gtl.graph import (
     GraphTemporalTrajectory, LabeledGraph, load_graph, load_trajectories,
     reach, save_trajectories,
 )
+from gtl.prior import load_prior
+from gtl.templates import load_templates
 from gtl.semantics import sat_table
 
 from conftest import neighbor_op, random_graph, static_reach, two_bin_prior
@@ -227,39 +230,41 @@ class TestStrictReaders:
 
     def test_edge_with_three_ends(self):
         d = {"nodes": ["a", "b", "c"], "edges": [{"id": "e1", "ends": ["a", "b", "c"]}]}
-        with pytest.raises(InputError, match="'ends' of edge 'e1'"):
+        msg = "graph['edges'][0]['ends'] must be a JSON array of 2 entries"
+        with pytest.raises(InputError, match=re.escape(msg)):
             LabeledGraph.from_json_dict(d)
 
     def test_nodes_must_be_a_list(self):
-        with pytest.raises(InputError, match="'nodes'"):
+        with pytest.raises(InputError, match=re.escape("graph['nodes'] must be a JSON array")):
             LabeledGraph.from_json_dict({"nodes": "ab", "edges": []})
 
     @pytest.mark.parametrize("L", [2.5, "2", True])
     def test_horizon_must_be_a_json_integer(self, L):
         d = self.doc()
         d["L"] = L
-        with pytest.raises(InputError, match="trajectory 'L'"):
+        with pytest.raises(InputError, match=re.escape("trajectory['L'] must be a JSON integer")):
             GraphTemporalTrajectory.from_json_dict(d)
 
     @pytest.mark.parametrize("key", ["node_labels", "edge_labels"])
     def test_row_for_unknown_id(self, key):
         d = self.doc()
         d[key]["zzz"] = [0.0, 0.0]
-        with pytest.raises(InputError, match=f"'{key}' has a row for unknown id 'zzz'"):
+        msg = f"trajectory['{key}'] has unknown key 'zzz'"
+        with pytest.raises(InputError, match=re.escape(msg)):
             GraphTemporalTrajectory.from_json_dict(d)
 
     @pytest.mark.parametrize("key, v", [("node_labels", "a"), ("edge_labels", "e1")])
     def test_missing_row_names_its_id(self, key, v):
         d = self.doc()
         del d[key][v]
-        with pytest.raises(InputError, match=f"'{key}' has no row for '{v}'"):
+        with pytest.raises(InputError, match=re.escape(f"trajectory['{key}']['{v}'] is missing")):
             GraphTemporalTrajectory.from_json_dict(d)
 
     @pytest.mark.parametrize("row", [[0.5], [0.5, 1.5, 2.0], [0.5, "1.5"], [0.5, True]])
     def test_row_of_the_wrong_length_or_type(self, row):
         d = self.doc()
         d["node_labels"]["b"] = row
-        with pytest.raises(InputError, match=r"node_labels\['b'\] must list L = 2 numbers"):
+        with pytest.raises(InputError, match=re.escape("trajectory['node_labels']['b']")):
             GraphTemporalTrajectory.from_json_dict(d)
 
     def test_later_inline_graph_must_match_the_first(self, tmp_path):
@@ -272,3 +277,60 @@ class TestStrictReaders:
         later["graph"] = first["graph"]  # a repeated equal graph is fine
         path.write_text(json.dumps([first, later]))
         assert len(load_trajectories(path)) == 2
+
+    def test_graph_is_an_object_or_null(self, tmp_path):
+        # a string is not read as a file path, even one that names a graph file
+        gpath = tmp_path / "g.json"
+        d = self.doc()
+        gpath.write_text(json.dumps(d["graph"]))
+        d["graph"] = str(gpath)
+        msg = "trajectory['graph'] must be a JSON object, got '"
+        with pytest.raises(InputError, match=re.escape(msg)):
+            GraphTemporalTrajectory.from_json_dict(d)
+        d["graph"] = None
+        t = GraphTemporalTrajectory.from_json_dict(d, graph=load_graph(gpath))
+        assert t.to_json_dict(inline_graph=False) == d
+
+
+_TWO_NODES = {"nodes": ["a", "b"], "edges": [{"id": "e1", "ends": ["a", "b"]}]}
+_PRIOR = {"L": 1, "bins": [[0, 1], [1, 2]], "edge_labels": {"e1": 1.0},
+          "pmf": {"a": [[0.5, 0.5]], "b": [[0.5, 0.5]]}}
+_TEMPLATE = {"formula": "F x >= ?c", "params": {"c": {"min": 0, "max": 1}}}
+
+
+def _with(doc, *keys, value):
+    """A deep copy of doc with doc[keys[0]]...[keys[-1]] set to value."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, doc, where", [
+    ("graph", [_TWO_NODES], " must be a JSON object, got [{"),
+    ("graph", {"nodes": ["a"]}, "['edges'] is missing"),
+    ("graph", _with(_TWO_NODES, "edges", 0, "id", value=1),
+     "['edges'][0]['id'] must be a JSON string, got 1"),
+    ("prior", _with(_PRIOR, "bins", 0, value=[0, 1, 2]),
+     "['bins'][0] must be a JSON array of 2 entries"),
+    ("prior", _with(_PRIOR, "pmf", "a", 0, 1, value="0.5"),
+     "['pmf']['a'][0][1] must be a JSON number, got '0.5'"),
+    ("prior", _with(_PRIOR, "pmf", "a", 0, 0, value=True),
+     "['pmf']['a'][0][0] must be a JSON number, got True"),
+    ("prior", _with(_PRIOR, "default_pmf", value=[[0.5, 0.5]]),
+     "['default_pmf'] must be a JSON array of 2 entries"),
+    ("template", _with(_TEMPLATE, "formula", value=["F x >= ?c"]),
+     "['formula'] must be a JSON string"),
+    ("template", _with(_TEMPLATE, "params", "c", "kind", value=1),
+     "['params']['c']['kind'] must be a JSON string"),
+])
+def test_reader_errors_name_the_file_and_key_path(tmp_path, kind, doc, where):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    graph = LabeledGraph.from_json_dict(_TWO_NODES)
+    load = {"graph": load_graph, "prior": lambda p: load_prior(p, graph),
+            "template": load_templates}[kind]
+    with pytest.raises(InputError, match=re.escape(f"{path}{where}")):
+        load(path)

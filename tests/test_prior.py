@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import gtl.prior
 from gtl.automata import Dfa, skeleton, to_dfa
+from gtl.datagen import SwarmScenario, gen_swarm
 from gtl.errors import InputError, OutOfScopeError, UsageError
 from gtl.formula import (
     Atom, EdgeAtom, Exists, FalseF, TrueF, classify_subtype, desugar, instantiate, parse,
@@ -82,18 +84,18 @@ class TestPriorModel:
         assert np.allclose(back.node_pmf("a"), prior.node_pmf("a"))
 
     @pytest.mark.parametrize("key, value, match", [
-        ("L", 2.5, "prior 'L' must be a JSON integer"),
-        ("L", True, "prior 'L' must be a JSON integer"),
-        ("L", "2", "prior 'L' must be a JSON integer"),
-        ("edge_labels", {"e1": 1.0, "e9": 1.0}, "unknown edge 'e9'"),
-        ("edge_labels", {"e1": "1.0"}, "prior edge label 'e1' must be a JSON number"),
-        ("bins", [[0, 1], [1, "2"]], "bin end must be a JSON number"),
+        ("L", 2.5, "prior['L'] must be a JSON integer"),
+        ("L", True, "prior['L'] must be a JSON integer"),
+        ("L", "2", "prior['L'] must be a JSON integer"),
+        ("edge_labels", {"e1": 1.0, "e9": 1.0}, "prior['edge_labels'] has unknown key 'e9'"),
+        ("edge_labels", {"e1": "1.0"}, "prior['edge_labels']['e1'] must be a JSON number"),
+        ("bins", [[0, 1], [1, "2"]], "prior['bins'][1][1] must be a JSON number"),
     ])
     def test_json_fields_are_not_coerced(self, key, value, match):
         g = LabeledGraph(["a", "b"], [("e1", "a", "b")])
         d = two_bin_prior(g, 2).to_json_dict()
         d[key] = value
-        with pytest.raises(InputError, match=match):
+        with pytest.raises(InputError, match=re.escape(match)):
             PriorModel.from_json_dict(d, g)
 
 
@@ -589,19 +591,22 @@ class TestOneRoute:
 def probabilities_one_by_one(prior, f, nodes):
     """{v: P} through the unbatched route that front scoring replaced, kept
     as its differential oracle: the formula's own DFA, its own letter DP
-    and one backward recursion per node."""
+    and one backward recursion per node.  Like the route, it clips each
+    reported P to [0, 1] but not the betas that feed a type-II tail."""
     g = desugar(f)
     if isinstance(g, (TrueF, FalseF)):
         return dict.fromkeys(nodes, float(isinstance(g, TrueF)))
     sub = classify_subtype(g)
     if not sub.typeII:
-        return inner_one_by_one(prior, g, nodes)
-    rows, names = gtl.prior._reach_rows(prior, g.chain), prior.graph.nodes
-    reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
-               for v in nodes}
-    betas = inner_one_by_one(prior, g.body, sorted({u for r in reached.values() for u in r}))
-    return {v: float(gtl.prior._poisson_binomial_tail([betas[u] for u in r], int(g.count)))
-            for v, r in reached.items()}
+        probs = inner_one_by_one(prior, g, nodes)
+    else:
+        rows, names = gtl.prior._reach_rows(prior, g.chain), prior.graph.nodes
+        reached = {v: [names[u] for u in np.flatnonzero(rows[prior.graph.node_index[v]])]
+                   for v in nodes}
+        betas = inner_one_by_one(prior, g.body, sorted({u for r in reached.values() for u in r}))
+        probs = {v: float(gtl.prior._poisson_binomial_tail([betas[u] for u in r], int(g.count)))
+                 for v, r in reached.items()}
+    return {v: min(max(p, 0.0), 1.0) for v, p in probs.items()}
 
 
 def inner_one_by_one(prior, f, nodes):
@@ -807,6 +812,25 @@ class TestInfoGain:
         rep = compute_ig(one_node_prior(), parse("G x <= 1.5"))
         assert rep.info_gain == {"a": 0.0}
         assert math.copysign(1.0, rep.average_ig) == 1.0
+
+    def test_reported_probability_stays_in_unit_interval(self):
+        # the ig-sweep benchmark's first swarm prior at run seed 0 (two
+        # density bins, Laplace-smoothed counts over 10 training runs): the
+        # recursion sums to P = 1 + 1.8e-15 at v11 before the clip
+        sc = SwarmScenario(seed=2773201285)
+        train = gen_swarm(sc, 10)
+        g = train[0].graph
+        low = sum((t.node_labels < 0.125).astype(float) for t in train)
+        pmf = {v: np.stack([low[i] + 1, len(train) - low[i] + 1], axis=1) / (len(train) + 2)
+               for i, v in enumerate(g.nodes)}
+        el = sc.edge_labels(g)
+        prior = PriorModel(g, sc.L, ((0.0, 0.125), (0.125, 1.0)), pmf,
+                           {e: float(el[j, 0]) for j, e in enumerate(g.edges)})
+        f = parse("F[>=2][<=8] E 2 via (y <= 1.5) : x <= 0.11")
+        rep = compute_ig(prior, f)
+        assert rep.probabilities["v11"] == 1.0 and rep.info_gain["v11"] == 0.0
+        assert all(0.0 <= p <= 1.0 for p in rep.probabilities.values())
+        assert satisfaction_probability(prior, f, "v11") == 1.0
 
     def test_zero_probability_zero_ig(self):
         prior = one_node_prior()

@@ -1,6 +1,7 @@
 """Template boxes, JSON IO, and the built-in library."""
 
 import json
+import re
 from time import perf_counter
 
 import numpy as np
@@ -125,7 +126,8 @@ class TestTemplate:
     def test_range_end_must_be_a_json_number(self, end, value):
         params = {"c": {"min": 0, "max": 1}}
         params["c"][end] = value
-        with pytest.raises(InputError, match=f"'{end}' of parameter 'c' must be a JSON number"):
+        msg = f"template['params']['c']['{end}'] must be a JSON number"
+        with pytest.raises(InputError, match=re.escape(msg)):
             Template.from_json_dict({"formula": "F x >= ?c", "params": params})
 
 

@@ -49,12 +49,12 @@ def _prior_sampler(prior: PriorModel):
     labels are those of one `choice` and one `uniform` call per entry.
     """
     g = prior.graph
-    L, B = prior.L, len(prior.bins)
+    L = prior.L
     lo = np.array([b[0] for b in prior.bins])
     hi = np.array([b[1] for b in prior.bins])
     edge = np.array([[prior.static_edge_labels[e]] * L for e in g.edges],
                     dtype=float).reshape(g.n_edges, L)
-    pmf = np.array([prior.node_pmf(v) for v in g.nodes]).reshape(g.n_nodes, L, B)
+    pmf = prior.masses
     cdf = np.cumsum(pmf / pmf.sum(axis=-1, keepdims=True), axis=-1)
     cdf /= cdf[..., -1:]
 
@@ -110,6 +110,9 @@ class SwarmScenario:
     def __post_init__(self):
         for name in ("rows", "cols", "L"):
             _check_int(name, getattr(self, name), 1)
+        for name in ("rows", "cols"):  # node ids v{r}{c} are distinct up to 10 x 10
+            if getattr(self, name) > 10:
+                raise InputError(f"{name} must be <= 10, got {getattr(self, name)}")
         _check_seed(self.seed)
         if not 0 <= self.smoothing < 1:
             raise InputError("smoothing must be in [0, 1)")

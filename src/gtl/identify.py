@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import ge, sub
 
 from .errors import InputError, UsageError
 from .formula import polarity, print_formula
@@ -91,7 +93,7 @@ def map_pi_inv(omega, box, polarities, names) -> dict:
 
 def _dominates(a, b):
     """a >= b componentwise."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def _lift(knees, u, steps) -> list:
@@ -106,25 +108,77 @@ def _lift(knees, u, steps) -> list:
     coordinate at 1) or lie above another knee are dropped.  (A knee that
     meets u on a real axis, whose region does not hold u, comes back as its
     own lift there, and its other lifts lie above it.)
+
+    A lift on axis i differs from a knee h <= u on axis i alone, so a kept
+    knee o (one with o_j > u_j on some axis j) lies below it only if j = i
+    and u_i < o_i <= w_i: never on a real axis, where w_i = u_i.  So each
+    lift is checked against the lifts kept before it in sorted order (a lift
+    below another sorts before it, and a lift dropped for lying above a point
+    leaves that point below the later ones too) and, on an integer axis,
+    against the kept knees in that slot.
     """
-    kept, lifts = [], set()
+    axes = []  # (axis, coordinate of its lifts) on the axes whose lifts stay in the cube
+    for i, m in enumerate(steps):
+        w = round((round(u[i] * m) + 1) / m, _ROUND) if m else u[i]
+        if w < 1 or (m and w == 1):
+            axes.append((i, w))
+    kept, lifts = [], {}  # lift -> its axis
     for k in knees:
         if not _dominates(u, k):
             kept.append(k)
             continue
-        for i, m in enumerate(steps):
-            w = round((round(u[i] * m) + 1) / m, _ROUND) if m else u[i]
-            if w < 1 or (m and w == 1):
-                lifts.add(k[:i] + (w,) + k[i + 1:])
-    pool = kept + sorted(lifts)
-    return kept + [k for k in pool[len(kept):]
-                   if not any(o != k and _dominates(k, o) for o in pool)]
+        for i, w in axes:
+            lifts[k[:i] + (w,) + k[i + 1:]] = i
+    rivals = {i: [o for o in kept if u[i] < o[i] <= w] for i, w in axes if steps[i]}
+    out = []
+    for k in sorted(lifts):  # a point below k sorts before it
+        if not any(_dominates(k, o) for o in chain(out, rivals.get(lifts[k], ()))):
+            out.append(k)
+    return kept + out
+
+
+def _gap(point, t) -> float:
+    """How far t sits above the point: its largest excess on one axis, or 0."""
+    return max(0.0, *map(sub, t, point))
 
 
 def _gap_to_front(point, front) -> float:
     """How far the satisfying front sits above the point (one-sided, min over front)."""
-    return min(max(((ti - si if ti > si else 0.0) for si, ti in zip(point, t)), default=0.0)
-               for t in front)
+    return min(_gap(point, t) for t in front)
+
+
+class _Staircase:
+    """The search's bookkeeping: the feasible front, and each knee of the
+    infeasible staircase with its gap to that front.
+
+    Each new point costs work for that point alone.  A feasible point t can
+    only lower a gap, to the gap to t: the front points it removes lie above
+    it, so none of them held a minimum.  An infeasible point keeps the knees
+    that it does not lie above, with their gaps, and measures the new lifts
+    against the whole front.
+    """
+
+    def __init__(self, z, steps):
+        self.steps = steps
+        self.front = [(1.0,) * z]
+        zero = (0.0,) * z  # the hardest corner counts as infeasible
+        self.gaps = {k: _gap_to_front(k, self.front) for k in _lift([zero], zero, steps)}
+
+    def widest(self):
+        """(gap, knee) of the knee farthest below the front, ties to the
+        least knee; (0.0, None) once no knee is left."""
+        knee = min(self.gaps, key=lambda k: (-self.gaps[k], k), default=None)
+        return (0.0, None) if knee is None else (self.gaps[knee], knee)
+
+    def feasible(self, t):
+        self.front = [f for f in self.front if not _dominates(f, t)] + [t]
+        for k, gap in self.gaps.items():
+            self.gaps[k] = min(gap, _gap(k, t))
+
+    def infeasible(self, u):
+        old = self.gaps
+        self.gaps = {k: old[k] if k in old else _gap_to_front(k, self.front)
+                     for k in _lift(list(old), u, self.steps)}
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +260,15 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     steps = [len(box[n].grid()) - 1 if box[n].kind == "integer" else None
              for n in names]
     # the corners lie on every grid: a free integer axis has >= 2 points
-    one, zero = (1.0,) * z, (0.0,) * z
-    cov1 = query(one)
+    cov1 = query((1.0,) * z)
     if cov1 < p_th:
         res.reason = (f"even the easiest corner reaches coverage {cov1:.4f} "
                       f"< p_th={p_th}")
         res.coverage = cov1
         return res
-    front = [one]
-    knees = _lift([zero], zero, steps)  # the hardest corner counts as infeasible
+    stairs = _Staircase(z, steps)
     while True:
-        gaps = {k: _gap_to_front(k, front) for k in knees}
-        knee = min(gaps, key=lambda k: (-gaps[k], k), default=None)
-        res.achieved_gap = gaps[knee] if knees else 0.0
+        res.achieved_gap, knee = stairs.widest()
         if res.achieved_gap <= eps:
             break
         if res.n_queries >= budget:
@@ -231,12 +281,12 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
                      if m else round(min(w + half, 1.0), _ROUND)
                      for w, m in zip(knee, steps))
         if query(cand) >= p_th:
-            front = [t for t in front if not _dominates(t, cand)] + [cand]
+            stairs.feasible(cand)
         else:
-            knees = _lift(knees, cand, steps)
+            stairs.infeasible(cand)
 
     # each front point was queried, with its valuation; one call scores them all
-    omegas = sorted(front)
+    omegas = sorted(stairs.front)
     formulas = [template.instantiate(known[omega][1]) for omega in omegas]
     best = None
     for omega, f, rep in zip(omegas, formulas, _info_gains(prior, formulas)):
@@ -246,6 +296,6 @@ def _identify_one(trajs, prior, template, p_th, eps, budget):
     res.feasible = True
     res.coverage, res.valuation = known[res.omega]
     res.average_ig, res.info_gain = rep.average_ig, rep.info_gain
-    res.front = [list(w) for w in sorted(front)]
+    res.front = [list(w) for w in omegas]
     return res
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +47,19 @@ counters = {"transition_evals": 0}
 MAX_DP_STATES = 10 ** 6
 
 
+#: node x time x bin cells above which a prior's mass array is refused
+MAX_MASS_CELLS = 10 ** 8
+
+
 @dataclass(frozen=True)
 class PriorModel:
     """Independent per-(node, time) histograms over shared bins.
 
     pmf maps node id -> (L, B) array; nodes absent from the map use
     default_pmf at every time.  Edge labels are constant over time.
+    Construction builds and checks every node's histograms once, as the
+    read-only (|V|, L, B) array `masses` in graph node order; an L whose
+    array would pass MAX_MASS_CELLS is refused before anything is allocated.
     """
 
     graph: LabeledGraph
@@ -61,6 +68,7 @@ class PriorModel:
     pmf: dict
     static_edge_labels: dict
     default_pmf: np.ndarray | None = None
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.L < 1:
@@ -74,30 +82,41 @@ class PriorModel:
             if prev_hi is not None and lo < prev_hi:
                 raise InputError("bins must be disjoint and sorted")
             prev_hi = hi
-        B = len(self.bins)
+        V, L, B = self.graph.n_nodes, self.L, len(self.bins)
+        if V * int(L) * B > MAX_MASS_CELLS:  # in Python ints, which do not wrap
+            raise InputError(f"horizon L={L} is too long: {V} nodes x L x {B} bins passes "
+                             f"the cap of {MAX_MASS_CELLS} prior mass cells")
         for v in self.pmf:
             if v not in self.graph.node_index:
                 raise InputError(f"pmf references unknown node {v!r}")
-        for v in self.graph.nodes:
-            p = self.node_pmf(v)
-            if p.shape != (self.L, B):
-                raise InputError(f"pmf for {v!r} must have shape ({self.L}, {B})")
-            if not np.isfinite(p).all() or (p < 0).any() or (abs(p.sum(axis=1) - 1.0) > 1e-9).any():
-                raise InputError(f"pmf for {v!r} is not a probability vector")
+        # default_pmf as one row: it serves every time when it has shape (1, B)
+        default = None if self.default_pmf is None else np.tile(self.default_pmf, (1, 1))
+        masses = np.empty((V, L, B))
+        for i, v in enumerate(self.graph.nodes):
+            p = self.pmf.get(v)
+            if p is None:
+                if default is None:
+                    raise InputError(f"no pmf for node {v!r} and no default_pmf")
+                p = default
+            if np.shape(p) != ((1, B) if p is default else (L, B)):
+                raise InputError(f"pmf for {v!r} must have shape ({L}, {B})")
+            masses[i] = p
+        bad = (~np.isfinite(masses).all(axis=(1, 2)) | (masses < 0).any(axis=(1, 2))
+               | (abs(masses.sum(axis=2) - 1.0) > 1e-9).any(axis=1))
+        if bad.any():
+            v = self.graph.nodes[int(np.argmax(bad))]
+            raise InputError(f"pmf for {v!r} is not a probability vector")
         for e in self.graph.edges:
             if e not in self.static_edge_labels:
                 raise InputError(f"prior is missing an edge label for {e!r}")
             if not math.isfinite(self.static_edge_labels[e]):
                 raise InputError(f"prior edge label for {e!r} must be finite")
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
 
     def node_pmf(self, v: str) -> np.ndarray:
-        self.graph.index_of(v)  # an unknown id is an input error
-        p = self.pmf.get(v)
-        if p is None:
-            if self.default_pmf is None:
-                raise InputError(f"no pmf for node {v!r} and no default_pmf")
-            p = np.tile(self.default_pmf, (self.L, 1))
-        return np.asarray(p, dtype=float)
+        """Node v's (L, B) histograms, a read-only view into `masses`."""
+        return self.masses[self.graph.index_of(v)]
 
     @classmethod
     def from_json_dict(cls, d, graph: LabeledGraph) -> "PriorModel":
@@ -145,7 +164,7 @@ def _cell_masses(prior, atoms):
     # share of each bin inside each cell, under within-bin uniformity
     overlap = np.minimum(hi[:, None], edges[1:]) - np.maximum(lo[:, None], edges[:-1])
     share = np.maximum(overlap, 0.0) / (hi - lo)[:, None]
-    masses = np.stack([prior.node_pmf(u) for u in prior.graph.nodes]) @ share
+    masses = prior.masses @ share
     # cell c lies above ts[:c] and below ts[c:]
     below = np.arange(len(ts) + 1) <= rank[:, None]
     le = np.array([a.op == "<=" for a in atoms], dtype=bool)

@@ -142,12 +142,8 @@ def _eval(x, f, cache, reach_of, value):
             for chain, ks in groups.items():
                 counts[ks] = _counts(reach_of(chain), body[ks] if body.ndim > x.ndim else body)
         return counts >= value(f.count, "integer")
-    if isinstance(f, Eventually):
-        return _until(None, rec(f.sub), f.bound, value)
-    if isinstance(f, Always):
-        return ~_until(None, ~rec(f.sub), f.bound, value)
-    if isinstance(f, Until):
-        return _until(rec(f.left), rec(f.right), f.bound, value)
+    if isinstance(f, (Eventually, Always, Until)):
+        return _temporal(f, rec, value)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -166,30 +162,49 @@ def _counts(R, body):
     return (R @ B).transpose(3, 0, 2, 1).reshape(body.shape)
 
 
-def _until(a, b, bound, value):
-    """Table of a U b under a single-sided bound, or of F b if a is None.
+def _temporal(f, rec, value):
+    """Table of F b, G b or a U b, the node f with its operands' tables read
+    through rec, under a single-sided bound.
 
-    At time k a witness of b is sought in [k+lo, min(k+hi, j-1, L-1)], where
-    j is the first index >= k at which a fails; the hits in each window are
-    a difference of one cumulative sum of b along time.  A per-valuation
-    bound gives (K, 1, 1, L) windows.
+    At time k the window is [k+lo, min(k+hi, j-1, L-1)], where j is the
+    first index >= k at which U's left operand fails.  F and U hold when b
+    holds somewhere in the window, G when b holds all over it, so an empty
+    window holds for G alone.  A window of F or G that runs to the trace end
+    is one reversed or/and accumulate of b, read at k+lo; any other is a
+    difference of one cumulative sum along time: of b's hits for F and U,
+    of its misses for G.  A per-valuation bound gives (K, 1, 1, L) windows.
     """
+    always, until = isinstance(f, Always), isinstance(f, Until)
+    a = rec(f.left) if until else None
+    b = rec(f.right if until else f.sub)
+    lo, hi = (None, None) if f.bound is None else (f.bound.lo, f.bound.hi)
     L = b.shape[-1]
     k = np.arange(L)
-    lo = 0 if bound is None or bound.lo is None else value(bound.lo, "integer")
-    hi = L if bound is None or bound.hi is None else value(bound.hi, "integer")
-    lo, hi = np.minimum(k + lo, L), np.minimum(k + hi, L - 1)
-    c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
-    np.cumsum(b, axis=-1, out=c[..., 1:])
-    if a is not None:
+    lo = None if lo is None else np.minimum(k + value(lo, "integer"), L)
+    if hi is None and not until:
+        s = np.empty(b.shape[:-1] + (L + 1,), dtype=bool)
+        s[..., L] = always  # the empty window past the trace end
+        op = np.logical_and if always else np.logical_or
+        op.accumulate(b[..., ::-1], axis=-1, out=s[..., L - 1::-1])
+        return _at(s, lo)
+    hi = np.minimum(k + (L if hi is None else value(hi, "integer")), L - 1)
+    if until:
         fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
         hi = np.minimum(hi, fails - 1)
-    return (lo <= hi) & (_at(c, hi + 1) > _at(c, lo))
+    # c counts the misses of b for G, its hits for F and U; an empty window
+    # (lo > hi) reads a count <= 0
+    c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
+    np.cumsum(~b if always else b, axis=-1, out=c[..., 1:])
+    end, start = _at(c, hi + 1), _at(c, lo)
+    return end <= start if always else end > start
 
 
 def _at(c, i):
-    """c read along its last axis at i: one index row of shape (L,) for all
+    """c, of length L + 1 along its last axis, read there at i: at each
+    k < L itself if i is None, else at one index row of shape (L,) for all
     cells, or (broadcast) per cell."""
+    if i is None:
+        return c[..., :-1]
     if i.ndim == 1:
         return c[..., i]
     n = max(c.ndim, i.ndim)

@@ -113,6 +113,18 @@ class TestEval:
         assert err.startswith("error [input]: ")
         assert f"{workspace['prior']}['L'] must be a JSON integer" in err
 
+    def test_huge_prior_horizon_exit_one(self, workspace, capsys):
+        # refused by its size before any array of L rows is built
+        workspace["prior"].write_text(json.dumps(
+            {"L": 10 ** 30, "bins": [[0, 1]], "edge_labels": {}, "default_pmf": [1]}))
+        workspace["graph"].write_text(json.dumps({"nodes": ["a"], "edges": []}))
+        code = main(["ig", "--prior", str(workspace["prior"]), "--graph", str(workspace["graph"]),
+                     "--formula", "x <= 1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [input]: horizon L={10 ** 30} is too long")
+        assert "Traceback" not in err
+
     def test_deeply_nested_json_exit_one(self, workspace, capsys):
         workspace["trajs"].write_text("[" * 100_000 + "]" * 100_000)
         code = main(["eval", "--trajectories", str(workspace["trajs"]), "--formula", "x <= 1"])

@@ -319,6 +319,14 @@ class TestSwarmScenario:
         assert all(np.array_equal(x.node_labels, y.node_labels)
                    for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_grid_above_ten_rejected(self, field):
+        # node ids v{r}{c} would collide: (1, 10) and (11, 0) both give v110
+        with pytest.raises(InputError, match=f"{field} must be <= 10, got 11"):
+            SwarmScenario(**{field: 11})
+        g = SwarmScenario(rows=10, cols=10).graph()
+        assert g.n_nodes == 100 and len(set(g.nodes)) == 100
+
     def test_validation(self):
         with pytest.raises(InputError, match="n must be >= 0"):
             gen_swarm(SwarmScenario(), -3)

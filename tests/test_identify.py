@@ -13,11 +13,13 @@ from gtl.datagen import SwarmScenario, gen_swarm
 from gtl.errors import InputError, UsageError
 from gtl.formula import free_parameters, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
-from gtl.identify import _ROUND, _lift, identify, map_pi, map_pi_inv
+from gtl.identify import (
+    _ROUND, _gap_to_front, _lift, _Staircase, identify, map_pi, map_pi_inv,
+)
 import gtl.prior
 from gtl.prior import PriorModel, compute_ig, counters, satisfaction_probability
 from gtl.semantics import coverage
-from gtl.templates import ParamSpec, Template
+from gtl.templates import ParamSpec, Template, builtin_templates, default_box
 
 from conftest import knee_oracle
 
@@ -36,6 +38,26 @@ def knee_points(unsat_points, z=None):
     for u in unsat_points:
         knees = _lift(knees, u, (None,) * z)
     return knees
+
+
+def lift_reference(knees, u, steps) -> list:
+    """`_lift` with its pairwise filter: every lift is checked against every
+    kept knee and every other lift."""
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a, b))
+
+    kept, lifts = [], set()
+    for k in knees:
+        if not dominates(u, k):
+            kept.append(k)
+            continue
+        for i, m in enumerate(steps):
+            w = round((round(u[i] * m) + 1) / m, _ROUND) if m else u[i]
+            if w < 1 or (m and w == 1):
+                lifts.add(k[:i] + (w,) + k[i + 1:])
+    pool = kept + sorted(lifts)
+    return kept + [k for k in pool[len(kept):]
+                   if not any(o != k and dominates(k, o) for o in pool)]
 
 
 def cont_box(**ranges):
@@ -121,6 +143,53 @@ class TestKneeDifferential:
                     if not any(all(a >= b for a, b in zip(u, g)) for u in unsat + [zero])]
         assert len(set(knees)) == len(knees)
         assert set(knees) == _minimal(open_pts)
+
+
+_STEPS = st.lists(st.sampled_from([None, 1, 2, 3, 4]), min_size=1, max_size=6)
+
+
+def _points(steps):
+    """Points of [0,1]^z on the grid of each integer axis, coarse on the real ones."""
+    return st.tuples(*[st.sampled_from([round(j / m, _ROUND) for j in range(m + 1)]) if m
+                       else _COORD for m in steps])
+
+
+class TestStaircase:
+    """The incremental bookkeeping against full recomputation."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), steps=_STEPS)
+    def test_lift_matches_pairwise_filter(self, data, steps):
+        zero = (0.0,) * len(steps)
+        knees = lift_reference([zero], zero, steps)
+        assert _lift([zero], zero, steps) == knees
+        for u in data.draw(st.lists(_points(steps), max_size=12)):
+            got, knees = _lift(knees, u, steps), lift_reference(knees, u, steps)
+            assert got == knees
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), steps=_STEPS)
+    def test_gaps_match_recomputation(self, data, steps):
+        def above(a, b):
+            return all(x >= y for x, y in zip(a, b))
+
+        # an up-closed feasible set: the points above one of a few generators
+        gens = data.draw(st.lists(_points(steps), min_size=1, max_size=3))
+        stairs = _Staircase(len(steps), steps)
+        knees = list(stairs.gaps)
+        front = [(1.0,) * len(steps)]
+        for t in data.draw(st.lists(_points(steps), max_size=20)):
+            if any(above(t, g) for g in gens):
+                stairs.feasible(t)
+                front = [f for f in front if not above(f, t)] + [t]
+            else:
+                stairs.infeasible(t)
+                knees = lift_reference(knees, t, steps)
+            assert stairs.front == front and list(stairs.gaps) == knees
+            assert stairs.gaps == {k: _gap_to_front(k, front) for k in knees}
+            # the loop's old selection: the widest gap, ties to the least knee
+            knee = min(knees, key=lambda k: (-stairs.gaps[k], k), default=None)
+            assert stairs.widest() == ((0.0, None) if knee is None else (stairs.gaps[knee], knee))
 
 
 def make_dataset(values_list, L):
@@ -381,6 +450,20 @@ class TestIdentify:
         for w in res.front:
             assert coverage(train, t.instantiate(theta_of[tuple(w)])) >= 0.98
 
+    def test_six_axis_staircase_pinned(self):
+        # P1-3 with its six axes free stops on its budget; every figure is
+        # that of the full-recomputation staircase
+        sc = SwarmScenario(seed=100)
+        train = gen_swarm(sc, 10)
+        box = default_box(12, label_range=(0.0, 0.5), max_count=3, max_edge=2.5)
+        t = next(t for t in builtin_templates("type-I", box) if t.name == "P1-3")
+        res = identify(train, swarm_prior(sc, train), [t], p_th=0.98, eps=0.05,
+                       budget=500).best
+        assert res.approximate and res.n_queries == 500
+        assert res.achieved_gap == 0.25
+        assert res.average_ig == 0.17424043804537578
+        assert res.front == P1_3_FRONT
+
     def test_bad_arguments(self):
         t = Template(parse("F x >= ?c"), cont_box(c=(0.0, 1.0)))
         with pytest.raises(InputError):
@@ -389,3 +472,25 @@ class TestIdentify:
             identify(make_dataset([[1.0]], 1), flat_prior(1), [t], budget=0)
         with pytest.raises(UsageError):
             identify([], flat_prior(1), [t])
+
+
+# the front of test_six_axis_staircase_pinned, axes (i1, i2, i3, N, d, c)
+P1_3_FRONT = [
+    [0.0, 0.0, 0.090909090909, 0.0, 0.375, 0.625],
+    [0.0, 0.0, 0.090909090909, 0.0, 0.738636363636, 0.375],
+    [0.0, 0.0, 0.090909090909, 0.0, 0.875, 0.25],
+    [0.0, 0.0, 0.090909090909, 0.5, 0.125, 0.625],
+    [0.0, 0.0, 0.090909090909, 1.0, 0.125, 0.375],
+    [0.0, 0.0, 0.363636363636, 0.5, 0.125, 0.5],
+    [0.0, 0.0, 0.454545454545, 0.0, 0.375, 0.5],
+    [0.0, 0.4, 0.090909090909, 0.0, 0.386363636364, 0.613636363636],
+    [0.0, 0.4, 0.090909090909, 0.5, 0.136363636363, 0.613636363636],
+    [0.0, 0.4, 0.090909090909, 1.0, 0.136363636364, 0.363636363636],
+    [0.2, 0.2, 0.181818181818, 0.5, 0.477272727273, 0.477272727273],
+    [0.2, 0.2, 0.181818181818, 0.5, 0.75, 0.25],
+    [0.2, 0.2, 0.181818181818, 1.0, 0.5, 0.25],
+    [0.2, 0.2, 0.454545454545, 1.0, 0.25, 0.25],
+    [0.4, 0.0, 0.090909090909, 0.0, 0.386363636364, 0.613636363636],
+    [0.4, 0.0, 0.090909090909, 0.5, 0.136363636363, 0.613636363636],
+    [0.4, 0.0, 0.090909090909, 1.0, 0.136363636364, 0.363636363636],
+]

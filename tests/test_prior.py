@@ -75,6 +75,47 @@ class TestPriorModel:
                        {}, default_pmf=np.array([0.25, 0.75]))
         assert np.allclose(p.node_pmf("b"), [[0.25, 0.75], [0.25, 0.75]])
 
+    def test_mass_array(self):
+        g = LabeledGraph(["a", "b", "c"], [])
+        rows = np.array([[0.1, 0.9], [0.6, 0.4]])
+        p = PriorModel(g, 2, ((0.0, 1.0), (1.0, 2.0)), {"b": rows}, {},
+                       default_pmf=np.array([0.25, 0.75]))
+        assert p.masses.shape == (3, 2, 2) and not p.masses.flags.writeable
+        assert np.array_equal(p.masses[1], rows)
+        assert np.array_equal(p.masses[[0, 2]], np.tile([0.25, 0.75], (2, 2, 1)))
+        assert all(np.array_equal(p.node_pmf(v), p.masses[i]) for i, v in enumerate(g.nodes))
+        with pytest.raises(InputError, match="unknown node id"):
+            p.node_pmf("z")
+
+    @pytest.mark.parametrize("default, ok", [
+        ([0.25, 0.75], True), ([[0.25, 0.75]], True),
+        ([[0.25, 0.75], [0.25, 0.75]], False), ([1.0], False), ([[[0.25, 0.75]]], False),
+    ])
+    def test_default_pmf_shape(self, default, ok):
+        # default_pmf serves as one row for every time, as its L-fold tile would
+        g = LabeledGraph(["a"], [])
+        make = lambda: PriorModel(g, 2, ((0.0, 1.0), (1.0, 2.0)), {}, {},  # noqa: E731
+                                  default_pmf=np.array(default))
+        if ok:
+            assert np.array_equal(make().node_pmf("a"), [[0.25, 0.75]] * 2)
+        else:
+            with pytest.raises(InputError, match=r"must have shape \(2, 2\)"):
+                make()
+
+    @pytest.mark.parametrize("L", [10 ** 30, 10 ** 8])
+    def test_huge_horizon_rejected_before_allocation(self, L):
+        # 1 node x L x 2 bins passes the cap of 10^8 mass cells; nothing of
+        # size L is allocated first
+        g = LabeledGraph(["a"], [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"horizon L={L} is too long"):
+                PriorModel(g, L, ((0.0, 1.0), (1.0, 2.0)), {}, {},
+                           default_pmf=np.array([0.5, 0.5]))
+            assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+        finally:
+            tracemalloc.stop()
+
     def test_json_round_trip(self, tmp_path):
         prior = one_node_prior()
         path = tmp_path / "prior.json"

@@ -10,8 +10,8 @@ import gtl.graph
 import gtl.semantics
 from gtl.errors import InputError, UsageError
 from gtl.formula import (
-    And, Atom, EdgeAtom, Exists, _subformulas, desugar, free_parameters, instantiate,
-    parse, print_formula,
+    Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, Param, Until, _subformulas, desugar,
+    free_parameters, instantiate, parse, print_formula,
 )
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import coverage, misclassification_rate, sat, sat_table
@@ -28,6 +28,30 @@ def single_node(values):
     g = LabeledGraph(["a"], [])
     return GraphTemporalTrajectory(g, [list(map(float, values))],
                                    np.zeros((0, len(values))))
+
+
+def until_reference(a, b, bound, value):
+    """Table of a U b under a single-sided bound, or of F b if a is None, by
+    a difference of one cumulative sum of b in every window; G b is
+    ~until_reference(None, ~b, ...)."""
+    L = b.shape[-1]
+    k = np.arange(L)
+    lo = 0 if bound is None or bound.lo is None else value(bound.lo, "integer")
+    hi = L if bound is None or bound.hi is None else value(bound.hi, "integer")
+    lo, hi = np.minimum(k + lo, L), np.minimum(k + hi, L - 1)
+    c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
+    np.cumsum(b, axis=-1, out=c[..., 1:])
+    if a is not None:
+        fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
+        hi = np.minimum(hi, fails - 1)
+
+    def at(c, i):
+        if i.ndim == 1:
+            return c[..., i]
+        n = max(c.ndim, i.ndim)
+        return np.take_along_axis(c[(None,) * (n - c.ndim)], i[(None,) * (n - i.ndim)], axis=-1)
+
+    return (lo <= hi) & (at(c, hi + 1) > at(c, lo))
 
 
 class TestTemporalOperators:
@@ -73,6 +97,48 @@ class TestTemporalOperators:
         f = parse("x <= 1 U[<=1] x >= 1")
         assert [sat(t, f, "a", k) for k in (1, 2, 3, 4)] == \
             [False, False, True, True]
+
+    A, B = Atom("<=", 0.0), Atom(">=", 1.0)  # stand-ins for random operand tables
+
+    def windows(self, a, b, bounds, value):
+        """(table, reference table) of F b, G b and a U b under each bound."""
+        rec = {self.A: a, self.B: b}.__getitem__
+        for bound in bounds:
+            yield (gtl.semantics._temporal(Eventually(self.B, bound), rec, value),
+                   until_reference(None, b, bound, value))
+            yield (gtl.semantics._temporal(Always(self.B, bound), rec, value),
+                   ~until_reference(None, ~b, bound, value))
+            yield (gtl.semantics._temporal(Until(self.A, self.B, bound), rec, value),
+                   until_reference(a, b, bound, value))
+
+    def test_windows_match_reference(self):
+        rng = np.random.default_rng(5)
+        compared = 0
+        for L in range(1, 9):
+            bounds = ([None] + [Bound(lo, None) for lo in range(1, L + 3)]
+                      + [Bound(None, hi) for hi in range(L + 3)])
+            for _ in range(20):
+                a = rng.random((2, 3, L)) < rng.random()
+                b = rng.random((2, 3, L)) < rng.random()
+                for got, want in self.windows(a, b, bounds, lambda v, kind: v):
+                    assert got.shape == want.shape and np.array_equal(got, want), L
+                    compared += 1
+        assert compared == 7200
+
+    def test_windows_per_valuation_bound(self):
+        # one bound value per valuation: (K, 1, 1, L) windows
+        rng = np.random.default_rng(6)
+        for L in range(1, 9):
+            ks = np.arange(L + 3)
+
+            def value(v, kind):
+                return ks.reshape(-1, 1, 1, 1) if isinstance(v, Param) else v
+
+            a = rng.random((2, 3, L)) < 0.6
+            b = rng.random((2, 3, L)) < 0.4
+            bounds = [Bound(Param("i"), None), Bound(None, Param("i"))]
+            for got, want in self.windows(a, b, bounds, value):
+                assert got.shape == (L + 3, 2, 3, L) and np.array_equal(got, want), L
 
     def test_ungrounded_rejected(self, six_node):
         with pytest.raises(UsageError):

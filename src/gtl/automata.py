@@ -1,20 +1,17 @@
 """DFA translation of GTL formulas over atomic-predicate alphabets.
 
-Construction is by formula progression: a state is the residual obligation
-(kept as a DNF over temporal subformulas) that the remaining suffix of the
-word must satisfy.  Bounded operators count their bounds down; unbounded
-ones stay symbolic, so one automaton serves every horizon.  F, G and U
-share one progression rule: F b is TRUE U b, and G joins "now" and "later"
-by conjunction.  At word end a state accepts iff its residual holds on the
-empty suffix (eventualities unwitnessed are false, invariants unviolated
-are true), which matches the finite-trace semantics of the evaluation
-module exactly.
-
-A residual DNF is only absorbed (no clause contains another); literals
-are never checked for implication, so a clause may even contradict
-itself.  Semantically equal residuals can thus become distinct states,
-and `minimize` merges them.  The minimal DFA is unique, so the result
-does not depend on which of two equivalent residuals progression met.
+Construction is two breadth-first passes.  The first builds a monitor that
+reads a word backward, last letter first, where a future-time formula is a
+past-time one: its truth at a letter follows from its children's truth
+there and one bounded integer per temporal subformula (Havelund & Rosu,
+TACAS 2002).  A monitor state is those integers and whether the formula
+holds at the letter just read.  It starts on the empty suffix past the
+trace end, where F and U are false and G is true, as in the finite-trace
+semantics of the evaluation module.  The second pass determinizes the
+monitor's reverse, from the set of states where the formula holds.  Every
+monitor state is reachable, so the sets reached form the minimal DFA of
+the formula's words (Brzozowski, 1962), and numbering them breadth first,
+letters in order, makes the automaton a function of the language alone.
 
 Letters are bitmasks over an ordered atomic-predicate list: either bare
 node propositions or neighbor-count predicates applied to one proposition.
@@ -28,15 +25,17 @@ import numpy as np
 
 from .errors import InputError, OutOfScopeError, UsageError
 from .formula import (
-    Always, And, Atom, Bound, Eventually, Exists, FalseF, Formula, Not, Or,
-    TrueF, Until, _children, _keep, _rebuild, _subformulas, desugar, is_ground,
+    TRUE, Always, And, Atom, Eventually, Exists, FalseF, Formula, Not, Or, Until,
+    _children, _keep, _rebuild, _subformulas, desugar, is_ground,
 )
 from .semantics import _table
 
-TRUE_DNF = frozenset({frozenset()})
-FALSE_DNF = frozenset()
-#: states above which to_dfa stops construction, before minimization
+#: states above which to_dfa stops building the DFA
 MAX_DFA_STATES = 10 ** 4
+#: states above which to_dfa stops building the monitor, where sibling
+#: bounds multiply: `F[<=h] a & F[<=h] b` has (h+2)^2 monitor states and 3h+3
+#: DFA states.  Near the cap a build takes 2 to 13 s over 4 to 32 letters.
+MAX_MONITOR_STATES = 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def skeleton(f: Formula) -> tuple[Formula, list[Formula]]:
     """(key, aps): f with each atomic predicate replaced by the placeholder
     atom `x <= i`, i its index in aps = extract_aps(f).
 
-    Progression sees a predicate only through its letter bit, so formulas
+    The monitor sees a predicate only through its letter bit, so formulas
     with equal keys have the same automaton: to_dfa gives each of them the
     same transitions, acceptance and initial state, over its own aps.  Equal
     thresholds that merge two predicates of one formula change its aps and
@@ -92,170 +91,6 @@ def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
     vi = traj.graph.index_of(v)
     rows = [_table([traj], ap)[0, vi] for ap in aps]
     return [sum(int(row[k]) << bit for bit, row in enumerate(rows)) for k in range(traj.L)]
-
-
-# ---------------------------------------------------------------------------
-# DNF machinery over obligation literals
-
-def _absorb(clauses):
-    """The clauses of a set that no other clause strictly contains."""
-    return frozenset([c for c in clauses if not any(c2 < c for c2 in clauses)])
-
-
-def or_dnf(*dnfs):
-    clauses = set()
-    for d in dnfs:
-        clauses |= d
-    if frozenset() in clauses:
-        return TRUE_DNF
-    return _absorb(clauses)
-
-
-def and_dnf(a, b):
-    clauses = {c1 | c2 for c1 in a for c2 in b}
-    if frozenset() in clauses:
-        return TRUE_DNF
-    return _absorb(clauses)
-
-
-def _lit(f):
-    return frozenset({frozenset({(f, True)})})
-
-
-# ---------------------------------------------------------------------------
-# progression
-
-class _Progression:
-    """Formula progression over one alphabet, memoized for one to_dfa call.
-
-    The residuals of one automaton keep meeting the same obligations under
-    the same letters, so _prog results are kept per (formula, letter) and
-    conjunction and negation results per argument.  The memo lives as long
-    as the object, which to_dfa drops when it returns.
-    """
-
-    def __init__(self, ap_bits):
-        self.ap_bits = ap_bits
-        self.memo = {}
-
-    def and_(self, a, b):
-        key = ("and", a, b)
-        d = self.memo.get(key)
-        if d is None:
-            d = self.memo[key] = and_dnf(a, b)
-        return d
-
-    def negate(self, d):
-        key = ("not", d)
-        acc = self.memo.get(key)
-        if acc is not None:
-            return acc
-        acc = TRUE_DNF
-        for clause in d:
-            neg = frozenset(frozenset({(f, not s)}) for f, s in clause)
-            if not neg:  # negation of TRUE clause
-                acc = FALSE_DNF
-                break
-            acc = self.and_(acc, neg)
-            if acc == FALSE_DNF:
-                break
-        self.memo[key] = acc
-        return acc
-
-    def prog(self, f, letter):
-        """DNF of next-step obligations given that f must hold now and the
-        current letter is `letter`."""
-        key = (f, letter)
-        d = self.memo.get(key)
-        if d is None:
-            d = self.memo[key] = self._prog(f, letter)
-        return d
-
-    def _prog(self, f, letter):
-        if isinstance(f, TrueF):
-            return TRUE_DNF
-        if isinstance(f, FalseF):
-            return FALSE_DNF
-        if isinstance(f, (Atom, Exists)):
-            return TRUE_DNF if letter & (1 << self.ap_bits[f]) else FALSE_DNF
-        if isinstance(f, Not):
-            return self.negate(self.prog(f.sub, letter))
-        if isinstance(f, And):
-            return self.and_(self.prog(f.left, letter), self.prog(f.right, letter))
-        if isinstance(f, Or):
-            return or_dnf(self.prog(f.left, letter), self.prog(f.right, letter))
-        if isinstance(f, (Eventually, Always, Until)):
-            # F b is TRUE U b; G b joins "now" and "later" with and_, not or
-            *left, right = kids = _children(f)
-            pa = self.prog(left[0], letter) if left else None
-
-            def guard(d):
-                return d if pa is None else self.and_(pa, d)
-
-            lo, hi = _bound_parts(f.bound)
-            if lo >= 1:
-                return guard(_lit(type(f)(*kids, bound=_dec_lo(f.bound))))
-            now = guard(self.prog(right, letter))
-            if hi == 0:
-                return now
-            later = guard(_lit(type(f)(*kids, bound=_dec_hi(f.bound))))
-            return self.and_(now, later) if isinstance(f, Always) else or_dnf(now, later)
-        raise TypeError(f"not a formula node: {f!r}")
-
-    def state(self, state, letter):
-        """The residual DNF after reading `letter` in `state`."""
-        out = FALSE_DNF
-        for clause in state:
-            acc = TRUE_DNF
-            for f, s in clause:
-                d = self.prog(f, letter)
-                acc = self.and_(acc, d if s else self.negate(d))
-                if acc == FALSE_DNF:
-                    break
-            out = or_dnf(out, acc)
-            if out == TRUE_DNF:
-                break
-        return out
-
-
-def _bound_parts(b):
-    if b is None:
-        return 0, float("inf")
-    lo = b.lo if b.lo is not None else 0
-    hi = b.hi if b.hi is not None else float("inf")
-    return lo, hi
-
-
-def _dec_lo(bound):
-    lo = bound.lo - 1
-    return Bound(lo if lo > 0 else None, bound.hi)
-
-
-def _dec_hi(bound):
-    if bound is None or bound.hi is None:
-        return bound
-    return Bound(bound.lo, bound.hi - 1)
-
-
-def _empty(f):
-    """Truth of an obligation on the empty suffix past the trace end."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, (FalseF, Atom, Exists, Until, Eventually)):
-        return False
-    if isinstance(f, Always):
-        return True
-    if isinstance(f, Not):
-        return not _empty(f.sub)
-    if isinstance(f, And):
-        return _empty(f.left) and _empty(f.right)
-    if isinstance(f, Or):
-        return _empty(f.left) or _empty(f.right)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _empty_state(state):
-    return any(all(_empty(f) == s for f, s in clause) for clause in state)
 
 
 # ---------------------------------------------------------------------------
@@ -311,79 +146,144 @@ class Dfa:
 
 
 def to_dfa(f: Formula) -> tuple[Dfa, list[Formula]]:
-    """Build the DFA accepting exactly the words of trajectories satisfying f.
+    """The minimal DFA of the words of trajectories satisfying f, and f's
+    atomic predicates.
 
-    Returns (dfa, atomic predicate list).  The automaton is horizon-aware
-    only through its end-of-word acceptance rule, so the same automaton is
-    valid for every word length.  Construction stops with an input error
-    once it passes MAX_DFA_STATES states.
+    One automaton serves every word length: only its acceptance at word
+    end sees the horizon.  Construction stops with an input error once the
+    monitor passes MAX_MONITOR_STATES states or the DFA MAX_DFA_STATES.
     """
     if not is_ground(f):
         raise UsageError("formula still has free parameters; instantiate it first")
     f = desugar(f)
     aps = extract_aps(f)
-    prog = _Progression({ap: i for i, ap in enumerate(aps)})
-    n_letters = 1 << len(aps)
-    init = _lit(f)
-    states = {init: 0}
-    order = [init]
-    trans = []
-    queue = [init]
-    while queue:
-        s = queue.pop(0)
-        row = []
-        for letter in range(n_letters):
-            t = prog.state(s, letter)
-            if t not in states:
-                if len(order) == MAX_DFA_STATES:
-                    raise InputError(
-                        f"automaton passes {MAX_DFA_STATES} states; the formula's largest "
-                        f"time bound is {max(_all_bounds(f), default='none')}")
-                states[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            row.append(states[t])
-        trans.append(row)
-    transitions = np.array(trans, dtype=np.int64).reshape(len(order), n_letters)
-    accepting = np.array([_empty_state(s) for s in order], dtype=bool)
-    dfa = Dfa(aps=aps, transitions=transitions, accepting=accepting, initial=0)
-    return minimize(dfa), aps
+    trans, holds = _monitor(f, aps)
+    back, m = trans.T, len(holds)  # back[letter, p]: p's successor on the letter
+    sets = _Numbering(f, MAX_DFA_STATES, "states")  # sets of monitor states, as packed bits
+    sets[np.packbits(holds).tobytes()]  # the first: the states where f holds
+    rows, accepting = [], []
+    for key in sets.order:
+        s = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=m)
+        accepting.append(bool(s[0]))
+        rows.append([sets[t.tobytes()] for t in np.packbits(s[back], axis=1)])
+    return Dfa(aps=aps, transitions=np.array(rows, dtype=np.int64).reshape(len(rows), -1),
+               accepting=np.array(accepting, dtype=bool), initial=0), aps
 
 
-def _all_bounds(f):
-    return [v for g in _subformulas(f) if isinstance(g, (Eventually, Always, Until)) and g.bound
-            for v in (g.bound.lo, g.bound.hi) if v is not None]
+class _Numbering(dict):
+    """Breadth-first numbers for up to `limit` states, called `noun` in the
+    error: an unseen state gets the next number; `order` lists them by number."""
+
+    def __init__(self, f, limit, noun):
+        super().__init__()
+        self.f, self.limit, self.noun, self.order = f, limit, noun, []
+
+    def __missing__(self, state):
+        if len(self.order) == self.limit:
+            bounds = [v for g in _subformulas(self.f) if isinstance(g, (Eventually, Always, Until))
+                      and g.bound for v in (g.bound.lo, g.bound.hi) if v is not None]
+            raise InputError(f"automaton passes {self.limit} {self.noun}; the formula's "
+                             f"largest time bound is {max(bounds, default='none')}")
+        self[state] = len(self.order)
+        self.order.append(state)
+        return self[state]
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Partition-refinement minimization over reachable states."""
-    rows = dfa.transitions.tolist()
-    # reachable states only
-    reach = {dfa.initial}
-    stack = [dfa.initial]
-    while stack:
-        for t in rows[stack.pop()]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    reach = sorted(reach)
-    remap = {q: i for i, q in enumerate(reach)}
-    trans = [[remap[t] for t in rows[q]] for q in reach]
-    acc = dfa.accepting[reach]
+# ---------------------------------------------------------------------------
+# the monitor on reversed words
 
-    block = [1 if a else 0 for a in acc]
-    while True:
-        sig = {}
-        new_block = [sig.setdefault((block[q], tuple([block[t] for t in row])), len(sig))
-                     for q, row in enumerate(trans)]
-        if new_block == block:
-            break
-        block = new_block
-    k = max(block) + 1
-    new_trans = np.zeros((k, dfa.n_letters), dtype=np.int64)
-    new_acc = np.zeros(k, dtype=bool)
-    for q, row in enumerate(trans):
-        new_acc[block[q]] = acc[q]
-        new_trans[block[q]] = [block[t] for t in row]
-    return Dfa(aps=dfa.aps, transitions=new_trans, accepting=new_acc,
-               initial=block[remap[dfa.initial]])
+_NOT, _AND, _OR, _NEAR, _FAR = range(5)
+
+
+def _monitor(f, aps):
+    """(transitions, holds) of the desugared f's monitor on reversed words:
+    an (M, 2^|aps|) successor array from start state 0, and whether f holds
+    at the letter each state has just read."""
+    rows, steps, init, root = _program(f, aps)
+    states = _Numbering(f, MAX_MONITOR_STATES, "monitor states")
+    # the start: on the empty suffix every atomic predicate is false, as in letter 0
+    states[_advance(steps, init, rows[0][:], root, empty=True)]
+    trans = np.fromiter((states[_advance(steps, comps, r[:], root)]  # 8 bytes a transition
+                         for comps, _ in states.order for r in rows), dtype=np.int64)
+    holds = np.array([h for _, h in states.order])
+    return trans.reshape(len(holds), len(rows)), holds
+
+
+def _program(f, aps):
+    """(rows, steps, init, root): the desugared f compiled for the monitor.
+
+    Nodes are numbered in post-order, equal subformulas once, node 0 always
+    true; an atomic predicate is a leaf, so an `E` body is not entered.
+    rows[letter] lists every node's truth at that letter, exact for nodes
+    with no temporal operator beneath them.  steps evaluates the others,
+    children first, as tuples (op, node, a, b, slot, n, neg).
+
+    A temporal node keeps one integer in its slot of the components.  Its
+    guard is node a (U's left operand, else node 0) and its witness node b
+    (U's right operand, F's body, or G's body negated: neg).  Under [<=n]
+    the integer is the distance to the nearest witness within the guard's
+    current run, capped at n+1; otherwise the distance to the farthest one,
+    capped at n (the lower bound, or 0), or -1 for none.  F and U hold when
+    a witness is found, G when none is.  init holds the integers on the
+    empty suffix.
+    """
+    bit = {ap: i for i, ap in enumerate(aps)}
+    letters = np.arange(1 << len(aps))
+    cols, index, dynamic = [np.ones(letters.shape, dtype=bool)], {TRUE: 0}, [False]
+    steps, init = [], []
+
+    def visit(g):
+        if g in index:
+            return index[g]
+        kids = () if isinstance(g, (Atom, Exists)) else tuple(map(visit, _children(g)))
+        i = index[g] = len(cols)
+        if isinstance(g, (Atom, Exists)):
+            col, step = (letters >> bit[g]) & 1 == 1, None
+        elif isinstance(g, FalseF):
+            col, step = ~cols[0], None
+        elif isinstance(g, Not):
+            col, step = ~cols[kids[0]], (_NOT, i, kids[0], 0, 0, 0, False)
+        elif isinstance(g, And):
+            col, step = cols[kids[0]] & cols[kids[1]], (_AND, i, *kids, 0, 0, False)
+        elif isinstance(g, Or):
+            col, step = cols[kids[0]] | cols[kids[1]], (_OR, i, *kids, 0, 0, False)
+        else:
+            a, b = kids if isinstance(g, Until) else (0, kids[0])
+            lo, hi = (None, None) if g.bound is None else (g.bound.lo, g.bound.hi)
+            n = (lo or 0) if hi is None else hi
+            col = cols[0]  # a placeholder
+            step = (_FAR if hi is None else _NEAR, i, a, b, len(init), n, isinstance(g, Always))
+            init.append(-1 if hi is None else n + 1)
+        cols.append(col)
+        dynamic.append(isinstance(g, (Eventually, Always, Until)) or any(dynamic[k] for k in kids))
+        if dynamic[i]:
+            steps.append(step)
+        return i
+
+    root = visit(f)
+    return np.array(cols).T.tolist(), steps, tuple(init), root
+
+
+def _advance(steps, comps, v, root, empty=False):
+    """The monitor state after reading the letter whose node row is v, from
+    the components of the suffix after it: (components, f holds).  Evaluates
+    the steps' nodes into v.  On the empty suffix F and U are false, G is
+    true, and the components stay."""
+    c = list(comps)
+    for op, i, a, b, j, n, neg in steps:
+        if op == _NOT:
+            v[i] = not v[a]
+        elif op == _AND:
+            v[i] = v[a] and v[b]
+        elif op == _OR:
+            v[i] = v[a] or v[b]
+        elif empty:
+            v[i] = neg
+        elif op == _NEAR:
+            c[j] = x = n + 1 if not v[a] else 0 if v[b] != neg else min(c[j] + 1, n + 1)
+            v[i] = (x <= n) != neg
+        else:
+            x = c[j]
+            c[j] = x = -1 if not v[a] else min(x + 1, n) if x >= 0 else 0 if v[b] != neg else -1
+            v[i] = (x >= n) != neg
+    return tuple(c), v[root]

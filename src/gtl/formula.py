@@ -19,6 +19,7 @@ Grammar (whitespace-insensitive)::
     intval   := integer | "?" name         numval   := number | "?" name
 
 An integer literal is at most 2^53 in magnitude, so it is exact as a float.
+A time bound is never negative.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class Bound:
     lo: Optional[Value] = None
     hi: Optional[Value] = None
 
+    def __post_init__(self):
+        for v in (self.lo, self.hi):
+            if v is not None and not isinstance(v, Param) and v < 0:
+                raise InputError(f"time bound must be non-negative, got {v}")
+
     @property
     def paired(self):
         return self.lo is not None and self.hi is not None
@@ -133,7 +139,8 @@ class Formula:
 def _node(cls):
     """A frozen-dataclass formula node that computes its structural hash on
     first use and keeps it outside its fields, so ==, repr and pickles never
-    see it.  Progression hashes the same subtrees many times over."""
+    see it.  The evaluator's table memo, skeleton grouping and the DFA
+    monitor's node index hash the same subtrees many times over."""
     cls = dataclass(frozen=True)(cls)
     structural = cls.__hash__
 

@@ -1,15 +1,20 @@
-"""DFA construction by formula progression, word generation, soundness."""
+"""DFA construction from the backward monitor and its determinized
+reverse, word labelling, soundness, and a differential against formula
+progression, the construction it replaced."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-import gtl.automata
+from gtl import automata
 from gtl.cli import main
-from gtl.errors import OutOfScopeError, UsageError
-from gtl.automata import extract_aps, label_word, minimize, to_dfa
-from gtl.formula import Not, parse, print_formula
+from gtl.errors import InputError, OutOfScopeError, UsageError
+from gtl.automata import Dfa, extract_aps, label_word, to_dfa
+from gtl.formula import (
+    Always, And, Atom, Bound, Eventually, Exists, FalseF, Not, Or, TrueF, Until,
+    _children, desugar, parse, print_formula,
+)
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import sat
 
@@ -80,6 +85,20 @@ class TestToDfa:
         with pytest.raises(UsageError):
             to_dfa(parse("x <= ?c"))
 
+    def test_long_bound_is_minimal_and_exact(self):
+        # one state per step of the bound, plus the start, the hit and the miss
+        dfa, aps = to_dfa(parse("F[<=2000] x <= 1"))
+        assert dfa.n_states == 2003 and dfa.n_letters == 2
+        for hit in (0, 1, 1000, 2000):
+            word = [0] * 2100
+            word[hit] = 1
+            assert dfa.run_word(word), hit
+        for hit in (2001, 2099):
+            word = [0] * 2100
+            word[hit] = 1
+            assert not dfa.run_word(word), hit
+        assert dfa.run_word([1]) and not dfa.run_word([]) and not dfa.run_word([0] * 2001)
+
     def test_transitions_total(self):
         dfa, aps = to_dfa(parse("x <= 0 U F[<=2] x >= 1"))
         assert dfa.transitions.shape == (dfa.n_states, 2 ** len(aps))
@@ -122,14 +141,41 @@ class TestSoundness:
             self._check(traj, f, "a")
 
 
+class TestStateCaps:
+    def test_monitor_cap_is_exact(self, monkeypatch):
+        # the monitor counts both distances, past the DFA cap; the DFA only
+        # the time and which atom came first
+        f = parse("F[<=100] x <= 1 & F[<=100] x >= 3")
+        assert to_dfa(f)[0].n_states == 303
+        monkeypatch.setattr(automata, "MAX_MONITOR_STATES", 102 ** 2)
+        assert to_dfa(f)[0].n_states == 303
+        monkeypatch.setattr(automata, "MAX_MONITOR_STATES", 102 ** 2 - 1)
+        with pytest.raises(InputError, match="^automaton passes 10403 monitor states; the "
+                                             "formula's largest time bound is 100$"):
+            to_dfa(f)
+
+    def test_monitor_cap_refuses_sibling_bounds_that_progression_builds(self):
+        # a known loss: 402^2 monitor states pass the cap, the DFA has 1,203
+        f = parse("F[<=400] x <= 1 & F[<=400] x >= 3")
+        with pytest.raises(InputError, match="^automaton passes 100000 monitor states"):
+            to_dfa(f)
+        assert progression_dfa(f)[0].n_states == 1203
+
+    def test_dfa_cap(self):
+        with pytest.raises(InputError, match="^automaton passes 10000 states; the "
+                                             "formula's largest time bound is 10001$"):
+            to_dfa(parse("F[<=10001] x <= 1"))
+
+
 class TestMinimize:
     def test_language_preserved(self):
+        # to_dfa is minimal by construction: minimizing merges nothing
         rng = np.random.default_rng(9)
         for _ in range(40):
             f = random_formula(rng, depth=3, allow_exists=False)
             dfa, aps = to_dfa(f)
             small = minimize(dfa)
-            assert small.n_states <= dfa.n_states
+            assert small.n_states == dfa.n_states, str(f)
             for _ in range(20):
                 w = [int(x) for x in
                      rng.integers(0, 2 ** len(aps), size=4)]
@@ -153,43 +199,296 @@ def c2_formulas(n):
         yield f
 
 
-class _Forgetful(dict):
-    """A memo that never stores, so every progression step is recomputed."""
+# ---------------------------------------------------------------------------
+# reference: formula progression over residual DNFs, then minimization.
+# to_dfa built its automata this way before it read formulas backward; the
+# minimal DFA is unique and both number states breadth first, so the two
+# must agree exactly.
 
-    def __setitem__(self, key, value):
-        pass
+TRUE_DNF = frozenset({frozenset()})
+FALSE_DNF = frozenset()
 
 
-class TestProgressionMemo:
-    def test_memo_changes_no_automaton(self, monkeypatch):
-        formulas = [g for f in c2_formulas(50) for g in (f, Not(f))]
-        built = [to_dfa(f) for f in formulas]
-        init = gtl.automata._Progression.__init__
+def _absorb(clauses):
+    """The clauses of a set that no other clause strictly contains."""
+    return frozenset([c for c in clauses if not any(c2 < c for c2 in clauses)])
 
-        def forgetful_init(self, ap_bits):
-            init(self, ap_bits)
-            self.memo = _Forgetful()
 
-        monkeypatch.setattr(gtl.automata._Progression, "__init__", forgetful_init)
-        for f, (dfa, aps) in zip(formulas, built):
-            ref, ref_aps = to_dfa(f)
-            assert aps == ref_aps, str(f)
-            assert np.array_equal(dfa.transitions, ref.transitions), str(f)
-            assert np.array_equal(dfa.accepting, ref.accepting), str(f)
-            assert dfa.initial == ref.initial, str(f)
+def or_dnf(*dnfs):
+    clauses = set()
+    for d in dnfs:
+        clauses |= d
+    if frozenset() in clauses:
+        return TRUE_DNF
+    return _absorb(clauses)
 
-    def test_memo_dropped_with_the_call(self, monkeypatch):
-        made = []
-        init = gtl.automata._Progression.__init__
 
-        def recording_init(self, ap_bits):
-            init(self, ap_bits)
-            made.append(self)
+def and_dnf(a, b):
+    clauses = {c1 | c2 for c1 in a for c2 in b}
+    if frozenset() in clauses:
+        return TRUE_DNF
+    return _absorb(clauses)
 
-        monkeypatch.setattr(gtl.automata._Progression, "__init__", recording_init)
-        to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
-        to_dfa(parse("G (x <= 0 -> F[<=2] x >= 1)"))
-        assert len(made) == 2 and made[0].memo is not made[1].memo
+
+def _lit(f):
+    return frozenset({frozenset({(f, True)})})
+
+
+class _Progression:
+    """Formula progression over one alphabet, memoized for one
+    progression_dfa call.
+
+    The residuals of one automaton keep meeting the same obligations under
+    the same letters, so _prog results are kept per (formula, letter) and
+    conjunction and negation results per argument.
+    """
+
+    def __init__(self, ap_bits):
+        self.ap_bits = ap_bits
+        self.memo = {}
+
+    def and_(self, a, b):
+        key = ("and", a, b)
+        d = self.memo.get(key)
+        if d is None:
+            d = self.memo[key] = and_dnf(a, b)
+        return d
+
+    def negate(self, d):
+        key = ("not", d)
+        acc = self.memo.get(key)
+        if acc is not None:
+            return acc
+        acc = TRUE_DNF
+        for clause in d:
+            neg = frozenset(frozenset({(f, not s)}) for f, s in clause)
+            if not neg:  # negation of TRUE clause
+                acc = FALSE_DNF
+                break
+            acc = self.and_(acc, neg)
+            if acc == FALSE_DNF:
+                break
+        self.memo[key] = acc
+        return acc
+
+    def prog(self, f, letter):
+        """DNF of next-step obligations given that f must hold now and the
+        current letter is `letter`."""
+        key = (f, letter)
+        d = self.memo.get(key)
+        if d is None:
+            d = self.memo[key] = self._prog(f, letter)
+        return d
+
+    def _prog(self, f, letter):
+        if isinstance(f, TrueF):
+            return TRUE_DNF
+        if isinstance(f, FalseF):
+            return FALSE_DNF
+        if isinstance(f, (Atom, Exists)):
+            return TRUE_DNF if letter & (1 << self.ap_bits[f]) else FALSE_DNF
+        if isinstance(f, Not):
+            return self.negate(self.prog(f.sub, letter))
+        if isinstance(f, And):
+            return self.and_(self.prog(f.left, letter), self.prog(f.right, letter))
+        if isinstance(f, Or):
+            return or_dnf(self.prog(f.left, letter), self.prog(f.right, letter))
+        if isinstance(f, (Eventually, Always, Until)):
+            # F b is TRUE U b; G b joins "now" and "later" with and_, not or
+            *left, right = kids = _children(f)
+            pa = self.prog(left[0], letter) if left else None
+
+            def guard(d):
+                return d if pa is None else self.and_(pa, d)
+
+            lo, hi = _bound_parts(f.bound)
+            if lo >= 1:
+                return guard(_lit(type(f)(*kids, bound=_dec_lo(f.bound))))
+            now = guard(self.prog(right, letter))
+            if hi == 0:
+                return now
+            later = guard(_lit(type(f)(*kids, bound=_dec_hi(f.bound))))
+            return self.and_(now, later) if isinstance(f, Always) else or_dnf(now, later)
+        raise TypeError(f"not a formula node: {f!r}")
+
+    def state(self, state, letter):
+        """The residual DNF after reading `letter` in `state`."""
+        out = FALSE_DNF
+        for clause in state:
+            acc = TRUE_DNF
+            for f, s in clause:
+                d = self.prog(f, letter)
+                acc = self.and_(acc, d if s else self.negate(d))
+                if acc == FALSE_DNF:
+                    break
+            out = or_dnf(out, acc)
+            if out == TRUE_DNF:
+                break
+        return out
+
+
+def _bound_parts(b):
+    if b is None:
+        return 0, float("inf")
+    lo = b.lo if b.lo is not None else 0
+    hi = b.hi if b.hi is not None else float("inf")
+    return lo, hi
+
+
+def _dec_lo(bound):
+    lo = bound.lo - 1
+    return Bound(lo if lo > 0 else None, bound.hi)
+
+
+def _dec_hi(bound):
+    if bound is None or bound.hi is None:
+        return bound
+    return Bound(bound.lo, bound.hi - 1)
+
+
+def _empty(f):
+    """Truth of an obligation on the empty suffix past the trace end."""
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, (FalseF, Atom, Exists, Until, Eventually)):
+        return False
+    if isinstance(f, Always):
+        return True
+    if isinstance(f, Not):
+        return not _empty(f.sub)
+    if isinstance(f, And):
+        return _empty(f.left) and _empty(f.right)
+    if isinstance(f, Or):
+        return _empty(f.left) or _empty(f.right)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _empty_state(state):
+    return any(all(_empty(f) == s for f, s in clause) for clause in state)
+
+
+def progression_dfa(f):
+    """The DFA of f by progression of residual DNFs, then minimized."""
+    f = desugar(f)
+    aps = extract_aps(f)
+    prog = _Progression({ap: i for i, ap in enumerate(aps)})
+    n_letters = 1 << len(aps)
+    init = _lit(f)
+    states = {init: 0}
+    order = [init]
+    trans = []
+    for s in order:
+        row = []
+        for letter in range(n_letters):
+            t = prog.state(s, letter)
+            if t not in states:
+                states[t] = len(order)
+                order.append(t)
+            row.append(states[t])
+        trans.append(row)
+    transitions = np.array(trans, dtype=np.int64).reshape(len(order), n_letters)
+    accepting = np.array([_empty_state(s) for s in order], dtype=bool)
+    dfa = Dfa(aps=aps, transitions=transitions, accepting=accepting, initial=0)
+    return minimize(dfa), aps
+
+
+def minimize(dfa: Dfa) -> Dfa:
+    """Partition-refinement minimization over reachable states."""
+    rows = dfa.transitions.tolist()
+    # reachable states only
+    reach = {dfa.initial}
+    stack = [dfa.initial]
+    while stack:
+        for t in rows[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    reach = sorted(reach)
+    remap = {q: i for i, q in enumerate(reach)}
+    trans = [[remap[t] for t in rows[q]] for q in reach]
+    acc = dfa.accepting[reach]
+
+    block = [1 if a else 0 for a in acc]
+    while True:
+        sig = {}
+        new_block = [sig.setdefault((block[q], tuple([block[t] for t in row])), len(sig))
+                     for q, row in enumerate(trans)]
+        if new_block == block:
+            break
+        block = new_block
+    k = max(block) + 1
+    new_trans = np.zeros((k, dfa.n_letters), dtype=np.int64)
+    new_acc = np.zeros(k, dtype=bool)
+    for q, row in enumerate(trans):
+        new_acc[block[q]] = acc[q]
+        new_trans[block[q]] = [block[t] for t in row]
+    return Dfa(aps=dfa.aps, transitions=new_trans, accepting=new_acc,
+               initial=block[remap[dfa.initial]])
+
+
+def bound_grid():
+    """F, G and U under every small bound, each around an inner F[<=h]."""
+    inner = [Eventually(Atom(">=", 1), Bound(None, h)) for h in (0, 2, 5)]
+    bounds = ([None] + [Bound(None, h) for h in range(6)]
+              + [Bound(lo, None) for lo in range(1, 5)])
+    for b in bounds:
+        for g in inner:
+            yield Eventually(g, b)
+            yield Always(g, b)
+            yield Until(Atom("<=", 0), g, b)
+
+
+def deep_formulas(n):
+    """n random formulas of depth 1 to 4, in turn."""
+    rng = np.random.default_rng(11)
+    return [random_formula(rng, depth=1 + i % 4) for i in range(n)]
+
+
+def sibling_formulas():
+    """Bounded operators side by side: the monitor counts each one's
+    distance apart, so it has up to the product of their bounds as states
+    while the DFA grows with their sum."""
+    return [parse(text) for text in (
+        "F[<=100] x <= 1 & F[<=100] x >= 3",
+        "F[<=10] x <= 1 & F[<=10] x >= 3 & F[<=10] x <= 2 & F[<=10] x >= 4",
+        "F[<=60] x <= 1 & G[<=60] x <= 2",
+        "F[<=40] x <= 1 | G[<=40] x >= 3",
+        "F[<=20] x <= 1 & F[<=20] x >= 3 & G[<=30] x <= 2",
+        "(x <= 2 U[<=25] x >= 3) & F[<=50] x <= 1",
+        "F[<=6] (F[<=6] x <= 1 & G[<=6] x <= 2)",
+        "G[<=30] (x >= 3 | F[<=4] x <= 1 & F[<=4] x <= 0)",
+    )]
+
+
+def assert_same_dfa(f):
+    dfa, aps = to_dfa(f)
+    ref, ref_aps = progression_dfa(f)
+    assert aps == ref_aps, str(f)
+    assert np.array_equal(dfa.transitions, ref.transitions), str(f)
+    assert np.array_equal(dfa.accepting, ref.accepting), str(f)
+    assert dfa.initial == ref.initial, str(f)
+
+
+class TestProgressionDifferential:
+    def test_c2_corpus(self):
+        for f in c2_formulas(250):
+            assert_same_dfa(f)
+            assert_same_dfa(Not(f))
+
+    def test_deep_random_formulas(self):
+        for f in deep_formulas(200):
+            assert_same_dfa(f)
+            assert_same_dfa(Not(f))
+
+    def test_sibling_bounds(self):
+        for f in sibling_formulas():
+            assert_same_dfa(f)
+            assert_same_dfa(Not(f))
+
+    def test_bound_grid(self):
+        for f in bound_grid():
+            assert_same_dfa(f)
+            assert_same_dfa(Not(f))
 
 
 def c2_corpus_sha256():

@@ -80,6 +80,13 @@ class TestEval:
                       "--formula", "G (x <= 1")
         assert code == 1
 
+    def test_negative_time_bound_exit_one(self, workspace, capsys):
+        code = main(["eval", "--trajectories", str(workspace["trajs"]),
+                     "--formula", "F[<=-2] x >= 1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error [input]: time bound must be non-negative, got -2")
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _ = run(capsys, "eval", "--trajectories",
                       str(tmp_path / "nope.json"), "--formula", "x <= 1")

@@ -145,6 +145,32 @@ class TestParameters:
             f, {"i": 1, "c": 0.5})
 
 
+class TestTimeBounds:
+    @pytest.mark.parametrize("text", [
+        "F[<=-2] x >= 1", "G[>=-2] x <= 1", "x <= 0 U[<=-1] x >= 1", "F[>=-1][<=3] x >= 1",
+        "G[>=1][<=-3] x >= 1",
+    ])
+    def test_negative_literal_rejected_at_parse(self, text):
+        with pytest.raises(InputError, match="time bound must be non-negative"):
+            parse(text)
+
+    def test_negative_value_rejected_at_instantiate(self):
+        with pytest.raises(InputError, match="time bound must be non-negative, got -3"):
+            instantiate(parse("F[<=?i] x >= 1"), {"i": -3})
+        with pytest.raises(InputError, match="time bound must be non-negative, got -1"):
+            instantiate(parse("G[>=?i] x >= 1"), {"i": -1})
+
+    @pytest.mark.parametrize("lo, hi", [(-1, None), (None, -1), (2, -1), (-5, 3)])
+    def test_negative_literal_rejected_at_construction(self, lo, hi):
+        with pytest.raises(InputError, match="time bound must be non-negative"):
+            Bound(lo, hi)
+
+    def test_zero_and_parameter_bounds_kept(self):
+        assert parse("F[<=0] x >= 1").bound == Bound(None, 0)
+        assert parse("G[>=0][<=0] x >= 1").bound == Bound(0, 0)
+        assert Bound(Param("i"), Param("j")).paired
+
+
 class TestAtomValidation:
     @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
     @pytest.mark.parametrize("op, threshold", [

@@ -1,5 +1,6 @@
 """Prior model, exact satisfaction probability, information gain."""
 
+import itertools
 import json
 import math
 import re
@@ -813,6 +814,21 @@ class TestClippedBounds:
         assert built[0] == built[1] < 10
         unclipped, _ = to_dfa(parse("F[<=30] x <= 1"))  # to_dfa keeps its bounds
         assert unclipped.n_states > 30
+
+    def test_four_sibling_bounds_at_a_ten_step_horizon(self):
+        # clipped to [<=10], the four bounds give a monitor of 12^4 states
+        rng = np.random.default_rng(5)
+        L, bins = 10, tuple((float(k), float(k + 1)) for k in range(5))
+        pmf = rng.dirichlet(np.ones(5), size=L)
+        prior = PriorModel(LabeledGraph(["a"], []), L, bins, {"a": pmf}, {})
+        f = parse("F[<=50] x <= 1 & F[<=50] x >= 3 & F[<=50] x <= 2 & F[<=50] x >= 4")
+        hits = [{0}, {3, 4}, {0, 1}, {4}]  # the bins where each atom holds
+        want = 0.0  # inclusion-exclusion over the atoms never seen
+        for never in itertools.product([False, True], repeat=4):
+            barred = set().union(*(h for h, n in zip(hits, never) if n))
+            miss = 1.0 - pmf[:, sorted(barred)].sum(axis=1)
+            want += (-1) ** sum(never) * np.prod(miss)
+        assert satisfaction_probability(prior, f, "a") == pytest.approx(want, abs=1e-12)
 
 
 class TestInfoGain:

@@ -92,6 +92,16 @@ class TestTemplate:
         with pytest.raises(InputError):
             Template(f, {"i": ParamSpec(0, 3, "continuous")})
 
+    def test_time_bound_range_must_not_go_below_zero(self):
+        f = parse("G[>=?i1][<=?i2] x >= 1")
+        with pytest.raises(InputError, match="parameter 'i1' is a time bound"):
+            Template(f, {"i1": ParamSpec(-3, 2, "integer"), "i2": ParamSpec(3, 5, "integer")})
+        with pytest.raises(InputError, match="parameter 'i2' is a time bound"):
+            Template(f, {"i1": ParamSpec(0, 2, "integer"), "i2": ParamSpec(-1, 5, "integer")})
+        # the grid of [-0.5, 2] starts at 0
+        t = Template(f, {"i1": ParamSpec(-0.5, 2, "integer"), "i2": ParamSpec(3, 5, "integer")})
+        assert t.box["i1"].grid()[0] == 0
+
     def test_instantiate(self):
         f = parse("F[<=?i] x >= ?c")
         t = Template(f, {"i": ParamSpec(0, 3, "integer"),

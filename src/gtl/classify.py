@@ -1,12 +1,18 @@
-"""Formula inference for two-class trajectory data: PSO plus prune-and-grow.
+"""Formula inference for two-class trajectory data: exact or PSO fits plus
+prune-and-grow.
 
-Each primitive template's parameters are tuned by global-best particle swarm
-optimization against the nodal misclassification rate.  If no primitive is
-accurate enough, templates above the pruning threshold are discarded and
-the survivors are combined with conjunctions and disjunctions of growing
-size (joint re-optimization, warm-started at the primitives' optima) until
-the accuracy target is met or the size budget runs out.  Negated primitives
-join the pool so that either class can carry the positive signature.
+Each template's parameters are tuned against the nodal misclassification
+rate.  A box with one real threshold on node labels, or none, and a small
+integer grid is solved exactly: at each grid point the rate is a step
+function of the threshold, and one sort of the data's critical values finds
+its least pieces (Asarin et al., RV 2011; Bakhirkin et al., HSCC 2018).
+Every other box is tuned by global-best particle swarm optimization.  If
+no primitive is accurate enough, templates above the pruning threshold are
+discarded and the survivors are combined with conjunctions and
+disjunctions of growing size (joint re-optimization, warm-started at the
+primitives' optima) until the accuracy target is met or the size budget
+runs out.  Negated primitives join the pool so that either class can carry
+the positive signature.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import numpy as np
 
 from .errors import InputError, UsageError
 from .formula import (
-    And, Formula, Not, Or, _check_int, formula_size, print_formula, rename_parameters,
+    And, Atom, Formula, Not, Or, Param, _check_int, _subformulas, formula_size, print_formula,
+    rename_parameters,
 )
 from .semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from .templates import Template
@@ -123,6 +130,81 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
 
 
 # ---------------------------------------------------------------------------
+# exact threshold axis
+
+def _fit(template: Template, data, cfg: PsoConfig, warm_starts=()) -> tuple[dict, float, str]:
+    """(theta, MR, search) of one template: "exact" when its box has at most
+    one free continuous parameter, a node-label threshold, and an integer
+    grid of at most cfg.swarm * (cfg.iterations + 1) points, PSO's most
+    valuations; "pso", through `pso_minimize_mr`, otherwise."""
+    box, names = template.box, template.param_names
+    free = [n for n in names if not box[n].frozen]
+    real = [n for n in free if box[n].kind == "continuous"]
+    ints = [n for n in free if box[n].kind == "integer"]
+    node_threshold = not real or any(isinstance(g, Atom) and g.threshold == Param(real[0])
+                                     for g in _subformulas(template.formula))
+    points = math.prod(len(box[n].grid()) for n in ints)
+    if len(real) > 1 or not node_threshold or points > cfg.swarm * (cfg.iterations + 1):
+        return (*pso_minimize_mr(template, data, cfg, warm_starts), "pso")
+    if not data:
+        raise UsageError("empty dataset")
+    positive = _positive(data)
+    evaluator = _Evaluator.of(data)
+    formula = template.compile()
+    pairs = np.repeat(positive, data[0].graph.n_nodes)  # per (trajectory, node) pair
+    grid = itertools.product(*(box[n].grid() for n in ints))
+    best, seen = None, 0  # ((count, -width, point, q), theta) of the best piece so far
+    while rows := list(itertools.islice(grid, cfg.swarm)):
+        values = dict(zip(ints, np.array(rows, dtype=np.int64).T))
+        if real:
+            cut, s = evaluator.cuts(formula, real[0], values)
+            c = np.broadcast_to(cut[..., 0], (len(rows),) + cut.shape[-3:-1]).reshape(len(rows), -1)
+            count, width, i, q = _sweep(c, pairs, *sorted((s * box[real[0]].min,
+                                                           s * box[real[0]].max)))
+        else:
+            wrong = np.broadcast_to(_misclassified(evaluator.tables(formula, values), positive),
+                                    len(rows))
+            i = int(np.argmin(wrong))
+            count, width, q = int(wrong[i]), 0.0, 0.0
+        if best is None or (count, width, seen + i, q) < best[0]:
+            best = (count, width, seen + i, q), dict(zip(ints, rows[i]))
+            if real:
+                best[1][real[0]] = s * q
+        seen += len(rows)
+    (count, *_), theta = best
+    theta.update(template.pinned)
+    return {n: theta[n] for n in names}, count / len(pairs), "exact"
+
+
+def _sweep(c, positive, lo, hi):
+    """The best piece of q in [lo, hi] over K rows of cuts c, (K, M): a pair
+    holds at q when q >= its cut, so the misclassified count (positives with
+    cut > q, negatives with cut <= q) is constant on each piece [c_i, c_i+1)
+    between the distinct cuts in the box.  Returns (count, -width, row, q),
+    least first: the least count, then the widest piece, the first row, the
+    lowest piece; q is the piece's midpoint, or its left end if the midpoint
+    does not fall below its right end."""
+    K = len(c)
+    order = np.argsort(c, axis=1, kind="stable")
+    cs = np.take_along_axis(c, order, axis=1)
+    step = np.where(positive, -1, 1)  # a pair's change to the count once q >= its cut
+    base = np.count_nonzero(positive)
+    nxt = np.concatenate([cs[:, 1:], np.full((K, 1), np.inf)], axis=1)
+    starts = np.concatenate([np.full((K, 1), lo), cs], axis=1)
+    ends = np.minimum(np.concatenate([np.min(np.where(c > lo, c, np.inf), axis=1, keepdims=True),
+                                      nxt], axis=1), hi)
+    counts = base + np.concatenate([np.where(c <= lo, step, 0).sum(axis=1, keepdims=True),
+                                    np.cumsum(step[order], axis=1)], axis=1)
+    valid = np.concatenate([np.ones((K, 1), dtype=bool), (cs < nxt) & (cs > lo) & (cs <= hi)],
+                           axis=1)
+    r = np.broadcast_to(np.arange(K)[:, None], valid.shape)[valid]
+    a, b, n = starts[valid], ends[valid], counts[valid]
+    i = np.lexsort((a, r, a - b, n))[0]
+    m = a[i] + (b[i] - a[i]) / 2
+    return int(n[i]), float(a[i] - b[i]), int(r[i]), float(m if m < b[i] else a[i])
+
+
+# ---------------------------------------------------------------------------
 # prune and grow
 
 @dataclass
@@ -131,7 +213,7 @@ class ClassifierResult:
     formula: Formula | None
     train_mr: float
     size: int
-    stage1: list  # per-primitive {name, mr, theta}
+    stage1: list  # per-primitive {name, theta, mr, search}
     search_log: list = field(default_factory=list)
 
 
@@ -184,20 +266,20 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
                               size=0, stage1=[])
     best = None  # (mr, size, formula)
 
-    def consider(formula, mr, note):
+    def consider(formula, mr, note, search):
         nonlocal best
         size = formula_size(formula)
         result.search_log.append({"candidate": print_formula(formula),
-                                  "mr": mr, "size": size, "stage": note})
+                                  "mr": mr, "size": size, "stage": note, "search": search})
         if size <= eta_th and (best is None or mr < best[0]):
             best = (mr, size, formula)
 
     stage1 = []
     for i, t in enumerate(pool):
-        theta, mr = pso_minimize_mr(t, data, replace(cfg, seed=cfg.seed + i))
+        theta, mr, search = _fit(t, data, replace(cfg, seed=cfg.seed + i))
         stage1.append({"name": t.name or print_formula(t.formula),
-                       "template": t, "theta": theta, "mr": mr})
-        consider(t.instantiate(theta), mr, "primitive")
+                       "template": t, "theta": theta, "mr": mr, "search": search})
+        consider(t.instantiate(theta), mr, "primitive", search)
     result.stage1 = [{k: v for k, v in row.items() if k != "template"}
                      for row in stage1]
 
@@ -220,10 +302,10 @@ def infer_classifier(data, templates, m_th: float = 0.02, eta_th: int = 3,
                 if formula_size(tpl.formula) > eta_th:
                     continue
                 grew = True
-                theta, mr = pso_minimize_mr(
+                theta, mr, search = _fit(
                     tpl, data, replace(cfg, seed=cfg.seed + 1000 + arity),
                     warm_starts=[warm])
-                consider(tpl.instantiate(theta), mr, f"grow-{arity}")
+                consider(tpl.instantiate(theta), mr, f"grow-{arity}", search)
                 if mr <= m_th:
                     return _finish(result, best, data, m_th)
         if not grew:

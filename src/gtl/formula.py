@@ -19,7 +19,7 @@ Grammar (whitespace-insensitive)::
     intval   := integer | "?" name         numval   := number | "?" name
 
 An integer literal is at most 2^53 in magnitude, so it is exact as a float.
-A time bound is never negative.
+A time bound and a neighbor count are never negative.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ class Exists(Formula):
     def __post_init__(self):
         if not self.chain:
             raise InputError("neighbor chain must have length >= 1")
+        if not isinstance(self.count, Param) and self.count < 0:
+            raise InputError(f"neighbor count must be non-negative, got {self.count}")
 
 
 @_node

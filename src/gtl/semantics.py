@@ -23,6 +23,11 @@ a table that depends on one gains a leading (K,) axis.  A search compiles
 its template once, then makes one query per PSO iteration or coverage
 query.  A neighbor chain with parametric thresholds walks one `reach` per
 distinct literal chain among the valuations.
+Its second query method, `cuts`, shares that set-up and evaluates a
+formula at every value of one node-label threshold at once: per cell a
+critical value and a direction, from which the formula's truth at any
+value of the threshold is one comparison.  Subformulas without the
+threshold are evaluated as `tables` evaluates them.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import InputError, UsageError
 from .formula import (
     Always, And, Atom, EdgeAtom, Eventually, Exists, FalseF, Formula, Not, Or,
-    Param, TrueF, Until, _checked_value, desugar, is_ground,
+    Param, TrueF, Until, _checked_value, _children, desugar, is_ground,
 )
 from .graph import GraphTemporalTrajectory, reach
 
@@ -87,6 +92,23 @@ class _Evaluator:
         K, the valuations in order; a subformula whose slots are all literals
         (a ground g too) is evaluated once, without that axis.
         """
+        return _eval(self.x, g, {}, *self._query(values))
+
+    def cuts(self, g, name, values):
+        """Cut table (cut, s) of the desugared formula g in its node-label
+        threshold `name`: g holds at a cell for the value v of `name`
+        exactly when s*v >= cut there.
+
+        values gives every other parameter of g, as `tables` takes them, and
+        every neighbor chain of g must be literal.  cut is a float array of
+        the table's shape, with a leading axis of length K if it depends on
+        a column; s is +1 or -1.
+        """
+        t = _cut(self.x, g, Param(name), {}, *self._query(values))
+        return t if isinstance(t, tuple) else (np.where(t, -np.inf, np.inf), 1)
+
+    def _query(self, values):
+        """The reach_of and value functions of one query at the valuations values."""
         kept, self.reaches = self.reaches, {}
         V, L = self.x.shape[1:]
 
@@ -101,7 +123,7 @@ class _Evaluator:
                 return np.reshape(_checked_value(v, kind, values), (-1, 1, 1, 1))
             return v
 
-        return _eval(self.x, g, {}, reach_of, value)
+        return reach_of, value
 
 
 def _eval(x, f, cache, reach_of, value):
@@ -209,6 +231,110 @@ def _at(c, i):
         return c[..., i]
     n = max(c.ndim, i.ndim)
     return np.take_along_axis(c[(None,) * (n - c.ndim)], i[(None,) * (n - i.ndim)], axis=-1)
+
+
+def _cut(x, f, p, cache, reach_of, value):
+    """f's table over the labels x if f does not depend on the parameter p,
+    a node-label threshold; else its cut table (cut, s), with f holding at a
+    cell for p = v exactly when s*v >= cut there.
+
+    Every node of f has p in one slot at most, so f is monotone in p and a
+    cut table is exact.  A node without p is evaluated by `_eval`, which
+    reads its operands from the same memo.  An operand without p takes part
+    as the cut table where(B, -inf, +inf): true for every v, or for none.
+    """
+    def rec(g):
+        if g not in cache:
+            cache[g] = _cut(x, g, p, cache, reach_of, value)
+        return cache[g]
+
+    if isinstance(f, Atom) and f.threshold == p:
+        return (x, 1) if f.op == "<=" else (-x, -1)
+    parts = [rec(g) for g in _children(f)]
+    if not any(isinstance(t, tuple) for t in parts):
+        return _eval(x, f, cache, reach_of, value)
+    s = next(t[1] for t in parts if isinstance(t, tuple))
+    if isinstance(f, Not):  # s*v < cut, over floats; +inf (never) becomes -inf (always)
+        cut = parts[0][0]
+        with np.errstate(over="ignore"):  # the successor of the largest float is +inf
+            return np.where(cut == np.inf, -np.inf, np.nextafter(-cut, np.inf)), -s
+    if isinstance(f, (And, Or)):
+        a, b = (t[0] if isinstance(t, tuple) else np.where(t, -np.inf, np.inf) for t in parts)
+        return (np.maximum(a, b) if isinstance(f, And) else np.minimum(a, b)), s
+    if isinstance(f, Exists):
+        return _nth_smallest(reach_of(f.chain) > 0, parts[0][0], value(f.count, "integer")), s
+    return _temporal_cut(f, parts, value, x.shape[-1]), s
+
+
+def _nth_smallest(R, cut, n):
+    """T[..., m, v, k] = the n-th smallest of cut[..., m, u, k] over the nodes u
+    that R[m, k, v] reaches: -inf for n <= 0, +inf when fewer than n are
+    reached.  n is a literal or a (K, 1, 1, 1) column; each distinct body
+    table along the valuation axis is sorted once."""
+    N, V, L = cut.shape[-3:]
+    bodies = cut.reshape(-1, N, V, L)
+    counts = np.ravel(n)
+    K = max(len(bodies), len(counts))
+    groups = {}
+    for k in range(K):
+        body = bodies[min(k, len(bodies) - 1)]
+        groups.setdefault(body.tobytes(), (body, []))[1].append(k)
+    out = np.empty((K, N, V, L))
+    for body, ks in groups.values():
+        ranked = np.where(R, body.transpose(0, 2, 1)[:, :, None, :], np.inf)  # (N, L, V, V)
+        ranked.sort(axis=-1)
+        at = counts[ks] if len(counts) > 1 else np.repeat(counts, len(ks))
+        got = np.take(ranked, np.clip(at, 1, V) - 1, axis=-1)
+        out[ks] = np.where(at <= 0, -np.inf, np.where(at > V, np.inf, got)).transpose(3, 0, 2, 1)
+    return out if cut.ndim > 3 or np.ndim(n) > 0 else out[0]
+
+
+def _temporal_cut(f, parts, value, L):
+    """Cut table of F b, G b or a U b from its operands' tables `parts`,
+    over the windows of `_temporal`: F takes the least cut in its window
+    and G the greatest.  With p in U's right operand, the window ends where
+    the left one fails; with p in the left one, a U b needs a from k through
+    the first witness of b in the window, so it takes the greatest cut of a
+    over [k, that witness], and +inf if there is none."""
+    k = np.arange(L)
+    lo = k if f.bound is None or f.bound.lo is None else np.minimum(
+        k + value(f.bound.lo, "integer"), L)
+    hi = np.minimum(k + (L if f.bound is None or f.bound.hi is None
+                         else value(f.bound.hi, "integer")), L - 1)
+    if not isinstance(f, Until):
+        return _extreme(parts[0][0], lo, hi, np.maximum if isinstance(f, Always) else np.minimum)
+    a, b = parts
+    if isinstance(b, tuple):
+        fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
+        return _extreme(b[0], lo, np.minimum(hi, fails - 1), np.minimum)
+    witness = np.full(b.shape[:-1] + (L + 1,), L)  # first index >= i where b holds, L if none
+    np.minimum.accumulate(np.where(b, k, L)[..., ::-1], axis=-1, out=witness[..., L - 1::-1])
+    first = _at(witness, lo)
+    return np.where(first <= hi, _extreme(a[0], k, np.minimum(first, L - 1), np.maximum), np.inf)
+
+
+def _extreme(c, lo, hi, op):
+    """op, np.minimum or np.maximum, of the cut table c along time over the
+    window [lo, hi] of each cell, and op's identity (+inf or -inf) where
+    the window is empty; lo and hi index time as `_at` reads them.  Level j
+    of a sparse table holds op over [i, i + 2**j), so a window of length n
+    is two overlapping blocks of the level with 2**j <= n < 2**(j+1)."""
+    fill = np.inf if op is np.minimum else -np.inf
+    L = c.shape[-1]
+    n = np.maximum(hi - lo + 1, 0)
+    out = np.full(np.broadcast_shapes(c.shape, n.shape), fill)
+    level = np.concatenate([c, np.full(c.shape[:-1] + (1,), fill)], axis=-1)
+    w = 1
+    while w <= L:
+        here = (n >= w) & (n < 2 * w)
+        if here.any():
+            got = op(_at(level, np.where(here, lo, L)), _at(level, np.where(here, hi - w + 1, L)))
+            out = np.where(here, got, out)
+        if 2 * w <= L:
+            pad = np.full(level.shape[:-1] + (w,), fill)
+            level = op(level, np.concatenate([level[..., w:], pad], axis=-1))
+        w *= 2
+    return out
 
 
 def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:

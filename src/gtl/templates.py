@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .formula import (
-    _MAX_INT, Always, Eventually, Formula, Param, Until, _checked_value, _map_params,
+    _MAX_INT, Always, Eventually, Exists, Formula, Param, Until, _checked_value, _map_params,
     _subformulas, desugar, free_parameters, instantiate, parse, print_formula,
 )
 from .graph import _Json, _read_json
@@ -73,12 +73,16 @@ class Template:
             if info.kind == "integer" and self.box[name].kind != "integer":
                 raise InputError(f"parameter {name!r} sits in an integer slot")
         for g in _subformulas(self.formula):
+            slots = ()
             if isinstance(g, (Eventually, Always, Until)) and g.bound is not None:
-                for p in (g.bound.lo, g.bound.hi):
-                    if isinstance(p, Param) and self.box[p.name].grid()[0] < 0:
-                        spec = self.box[p.name]
-                        raise InputError(f"parameter {p.name!r} is a time bound, so its range "
-                                         f"[{spec.min}, {spec.max}] must not go below 0")
+                slots = (("a time bound", g.bound.lo), ("a time bound", g.bound.hi))
+            elif isinstance(g, Exists):
+                slots = (("a neighbor count", g.count),)
+            for what, p in slots:
+                if isinstance(p, Param) and self.box[p.name].grid()[0] < 0:
+                    spec = self.box[p.name]
+                    raise InputError(f"parameter {p.name!r} is {what}, so its range "
+                                     f"[{spec.min}, {spec.max}] must not go below 0")
 
     @property
     def param_names(self):

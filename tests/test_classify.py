@@ -1,5 +1,14 @@
-"""PSO-based classifier inference: optimizer behavior and prune-and-grow."""
+"""Classifier inference: the PSO optimizer, the exact threshold axis and
+prune-and-grow.
 
+`pso_loop` is the per-particle reference that `pso_minimize_mr` must match
+exactly.  The exact route is checked twice over: its cut tables against the
+boolean tables at every cell, and its sweep against a brute-force search
+over every grid point and every value where the misclassification rate can
+change.
+"""
+
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +19,10 @@ import gtl.graph
 import gtl.semantics
 import gtl.templates
 from gtl.classify import (
-    ClassifierResult, PsoConfig, _rounded, infer_classifier, pso_minimize_mr,
+    ClassifierResult, PsoConfig, _fit, _rounded, infer_classifier, pso_minimize_mr,
 )
 from gtl.errors import InputError, UsageError
-from gtl.formula import formula_size, free_parameters, parse
+from gtl.formula import desugar, formula_size, free_parameters, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph
 from gtl.semantics import _Evaluator, _misclassified, _positive, misclassification_rate
 from gtl.templates import ParamSpec, Template
@@ -389,3 +398,246 @@ class TestArrayStepDifferential:
         p = np.array([[2e9, 2.5, 0.4], [-3.4, -0.5, 3.6], [2.5, 0.25, 2.5], [3.5, 7.0, 1.5]])
         assert _rounded(p, box, ["N", "c", "i"]).tolist() == [
             [1e9, 2.5, 1.0], [0.0, -0.5, 3.0], [2.0, 0.25, 2.0], [4.0, 7.0, 2.0]]
+
+
+# ---------------------------------------------------------------------------
+# the exact threshold axis
+
+def _cut_data(rng, n=3, nodes=4, L=5):
+    """Labels on a one-decimal grid, so that distinct cells share cut values."""
+    g = LabeledGraph.complete([f"n{i}" for i in range(nodes)])
+    return [GraphTemporalTrajectory(g, np.round(rng.random((nodes, L)) * 2, 1),
+                                    rng.choice([0.5, 1.5, 2.5], (len(g.edges), L)), label=lab)
+            for lab in (1, -1) * n]
+
+
+def _random_text(rng, depth, with_p, ints):
+    """Random formula text with ?c in one node-label atom if with_p; every
+    integer slot is a literal or a new parameter, whose name joins ints."""
+    def integer(most):
+        if rng.random() < 0.4:
+            ints.append(f"i{len(ints)}")
+            return f"?{ints[-1]}"
+        return str(int(rng.integers(most + 1)))
+
+    def bound():
+        return ["", f"[<={integer(3)}]", f"[>={integer(3)}]",
+                f"[>={integer(2)}][<={integer(4)}]"][int(rng.integers(4))]
+
+    def sub(p):
+        return f"({_random_text(rng, depth - 1, p, ints)})"
+
+    kinds = ("atom",) if depth == 0 else ("atom", "!", "&", "|", "E", "F", "G", "U")
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "atom":
+        value = "?c" if with_p else str(round(float(rng.uniform(0, 2)), 1))
+        return f"x {('<=', '>=')[int(rng.integers(2))]} {value}"
+    if kind in "&|U":
+        left = rng.random() < 0.5
+        a, b = sub(with_p and left), sub(with_p and not left)
+        return f"{a} {kind}{bound() if kind == 'U' else ''} {b}"
+    if kind == "E":
+        return f"E {integer(5)} via (y <= {rng.choice([1, 2])}) : {sub(with_p)}"
+    return f"{kind}{bound()} {sub(with_p)}" if kind in "FG" else f"! {sub(with_p)}"
+
+
+# every kind of node with ?c beneath it, so the random ones below never need to find them
+_CUT_SHAPES = [
+    "!(x <= ?c)", "x >= ?c & F x <= 1", "x <= 1 | G[<=?i0] x >= ?c",
+    "E 0 via (y <= 2) : x <= ?c", "E ?i0 via (y <= 2) : !(x >= ?c)", "E 5 via (y <= 2) : x <= ?c",
+    "E 2 via (y <= 1) : F[<=?i0] x >= ?c", "F[>=?i0] x <= ?c", "G[>=1][<=?i0] x >= ?c",
+    "F[<=2] !(x <= ?c)", "G[>=?i0] (x <= ?c | x >= 1.5)",
+    "x <= 1 U[<=?i0] x >= ?c", "x <= 1 U x >= ?c", "x <= ?c U x >= 1",
+    "x <= ?c U[>=?i0][<=3] x >= 1", "x >= ?c U[>=2] F x >= 1.5", "!(x <= 1.2 U[<=1] x <= ?c)",
+    "(x <= ?c) -> F[<=?i0] x >= 1",
+]
+
+
+class TestCutTables:
+    """`_Evaluator.cuts` against `_Evaluator.tables`: s*v >= cut equals the
+    boolean table at every (valuation, trajectory, node, time), for v at every
+    cut of the data, one float either side of it, and random points."""
+
+    @staticmethod
+    def check(text, rng):
+        data = _cut_data(rng)
+        g = desugar(parse(text))
+        names = [n for n in free_parameters(parse(text)) if n != "c"]
+        K = 3
+        ints = {n: rng.integers(0, 6, K) for n in names}
+        evaluator = _Evaluator.of(data)
+        cut, s = evaluator.cuts(g, "c", ints)
+        assert s in (1, -1) and cut.dtype == float
+        edges = np.unique(s * cut[np.isfinite(cut)])
+        v = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                            rng.uniform(-1, 3, 8)])
+        values = {n: np.repeat(col, len(v)) for n, col in ints.items()}
+        values["c"] = np.tile(v, K)
+        table = evaluator.tables(g, values).reshape((K, len(v)) + cut.shape[-3:])
+        cuts = cut[:, None] if cut.ndim == 4 else cut[None, None]
+        want = s * v[None, :, None, None, None] >= cuts
+        assert np.array_equal(np.broadcast_to(want, table.shape), table), text
+
+    @pytest.mark.parametrize("text", _CUT_SHAPES)
+    def test_shapes(self, text):
+        self.check(text, np.random.default_rng(len(text)))
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(_random_text(rng, int(rng.integers(1, 5)), True, []), rng)
+
+    def test_formula_without_the_parameter(self):
+        data = _cut_data(np.random.default_rng(1))
+        cut, s = _Evaluator.of(data).cuts(parse("F x <= 1"), "c", {})
+        assert s == 1
+        assert np.array_equal(cut == -np.inf, _Evaluator.of(data).tables(parse("F x <= 1"), {}))
+        assert np.all(np.isinf(cut))
+
+
+def _brute_force(template, data):
+    """Least misclassified count over every grid point and every value of the
+    real axis where the count can change: each node label in the box, one
+    float either side of it, the box ends, and the midpoints between them."""
+    box, names = template.box, template.param_names
+    real = [n for n in names if box[n].kind == "continuous"]
+    ints = [n for n in names if box[n].kind == "integer"]
+    spec = box[real[0]]
+    labels = np.concatenate([t.node_labels.ravel() for t in data] + [[spec.min, spec.max]])
+    v = np.unique(np.concatenate([labels, np.nextafter(labels, -np.inf),
+                                  np.nextafter(labels, np.inf)]))
+    v = v[(spec.min <= v) & (v <= spec.max)]
+    v = np.unique(np.concatenate([v, v[:-1] + (v[1:] - v[:-1]) / 2]))
+    points = list(itertools.product(*(box[n].grid() for n in ints)))
+    values = {n: np.repeat([p[i] for p in points], len(v)) for i, n in enumerate(ints)}
+    values[real[0]] = np.tile(v, len(points))
+    table = _Evaluator.of(data).tables(template.compile(), values)
+    return int(_misclassified(table, _positive(data)).min())
+
+
+class TestExactFit:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sweep_is_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        data = _cut_data(rng, n=int(rng.integers(1, 4)), L=3)
+        shapes = ["E ?N via (y <= 2) : x >= ?c", "! G[<=?i] x <= ?c", "x >= 0.5 U[<=?i] x >= ?c",
+                  "E ?N via (y <= 1) : F x <= ?c", "F[>=?i] E 1 via (y <= 2) : !(x >= ?c)"]
+        text = shapes[seed % len(shapes)]
+        box = {n: ParamSpec(0, 3, "integer") for n in free_parameters(parse(text)) if n != "c"}
+        box["c"] = ParamSpec(*sorted(np.round(rng.uniform(0, 2, 2), 1)), "continuous")
+        t = Template(parse(text), box)
+        theta, mr, search = _fit(t, data, PsoConfig())
+        size = len(data) * data[0].graph.n_nodes
+        assert search == "exact"
+        assert mr * size == _brute_force(t, data)
+        assert misclassification_rate(data, t.instantiate(theta)) == mr
+        assert box["c"].min <= theta["c"] <= box["c"].max
+        assert list(theta) == t.param_names
+
+    def test_tie_rule(self):
+        # x <= c misclassifies one of three pairs for c in [1, 2) and in [8, hi]:
+        # the wider piece wins, and of two as wide the lower one
+        data = labeled([[1.0], [2.0], [8.0]], [1, -1, 1], 1)
+        for hi, c in ((10.0, 9.0), (9.0, 1.5), (8.5, 1.5)):
+            t = Template(parse("x <= ?c"), {"c": ParamSpec(0.0, hi, "continuous")})
+            assert _fit(t, data, PsoConfig()) == ({"c": c}, 1 / 3, "exact")
+        # x >= c classifies all for c in (1, 2] only, that is q = -c in [-2, -1)
+        data = labeled([[1.0], [2.0], [3.0]], [-1, 1, 1], 1)
+        t = Template(parse("x >= ?c"), {"c": ParamSpec(0.0, 10.0, "continuous")})
+        assert _fit(t, data, PsoConfig()) == ({"c": 1.5}, 0.0, "exact")
+
+    def test_earliest_grid_point_wins_ties(self):
+        # F[<=i] x <= c fits at every i for c in [1, 2): the first i is kept
+        data = labeled([[1.0, 5.0], [2.0, 5.0]], [1, -1], 2)
+        t = Template(parse("F[<=?i] x <= ?c"),
+                     {"i": ParamSpec(0, 1, "integer"), "c": ParamSpec(0.0, 3.0, "continuous")})
+        assert _fit(t, data, PsoConfig()) == ({"i": 0, "c": 1.5}, 0.0, "exact")
+
+    def test_point_piece_at_the_box_end(self):
+        # only c = 2, the box's upper end, classifies all
+        data = labeled([[2.0], [3.0]], [1, -1], 1)
+        t = Template(parse("x <= ?c"), {"c": ParamSpec(0.0, 2.0, "continuous")})
+        assert _fit(t, data, PsoConfig()) == ({"c": 2.0}, 0.0, "exact")
+
+    def test_no_real_axis(self):
+        data = threshold_data(n=3)
+        t = Template(parse("G[<=?i] x <= 5"), {"i": ParamSpec(0, 2, "integer")})
+        theta, mr, search = _fit(t, data, PsoConfig())
+        assert search == "exact" and isinstance(theta["i"], int)
+        assert mr == min(misclassification_rate(data, t.instantiate({"i": i})) for i in range(3))
+
+    def test_frozen_axes_are_pinned(self):
+        data = threshold_data(n=3)
+        t = Template(parse("G[<=?i] x <= ?c & F x >= ?d"),
+                     {"i": ParamSpec(2, 2, "integer"), "c": ParamSpec(0.0, 10.0, "continuous"),
+                      "d": ParamSpec(0.0, 0.0, "continuous")})
+        theta, mr, search = _fit(t, data, PsoConfig())
+        assert search == "exact" and theta["i"] == 2 and theta["d"] == 0.0
+        assert mr == misclassification_rate(data, t.instantiate(theta)) == 0.0
+
+
+class TestRoute:
+    """Which boxes `_fit` hands to PSO, counted on `pso_minimize_mr`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return pso_minimize_mr(*args, **kwargs)
+
+        monkeypatch.setattr(gtl.classify, "pso_minimize_mr", counting)
+        return calls
+
+    @pytest.mark.parametrize("text, box, pso", [
+        ("E ?N via (y <= 2) : x >= ?c",
+         {"N": ParamSpec(1, 3, "integer"), "c": ParamSpec(0.0, 2.0, "continuous")}, 0),
+        ("E 1 via (y <= ?d) : x >= 1", {"d": ParamSpec(0.0, 3.0, "continuous")}, 1),
+        # 3 * 5 = 15 grid points, over the 4 * (2 + 1) = 12 valuations of the run below
+        ("F[<=?i] E ?N via (y <= 2) : x >= ?c",
+         {"i": ParamSpec(0, 2, "integer"), "N": ParamSpec(0, 4, "integer"),
+          "c": ParamSpec(0.0, 2.0, "continuous")}, 1),
+        ("F[<=?i] E ?N via (y <= 2) : x >= ?c",
+         {"i": ParamSpec(0, 2, "integer"), "N": ParamSpec(1, 4, "integer"),
+          "c": ParamSpec(0.0, 2.0, "continuous")}, 0),
+        ("G (x <= ?c & x >= ?d)",
+         {"c": ParamSpec(0.0, 2.0, "continuous"), "d": ParamSpec(0.0, 2.0, "continuous")}, 1),
+        ("G (x <= ?c & x >= ?d)",
+         {"c": ParamSpec(0.0, 2.0, "continuous"), "d": ParamSpec(1.0, 1.0, "continuous")}, 0),
+    ])
+    def test_route(self, calls, text, box, pso):
+        rng = np.random.default_rng(3)
+        g = LabeledGraph.complete(["a", "b", "c", "d"])
+        data = [GraphTemporalTrajectory(g, rng.random((4, 3)) * 2, rng.random((6, 3)) * 3,
+                                        label=lab) for lab in (1, -1) * 2]
+        t = Template(parse(text), box)
+        theta, mr, search = _fit(t, data, PsoConfig(swarm=4, iterations=2))
+        assert len(calls) == pso and search == ("pso" if pso else "exact")
+        assert misclassification_rate(data, t.instantiate(theta)) == mr
+
+    def test_seed_does_not_move_an_exact_fit(self, calls):
+        data = threshold_data()
+        runs = [infer_classifier(data, [g_template()], cfg=PsoConfig(seed=seed))
+                for seed in (0, 5)]
+        assert not calls
+        assert runs[0].stage1 == runs[1].stage1
+        assert [row["search"] for row in runs[0].stage1] == ["exact", "exact"]
+
+    def test_two_real_axes_run_pso_end_to_end(self, calls):
+        # positives stay inside a band: one primitive with two thresholds fits it
+        rng = np.random.default_rng(5)
+        vals, labs = [], []
+        for _ in range(10):
+            vals.append(list(rng.uniform(3.5, 6.5, size=3)))
+            vals.append(list(rng.uniform(*((0.0, 2.5) if rng.random() < 0.5 else (7.5, 10.0)),
+                                         size=3)))
+            labs += [1, -1]
+        data = labeled(vals, labs, 3)
+        band = Template(parse("G (x >= ?a & x <= ?b)"),
+                        {"a": ParamSpec(0.0, 10.0, "continuous"),
+                         "b": ParamSpec(0.0, 10.0, "continuous")}, name="band")
+        res = infer_classifier(data, [band], cfg=PsoConfig(seed=2))
+        assert len(calls) == 2 and [row["search"] for row in res.stage1] == ["pso", "pso"]
+        assert res.success and res.stage1[0]["mr"] == 0.0
+        assert {e["search"] for e in res.search_log} == {"pso"}

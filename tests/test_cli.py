@@ -87,6 +87,14 @@ class TestEval:
         assert capsys.readouterr().err.startswith(
             "error [input]: time bound must be non-negative, got -2")
 
+    def test_negative_neighbor_count_exit_one(self, workspace, capsys):
+        code = main(["eval", "--trajectories", str(workspace["trajs"]),
+                     "--formula", "E -1 via (y <= 1) : x >= 1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [input]: neighbor count must be non-negative, got -1")
+        assert "Traceback" not in err
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code, _ = run(capsys, "eval", "--trajectories",
                       str(tmp_path / "nope.json"), "--formula", "x <= 1")
@@ -285,6 +293,9 @@ class TestClassify:
         rep = json.loads(out)
         assert rep["result"]["success"]
         assert rep["result"]["train_mr"] <= 0.02
+        # one real axis, a node-label threshold: both primitives are fit exactly
+        assert [row["search"] for row in rep["result"]["stage1"]] == ["exact", "exact"]
+        assert {e["search"] for e in rep["result"]["search_log"]} == {"exact"}
 
     def test_seed_determinism(self, workspace, capsys):
         args = ("classify", "--trajectories", str(workspace["trajs"]),

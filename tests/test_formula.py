@@ -171,6 +171,24 @@ class TestTimeBounds:
         assert Bound(Param("i"), Param("j")).paired
 
 
+class TestNeighborCounts:
+    def test_negative_literal_rejected_at_parse(self):
+        with pytest.raises(InputError, match="neighbor count must be non-negative, got -1"):
+            parse("E -1 via (y <= 1) : x >= 1")
+
+    def test_negative_value_rejected_at_instantiate(self):
+        with pytest.raises(InputError, match="neighbor count must be non-negative, got -2"):
+            instantiate(parse("E ?N via (y <= 1) : x >= 1"), {"N": -2})
+
+    def test_negative_literal_rejected_at_construction(self):
+        with pytest.raises(InputError, match="neighbor count must be non-negative"):
+            Exists(-1, (EdgeAtom("<=", 1),), Atom(">=", 1))
+
+    def test_zero_and_parameter_counts_kept(self):
+        assert parse("E 0 via (y <= 1) : x >= 1").count == 0
+        assert Exists(Param("N"), (EdgeAtom("<=", 1),), Atom(">=", 1)).count == Param("N")
+
+
 class TestAtomValidation:
     @pytest.mark.parametrize("cls", [Atom, EdgeAtom])
     @pytest.mark.parametrize("op, threshold", [

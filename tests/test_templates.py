@@ -102,6 +102,14 @@ class TestTemplate:
         t = Template(f, {"i1": ParamSpec(-0.5, 2, "integer"), "i2": ParamSpec(3, 5, "integer")})
         assert t.box["i1"].grid()[0] == 0
 
+    def test_count_range_must_not_go_below_zero(self):
+        f = parse("E ?N via (y <= 1) : x >= 1")
+        with pytest.raises(InputError, match=re.escape(
+                "parameter 'N' is a neighbor count, so its range [-3, 2] must not go below 0")):
+            Template(f, {"N": ParamSpec(-3, 2, "integer")})
+        # the grid of [-0.5, 2] starts at 0, and E 0 is a valid count
+        assert Template(f, {"N": ParamSpec(-0.5, 2, "integer")}).box["N"].grid()[0] == 0
+
     def test_instantiate(self):
         f = parse("F[<=?i] x >= ?c")
         t = Template(f, {"i": ParamSpec(0, 3, "integer"),

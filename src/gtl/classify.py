@@ -2,10 +2,10 @@
 prune-and-grow.
 
 Each template's parameters are tuned against the nodal misclassification
-rate.  A box with one real threshold on node labels, or none, and a small
-integer grid is solved exactly: at each grid point the rate is a step
-function of the threshold, and one sort of the data's critical values finds
-its least pieces (Asarin et al., RV 2011; Bakhirkin et al., HSCC 2018).
+rate.  A box with one real threshold on node labels, or none, and an
+integer grid no larger than the swarm is solved exactly, in one query: at
+each grid point the rate is a step function of the threshold, and one sort
+of the data's critical values finds its least pieces (Asarin et al., RV 2011; Bakhirkin et al., HSCC 2018).
 Every other box is tuned by global-best particle swarm optimization.  If
 no primitive is accurate enough, templates above the pruning threshold are
 discarded and the survivors are combined with conjunctions and
@@ -135,8 +135,8 @@ def pso_minimize_mr(template: Template, data, cfg: PsoConfig,
 def _fit(template: Template, data, cfg: PsoConfig, warm_starts=()) -> tuple[dict, float, str]:
     """(theta, MR, search) of one template: "exact" when its box has at most
     one free continuous parameter, a node-label threshold, and an integer
-    grid of at most cfg.swarm * (cfg.iterations + 1) points, PSO's most
-    valuations; "pso", through `pso_minimize_mr`, otherwise."""
+    grid of at most cfg.swarm points, so that the whole grid is one query
+    no larger than PSO's first; "pso", through `pso_minimize_mr`, otherwise."""
     box, names = template.box, template.param_names
     free = [n for n in names if not box[n].frozen]
     real = [n for n in free if box[n].kind == "continuous"]
@@ -144,7 +144,7 @@ def _fit(template: Template, data, cfg: PsoConfig, warm_starts=()) -> tuple[dict
     node_threshold = not real or any(isinstance(g, Atom) and g.threshold == Param(real[0])
                                      for g in _subformulas(template.formula))
     points = math.prod(len(box[n].grid()) for n in ints)
-    if len(real) > 1 or not node_threshold or points > cfg.swarm * (cfg.iterations + 1):
+    if len(real) > 1 or not node_threshold or points > cfg.swarm:
         return (*pso_minimize_mr(template, data, cfg, warm_starts), "pso")
     if not data:
         raise UsageError("empty dataset")
@@ -152,27 +152,20 @@ def _fit(template: Template, data, cfg: PsoConfig, warm_starts=()) -> tuple[dict
     evaluator = _Evaluator.of(data)
     formula = template.compile()
     pairs = np.repeat(positive, data[0].graph.n_nodes)  # per (trajectory, node) pair
-    grid = itertools.product(*(box[n].grid() for n in ints))
-    best, seen = None, 0  # ((count, -width, point, q), theta) of the best piece so far
-    while rows := list(itertools.islice(grid, cfg.swarm)):
-        values = dict(zip(ints, np.array(rows, dtype=np.int64).T))
-        if real:
-            cut, s = evaluator.cuts(formula, real[0], values)
-            c = np.broadcast_to(cut[..., 0], (len(rows),) + cut.shape[-3:-1]).reshape(len(rows), -1)
-            count, width, i, q = _sweep(c, pairs, *sorted((s * box[real[0]].min,
-                                                           s * box[real[0]].max)))
-        else:
-            wrong = np.broadcast_to(_misclassified(evaluator.tables(formula, values), positive),
-                                    len(rows))
-            i = int(np.argmin(wrong))
-            count, width, q = int(wrong[i]), 0.0, 0.0
-        if best is None or (count, width, seen + i, q) < best[0]:
-            best = (count, width, seen + i, q), dict(zip(ints, rows[i]))
-            if real:
-                best[1][real[0]] = s * q
-        seen += len(rows)
-    (count, *_), theta = best
-    theta.update(template.pinned)
+    rows = list(itertools.product(*(box[n].grid() for n in ints)))
+    values = dict(zip(ints, np.array(rows, dtype=np.int64).T))
+    if real:
+        cut, s = evaluator.cuts(formula, real[0], values)
+        c = np.broadcast_to(cut[..., 0], (len(rows),) + cut.shape[-3:-1]).reshape(len(rows), -1)
+        count, i, q = _sweep(c, pairs, *sorted((s * box[real[0]].min, s * box[real[0]].max)))
+    else:
+        wrong = np.broadcast_to(_misclassified(evaluator.tables(formula, values), positive),
+                                len(rows))
+        i = int(np.argmin(wrong))
+        count = int(wrong[i])
+    theta = {**dict(zip(ints, rows[i])), **template.pinned}
+    if real:
+        theta[real[0]] = s * q
     return {n: theta[n] for n in names}, count / len(pairs), "exact"
 
 
@@ -180,10 +173,10 @@ def _sweep(c, positive, lo, hi):
     """The best piece of q in [lo, hi] over K rows of cuts c, (K, M): a pair
     holds at q when q >= its cut, so the misclassified count (positives with
     cut > q, negatives with cut <= q) is constant on each piece [c_i, c_i+1)
-    between the distinct cuts in the box.  Returns (count, -width, row, q),
-    least first: the least count, then the widest piece, the first row, the
-    lowest piece; q is the piece's midpoint, or its left end if the midpoint
-    does not fall below its right end."""
+    between the distinct cuts in the box.  Returns (count, row, q) of the
+    least count, then the widest piece, the first row, the lowest piece; q
+    is the piece's midpoint, or its left end if the midpoint does not fall
+    below its right end."""
     K = len(c)
     order = np.argsort(c, axis=1, kind="stable")
     cs = np.take_along_axis(c, order, axis=1)
@@ -197,11 +190,12 @@ def _sweep(c, positive, lo, hi):
                                     np.cumsum(step[order], axis=1)], axis=1)
     valid = np.concatenate([np.ones((K, 1), dtype=bool), (cs < nxt) & (cs > lo) & (cs <= hi)],
                            axis=1)
-    r = np.broadcast_to(np.arange(K)[:, None], valid.shape)[valid]
-    a, b, n = starts[valid], ends[valid], counts[valid]
-    i = np.lexsort((a, r, a - b, n))[0]
-    m = a[i] + (b[i] - a[i]) / 2
-    return int(n[i]), float(a[i] - b[i]), int(r[i]), float(m if m < b[i] else a[i])
+    least = counts == np.min(counts, where=valid, initial=counts.max())
+    width = np.subtract(ends, starts, where=valid & least, out=np.full(valid.shape, -np.inf))
+    r, j = divmod(int(np.argmax(width == width.max())), width.shape[1])  # valid starts rise along j
+    a, b = starts[r, j], ends[r, j]
+    m = a + (b - a) / 2
+    return int(counts[r, j]), r, float(m if m < b else a)
 
 
 # ---------------------------------------------------------------------------

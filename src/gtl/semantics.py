@@ -36,6 +36,7 @@ witness index as well (inclusive interval).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -99,13 +100,11 @@ class _Evaluator:
         threshold `name`: g holds at a cell for the value v of `name`
         exactly when s*v >= cut there.
 
-        values gives every other parameter of g, as `tables` takes them, and
-        every neighbor chain of g must be literal.  cut is a float array of
-        the table's shape, with a leading axis of length K if it depends on
-        a column; s is +1 or -1.
+        values gives every other parameter of g, as `tables` takes them.
+        cut is a float array of the table's shape, with a leading axis of
+        length K if it depends on a column; s is +1 or -1.
         """
-        t = _cut(self.x, g, Param(name), {}, *self._query(values))
-        return t if isinstance(t, tuple) else (np.where(t, -np.inf, np.inf), 1)
+        return _cut(self.x, g, Param(name), {}, *self._query(values))
 
     def _query(self, values):
         """The reach_of and value functions of one query at the valuations values."""
@@ -238,10 +237,12 @@ def _cut(x, f, p, cache, reach_of, value):
     a node-label threshold; else its cut table (cut, s), with f holding at a
     cell for p = v exactly when s*v >= cut there.
 
-    Every node of f has p in one slot at most, so f is monotone in p and a
-    cut table is exact.  A node without p is evaluated by `_eval`, which
-    reads its operands from the same memo.  An operand without p takes part
-    as the cut table where(B, -inf, +inf): true for every v, or for none.
+    p fills a single slot of a template, and desugaring copies a slot only
+    under `&` and with its polarity, so f is monotone in p and a cut table
+    is exact.  A node without p is evaluated by `_eval`, which reads its
+    operands from the same memo; under `&` or `|` its table B keeps or
+    settles the other operand's cut: where(B, cut, +inf) for `&`,
+    where(B, -inf, cut) for `|`.
     """
     def rec(g):
         if g not in cache:
@@ -256,36 +257,59 @@ def _cut(x, f, p, cache, reach_of, value):
     s = next(t[1] for t in parts if isinstance(t, tuple))
     if isinstance(f, Not):  # s*v < cut, over floats; +inf (never) becomes -inf (always)
         cut = parts[0][0]
+        out = np.negative(cut)
         with np.errstate(over="ignore"):  # the successor of the largest float is +inf
-            return np.where(cut == np.inf, -np.inf, np.nextafter(-cut, np.inf)), -s
+            np.nextafter(out, np.inf, out=out)
+        out[cut == np.inf] = -np.inf
+        return out, -s
     if isinstance(f, (And, Or)):
-        a, b = (t[0] if isinstance(t, tuple) else np.where(t, -np.inf, np.inf) for t in parts)
-        return (np.maximum(a, b) if isinstance(f, And) else np.minimum(a, b)), s
+        a, b = parts if isinstance(parts[0], tuple) else parts[::-1]
+        if isinstance(b, tuple):
+            return (np.maximum(a[0], b[0]) if isinstance(f, And) else np.minimum(a[0], b[0])), s
+        return (np.where(b, a[0], np.inf) if isinstance(f, And)
+                else np.where(b, -np.inf, a[0])), s
     if isinstance(f, Exists):
-        return _nth_smallest(reach_of(f.chain) > 0, parts[0][0], value(f.count, "integer")), s
+        body, n = parts[0][0], value(f.count, "integer")
+        if not any(isinstance(e.threshold, Param) for e in f.chain):
+            return _nth_smallest(reach_of(f.chain), body, n), s
+        chains = _literal_chains(f.chain, value)  # one reach per distinct one, as in `_eval`
+        groups = {}
+        for k, chain in enumerate(chains):
+            groups.setdefault(chain, []).append(k)
+        out = np.empty((len(chains),) + x.shape)
+        for chain, ks in groups.items():
+            out[ks] = _nth_smallest(reach_of(chain), body[ks] if body.ndim > x.ndim else body,
+                                    n[ks] if np.ndim(n) else n)
+        return out, s
     return _temporal_cut(f, parts, value, x.shape[-1]), s
 
 
 def _nth_smallest(R, cut, n):
     """T[..., m, v, k] = the n-th smallest of cut[..., m, u, k] over the nodes u
-    that R[m, k, v] reaches: -inf for n <= 0, +inf when fewer than n are
-    reached.  n is a literal or a (K, 1, 1, 1) column; each distinct body
-    table along the valuation axis is sorted once."""
+    that R[m, k, v] reaches (R holds 0 or 1): -inf for n <= 0, +inf when
+    fewer than n are reached.  n is a literal or a (K, 1, 1, 1) column.
+    Each distinct body table along the valuation axis is ranked once, one
+    trajectory at a time in one (L, |V|, |V| + 2) buffer whose first and
+    last columns hold the -inf and +inf that counts out of [1, |V|] read."""
     N, V, L = cut.shape[-3:]
     bodies = cut.reshape(-1, N, V, L)
     counts = np.ravel(n)
     K = max(len(bodies), len(counts))
-    groups = {}
-    for k in range(K):
-        body = bodies[min(k, len(bodies) - 1)]
-        groups.setdefault(body.tobytes(), (body, []))[1].append(k)
+    groups = {b"": (bodies[0], slice(None))} if len(bodies) == 1 else {}
+    for k in range(K if len(bodies) > 1 else 0):
+        groups.setdefault(bodies[k].tobytes(), (bodies[k], []))[1].append(k)
+    ranked = np.empty((L, V, V + 2))  # ranked[k, v, 1 + u]: body[m, u, k] if v reaches u
+    ranked[..., 0], ranked[..., -1] = -np.inf, np.inf
+    unreached = np.empty((L, V, V), dtype=np.float32)  # +inf where v does not reach u, else -inf
     out = np.empty((K, N, V, L))
     for body, ks in groups.values():
-        ranked = np.where(R, body.transpose(0, 2, 1)[:, :, None, :], np.inf)  # (N, L, V, V)
-        ranked.sort(axis=-1)
-        at = counts[ks] if len(counts) > 1 else np.repeat(counts, len(ks))
-        got = np.take(ranked, np.clip(at, 1, V) - 1, axis=-1)
-        out[ks] = np.where(at <= 0, -np.inf, np.where(at > V, np.inf, got)).transpose(3, 0, 2, 1)
+        at = np.clip(np.broadcast_to(counts, (K,))[ks], 0, V + 1)
+        for m in range(N):
+            np.multiply(np.subtract(0.5, R[min(m, len(R) - 1)], out=unreached), np.inf,
+                        out=unreached)
+            np.maximum(body[m].T[:, None, :], unreached, out=ranked[..., 1:-1])
+            ranked.sort(axis=-1)
+            out[ks, m] = np.take(ranked, at, axis=-1).transpose(2, 1, 0)
     return out if cut.ndim > 3 or np.ndim(n) > 0 else out[0]
 
 
@@ -316,25 +340,35 @@ def _temporal_cut(f, parts, value, L):
 def _extreme(c, lo, hi, op):
     """op, np.minimum or np.maximum, of the cut table c along time over the
     window [lo, hi] of each cell, and op's identity (+inf or -inf) where
-    the window is empty; lo and hi index time as `_at` reads them.  Level j
-    of a sparse table holds op over [i, i + 2**j), so a window of length n
-    is two overlapping blocks of the level with 2**j <= n < 2**(j+1)."""
+    the window is empty; lo and hi broadcast against c, with hi <= L - 1.
+
+    Level j of a sparse table holds op over [i, i + 2**j), so a window of
+    length n is two overlapping blocks of the level with 2**j <= n < 2**(j+1).
+    Time leads the cells' axes here, so that the cells sharing one window
+    (all the axes after the windows' own) are one row of each level.
+    """
     fill = np.inf if op is np.minimum else -np.inf
-    L = c.shape[-1]
+    shape = np.broadcast_shapes(c.shape, np.shape(lo), np.shape(hi))
+    own = np.broadcast_shapes(np.shape(lo), np.shape(hi))
+    own = (1,) * (len(shape) - len(own)) + own
+    a = max((i + 1 for i, d in enumerate(own[:-1]) if d > 1), default=0)  # the windows' axes
+    L, rows, cols = shape[-1], math.prod(shape[:a]), math.prod(shape[a:-1])
+    level = np.moveaxis(np.broadcast_to(c, shape), -1, a).copy().reshape(rows, L, cols)
+    lo, hi = (np.broadcast_to(np.broadcast_to(w, own).reshape(own[:a] + own[-1:]),
+                              shape[:a] + (L,)).reshape(-1) for w in (lo, hi))
     n = np.maximum(hi - lo + 1, 0)
-    out = np.full(np.broadcast_shapes(c.shape, n.shape), fill)
-    level = np.concatenate([c, np.full(c.shape[:-1] + (1,), fill)], axis=-1)
-    w = 1
-    while w <= L:
-        here = (n >= w) & (n < 2 * w)
-        if here.any():
-            got = op(_at(level, np.where(here, lo, L)), _at(level, np.where(here, hi - w + 1, L)))
-            out = np.where(here, got, out)
-        if 2 * w <= L:
-            pad = np.full(level.shape[:-1] + (w,), fill)
-            level = op(level, np.concatenate([level[..., w:], pad], axis=-1))
+    start = np.repeat(np.arange(rows) * L, L) + lo  # a window's first row of the level
+    out = np.empty((rows * L, cols))
+    out[n == 0] = fill
+    flat = level.reshape(rows * L, cols)
+    w, most = 1, n.max()
+    while w <= most:
+        here = np.flatnonzero((n >= w) & (n < 2 * w))
+        out[here] = op(flat[start[here]], flat[start[here] + n[here] - w])
+        if 2 * w <= most:  # level 2w; its last w columns are never read
+            op(level[:, :L - w], level[:, w:], out=level[:, :L - w])
         w *= 2
-    return out
+    return np.moveaxis(out.reshape(shape[:a] + (L,) + shape[a:-1]), a, -1)
 
 
 def sat(traj: GraphTemporalTrajectory, f: Formula, v: str, k: int) -> bool:

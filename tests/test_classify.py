@@ -450,6 +450,7 @@ _CUT_SHAPES = [
     "x <= 1 U[<=?i0] x >= ?c", "x <= 1 U x >= ?c", "x <= ?c U x >= 1",
     "x <= ?c U[>=?i0][<=3] x >= 1", "x >= ?c U[>=2] F x >= 1.5", "!(x <= 1.2 U[<=1] x <= ?c)",
     "(x <= ?c) -> F[<=?i0] x >= 1",
+    "E 1 via (y <= ?d) : x >= ?c", "E ?i0 via (y <= ?d) : F[<=?i1] x <= ?c",
 ]
 
 
@@ -464,7 +465,8 @@ class TestCutTables:
         g = desugar(parse(text))
         names = [n for n in free_parameters(parse(text)) if n != "c"]
         K = 3
-        ints = {n: rng.integers(0, 6, K) for n in names}
+        # edge labels are 0.5, 1.5 and 2.5: distinct ?d in 0..3 reach distinct sets
+        ints = {n: rng.permutation(4)[:K] if n == "d" else rng.integers(0, 6, K) for n in names}
         evaluator = _Evaluator.of(data)
         cut, s = evaluator.cuts(g, "c", ints)
         assert s in (1, -1) and cut.dtype == float
@@ -486,13 +488,6 @@ class TestCutTables:
     def test_random_formulas(self, seed):
         rng = np.random.default_rng(seed)
         self.check(_random_text(rng, int(rng.integers(1, 5)), True, []), rng)
-
-    def test_formula_without_the_parameter(self):
-        data = _cut_data(np.random.default_rng(1))
-        cut, s = _Evaluator.of(data).cuts(parse("F x <= 1"), "c", {})
-        assert s == 1
-        assert np.array_equal(cut == -np.inf, _Evaluator.of(data).tables(parse("F x <= 1"), {}))
-        assert np.all(np.isinf(cut))
 
 
 def _brute_force(template, data):
@@ -521,7 +516,8 @@ class TestExactFit:
         rng = np.random.default_rng(seed)
         data = _cut_data(rng, n=int(rng.integers(1, 4)), L=3)
         shapes = ["E ?N via (y <= 2) : x >= ?c", "! G[<=?i] x <= ?c", "x >= 0.5 U[<=?i] x >= ?c",
-                  "E ?N via (y <= 1) : F x <= ?c", "F[>=?i] E 1 via (y <= 2) : !(x >= ?c)"]
+                  "E ?N via (y <= 1) : F x <= ?c", "F[>=?i] E 1 via (y <= 2) : !(x >= ?c)",
+                  "E ?N via (y <= 1) : F[<=?i] x <= ?c"]
         text = shapes[seed % len(shapes)]
         box = {n: ParamSpec(0, 3, "integer") for n in free_parameters(parse(text)) if n != "c"}
         box["c"] = ParamSpec(*sorted(np.round(rng.uniform(0, 2, 2), 1)), "continuous")
@@ -594,12 +590,15 @@ class TestRoute:
         ("E ?N via (y <= 2) : x >= ?c",
          {"N": ParamSpec(1, 3, "integer"), "c": ParamSpec(0.0, 2.0, "continuous")}, 0),
         ("E 1 via (y <= ?d) : x >= 1", {"d": ParamSpec(0.0, 3.0, "continuous")}, 1),
-        # 3 * 5 = 15 grid points, over the 4 * (2 + 1) = 12 valuations of the run below
+        # an integer edge threshold is a grid axis: one reach per distinct chain
+        ("E 1 via (y <= ?d) : x >= ?c",
+         {"d": ParamSpec(0, 3, "integer"), "c": ParamSpec(0.0, 2.0, "continuous")}, 0),
+        # 2 * 3 = 6 grid points, over the swarm of 4 below
         ("F[<=?i] E ?N via (y <= 2) : x >= ?c",
-         {"i": ParamSpec(0, 2, "integer"), "N": ParamSpec(0, 4, "integer"),
+         {"i": ParamSpec(0, 1, "integer"), "N": ParamSpec(0, 2, "integer"),
           "c": ParamSpec(0.0, 2.0, "continuous")}, 1),
         ("F[<=?i] E ?N via (y <= 2) : x >= ?c",
-         {"i": ParamSpec(0, 2, "integer"), "N": ParamSpec(1, 4, "integer"),
+         {"i": ParamSpec(0, 1, "integer"), "N": ParamSpec(1, 2, "integer"),
           "c": ParamSpec(0.0, 2.0, "continuous")}, 0),
         ("G (x <= ?c & x >= ?d)",
          {"c": ParamSpec(0.0, 2.0, "continuous"), "d": ParamSpec(0.0, 2.0, "continuous")}, 1),

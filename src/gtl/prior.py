@@ -10,8 +10,12 @@ bounds above L are lowered to L first.  Every atomic predicate counts as
 real line into cells at its thresholds, which gives every node an
 (L, cells) mass table; one array DP over a flat (node, time) batch axis
 counts each predicate's successes and yields an (L, letters) array per node.
-An outer neighbor-count predicate (type-II) lifts per-neighbor probabilities
-through a Poisson-binomial tail.  Information gain is reported in nats per
+The DP steps by reach slot: its s-th step adds every row's own s-th source
+node, so it takes as many steps as the largest source count, not one per
+graph node.  An outer neighbor-count predicate (type-II) lifts per-neighbor
+probabilities through one Poisson-binomial tail over all nodes, stepped by
+reach slot the same way.  Rows with fewer sources are padded with steps
+that change nothing, exactly.  Information gain is reported in nats per
 time step.  Co-safe, safe and constant formulas alike are scored through
 their own automaton, which accepts a word of length L exactly when the
 formula holds on it.
@@ -198,6 +202,26 @@ def _poisson_binomial_tail(probs, n: int):
     return dp[n]
 
 
+def _slots(mask):
+    """(S, rows) slots of a 2-D bool mask: [s, i] is the column of row i's
+    s-th marked entry, columns ascending, or one past the last column where
+    row i has fewer than s + 1; S is the largest count of a row."""
+    counts = mask.sum(axis=1)
+    row, col = np.nonzero(mask)  # row-major, so each row's columns ascend
+    slots = np.full((counts.max(initial=0), len(mask)), mask.shape[1])
+    slots[np.arange(len(row)) - (np.cumsum(counts) - counts)[row], row] = col
+    return slots
+
+
+def _lift(betas, n: int, reached):
+    """P(at least n of the nodes marked in each row of reached succeed),
+    node u with probability betas[u]: one tail over an (S, rows) array of
+    each row's reached betas in index order, S the largest reach, padded
+    with trials of p = 0.0.  A padded trial leaves every count exactly as it
+    is, so each row reads the tail over its own reached nodes bit for bit."""
+    return _poisson_binomial_tail(np.append(betas, 0.0)[_slots(reached)], n)
+
+
 # ---------------------------------------------------------------------------
 # joint letter distribution
 
@@ -234,7 +258,10 @@ def _letters(tables, preds, nodes) -> np.ndarray:
     independence.  The others share one array DP over a flat (node, time)
     batch axis, run in chunks of at most MAX_DP_STATES cells.  The state has
     one axis per predicate counting its successes so far, pooled at the
-    largest min(n, |reach|) over the batch's nodes.
+    largest min(n, |reach|) over the batch's nodes.  A node's sources, the
+    nodes that one of its predicates reaches, are numbered as slots in index
+    order, so the DP takes as many steps as the largest source count, not
+    one per graph node.
     """
     m, V = len(preds), len(tables[0][0])
     T = sum(masses.shape[1] for masses, _ in tables)
@@ -242,104 +269,117 @@ def _letters(tables, preds, nodes) -> np.ndarray:
     hits = np.array([r[nodes] for _, r in preds], dtype=bool).reshape(m, len(nodes), V)
     caps = np.minimum(ns[:, None], hits.sum(axis=2))
     out = np.empty((len(nodes), T, 1 << m))
-    batch = []
-    for i in range(len(nodes)):
-        states = math.prod(int(c) + 1 for c in caps[:, i])
-        if states > MAX_DP_STATES:
-            warnings.warn(
-                f"joint letter distribution needs {states} DP states (cap {MAX_DP_STATES}); "
-                "falling back to predicate independence"
-            )
-            out[i] = np.concatenate([_independent_letters(masses, truth, ns, hits[:, i])
-                                     for masses, truth in tables])
-        else:
-            batch.append(i)
-    if not batch:
+    # a float product is exact far above MAX_DP_STATES
+    states = np.prod(caps + 1.0, axis=0)
+    for i in np.flatnonzero(states > MAX_DP_STATES):
+        warnings.warn(
+            f"joint letter distribution needs {math.prod(int(c) + 1 for c in caps[:, i])} "
+            f"DP states (cap {MAX_DP_STATES}); falling back to predicate independence"
+        )
+        out[i] = np.concatenate([_independent_letters(masses, truth, ns, hits[:, i])
+                                 for masses, truth in tables])
+    batch = np.flatnonzero(states <= MAX_DP_STATES)
+    if not len(batch):
         return out
+    # touched[i, u]: bitmask of the predicates of node i that source u
+    # touches; the padding source V touches none
+    touched = np.zeros((len(nodes), V + 1), dtype=np.intp)
+    touched[:, :V] = ((1 << np.arange(m)) @ hits.reshape(m, len(nodes) * V)).reshape(len(nodes), V)
+    slots = _slots(touched[:, :V] != 0)
+    sources = slots, touched[np.arange(len(nodes)), slots]
+    stack = _stack(tables, V, T)
     # nodes whose pooled state would pass the cap run one by one
     pooled = math.prod(int(c) + 1 for c in caps[:, batch].max(axis=1))
     flat = out.reshape(len(nodes) * T, -1)
     for group in [batch] if pooled <= MAX_DP_STATES else [[i] for i in batch]:
         group_caps = caps[:, group].max(axis=1)
-        node_of_row, time_of_row = np.repeat(group, T), np.tile(np.arange(T), len(group))
+        node_of_row, time_of_row = np.repeat(group, T), np.arange(len(group) * T) % T
         step = max(1, MAX_DP_STATES // math.prod(int(c) + 1 for c in group_caps))
         for lo in range(0, len(node_of_row), step):
             rows = slice(lo, lo + step)
             flat[node_of_row[rows] * T + time_of_row[rows]] = _count_dp(
-                tables, ns, hits, group_caps, node_of_row[rows], time_of_row[rows])
+                stack, ns, group_caps, sources, node_of_row[rows], time_of_row[rows])
     return out
 
 
-def _count_dp(tables, ns, hits, caps, node_of_row, time_of_row):
+def _stack(tables, V, T):
+    """(cells, codes, order) of letter tables stacked on the time axis:
+    cells[c, u, t] is source u's mass in cell c at stacked time t, 0.0 past
+    the last cell of t's table, and the padding source u = V has mass 1.0
+    on cell 0; codes[t, c] is the bitmask of the predicates that hold on
+    that cell, and order the 2^m truth patterns by ascending (>= predicates
+    true) - (<= predicates true).
+
+    Along the real line each >= predicate turns true once and each <= one
+    false once, so that count rises strictly from one cell's pattern of any
+    predicate subset to the next: within one table, `order` is the cells'
+    order.
+    """
+    m = len(tables[0][1])
+    cells = np.zeros((max(t.shape[1] for _, t in tables), V + 1, T))
+    cells[0, V] = 1.0
+    codes = np.zeros((T, len(cells)), dtype=np.intp)
+    start = 0
+    for masses, truth in tables:
+        end, width = start + masses.shape[1], masses.shape[2]
+        cells[:width, :V, start:end] = masses.transpose(2, 0, 1)
+        codes[start:end, :width] = (1 << np.arange(m)) @ truth
+        start = end
+    # a >= predicate holds on the top cell, a <= one does not
+    signs = np.where(tables[0][1][:, -1], 1, -1)
+    bits = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    return cells, codes, np.argsort(bits @ signs, kind="stable")
+
+
+def _count_dp(stack, ns, caps, sources, node_of_row, time_of_row):
     """(rows, 2^m) letter rows for the (node, time) pairs of one chunk.
 
-    Source nodes are taken in index order.  A row moves only where the
-    source touches one of its node's predicates, so each row takes exactly
-    the steps of its own node's DP; rows whose node is touched by the same
-    predicates move together.  Predicate j counts on axis m - j, so the
+    Slot s moves each row by its own node's s-th source: the row sums the
+    source's cell masses per truth pattern of the predicates that source
+    touches, cells in order from 0.0, and adds the patterns' moves in
+    `_stack`'s order, which within one table is its cells' order.  A row
+    past its last source moves by exactly 1.0 on the empty pattern, and a
+    pattern its table lacks adds exactly 0.0, so each row takes exactly the
+    steps of its own node's DP.  Predicate j counts on axis m - j, so the
     letters come out in bitmask order.
     """
+    cells, codes, order = stack
     m, n_rows = len(ns), len(node_of_row)
     dp = np.zeros((n_rows,) + tuple(int(c) + 1 for c in caps[::-1]))
     dp[(slice(None),) + (0,) * m] = 1.0
-    # touched[i, u]: bitmask of the predicates of node i that source u touches
-    touched = np.tensordot(1 << np.arange(m), hits, axes=1)
-    moves = {}  # bitmask -> [(count axes to bump, (V, T) mass)], one per truth pattern
-    for u in np.flatnonzero(touched[np.unique(node_of_row)].any(axis=0)):
-        row_keys = touched[node_of_row, u]
-        for key in sorted(set(row_keys.tolist()) - {0}):
-            if key not in moves:
-                moves[key] = _moves(tables, m, key)
-            sel = np.flatnonzero(row_keys == key)
-            whole = len(sel) == n_rows
-            cur = dp if whole else dp[sel]
-            new = None
-            for axes, mass in moves[key]:
-                moved = cur
-                for axis in axes:
-                    moved = _bump(moved, axis)
-                term = mass[u, time_of_row[sel]].reshape((-1,) + (1,) * m) * moved
-                if new is None:
-                    new = term
-                else:
-                    new += term
-            if whole:
-                dp = new
+    # masses[c, u * T + t] is cell c of source u at stacked time t, and
+    # cell_codes[c, r] the patterns of row r's cell c; a pattern's weights
+    # sit at [pattern * n_rows + r] of a flat (2^m, rows) array
+    masses, cell_codes = cells.reshape(len(cells), -1), codes[time_of_row].T
+    slots, keys = sources
+    starts, rows = slots * cells.shape[2], np.arange(n_rows)
+    for start, key in zip(starts, keys):
+        key = key[node_of_row]
+        if not key.any():
+            break  # slots fill from 0: no row of the chunk has a later source
+        got = masses.take(start[node_of_row] + time_of_row, axis=1)
+        at = (cell_codes & key) * n_rows + rows
+        # bincount adds in input order: each weight is 0.0 plus its cells in order
+        weight = np.bincount(at.ravel(), weights=got.ravel(),
+                             minlength=(1 << m) * n_rows).reshape(-1, n_rows)
+        # a pattern that no row weighs would add exactly 0.0 everywhere
+        present, new = weight.any(axis=1), None
+        for b in order[present[order]]:
+            moved = dp
+            for j in range(m):
+                if b >> j & 1:
+                    moved = _bump(moved, m - j)
+            term = weight[b].reshape((-1,) + (1,) * m) * moved
+            if new is None:
+                new = term
             else:
-                dp[sel] = new
+                new += term
+        dp = new
     for j in range(m):
         # count -> (predicate false, predicate true)
         holds = np.eye(2)[(np.arange(caps[j] + 1) >= ns[j]).astype(int)]
         dp = np.moveaxis(np.moveaxis(dp, m - j, -1) @ holds, -1, m - j)
     return dp.reshape(n_rows, -1)
-
-
-def _moves(tables, m, key):
-    """One DP step's terms for a source touching the predicates in bitmask
-    key: per truth pattern of those predicates, the count axes it bumps and
-    its (V, T) mass, each table's block summed over its cells in order.
-
-    Along the real line each >= predicate turns true once and each <= one
-    false once, so ordering the patterns by (>= true) - (<= true) gives every
-    table its own order of first cells.  A table without a pattern has zero
-    mass there, which adds exactly nothing to its rows.
-    """
-    touch = [j for j in range(m) if key >> j & 1]
-    # a >= predicate holds on the top cell, a <= one does not
-    signs = [1 if ge else -1 for ge in tables[0][1][touch, -1]]
-    blocks = {}  # pattern -> {table index: (V, L) mass}
-    for p, (masses, truth) in enumerate(tables):
-        for c, pattern in enumerate(map(tuple, truth[touch].T)):
-            block = blocks.setdefault(pattern, {})
-            block[p] = block.get(p, 0.0) + masses[:, :, c]
-    ends = np.cumsum([masses.shape[1] for masses, _ in tables])
-    moves = []
-    for pattern in sorted(blocks, key=lambda pat: sum(s for s, hit in zip(signs, pat) if hit)):
-        mass = np.zeros((len(tables[0][0]), ends[-1]))
-        for p, block in blocks[pattern].items():
-            mass[:, ends[p] - block.shape[1]:ends[p]] = block
-        moves.append(([m - j for j, hit in zip(touch, pattern) if hit], mass))
-    return moves
 
 
 def _bump(dp, axis):
@@ -430,7 +470,7 @@ def _probabilities(prior, formulas, nodes) -> list:
             count, reached = lift
             betas = np.zeros(prior.graph.n_nodes)
             betas[reached.any(axis=0)] = accept
-            accept = np.array([_poisson_binomial_tail(betas[r], count) for r in reached])
+            accept = _lift(betas, count, reached)
         # the recursion sums in floating point and may land a few ulps
         # outside [0, 1]; only the reported P is clipped
         out.append(dict(zip(nodes, np.clip(accept, 0.0, 1.0).tolist())))

@@ -432,6 +432,96 @@ class TestBatchedLetters:
         monkeypatch.setattr(gtl.prior, "MAX_DP_STATES", 8)
         self.check(prior, aps)
 
+    # three predicates whose thresholds each alphabet fills in, and the
+    # number of sources that each node of path a - b - c - d plus the
+    # isolated e then has
+    STACKED = {
+        "with a bare atom": (["x <= {}", "E 1 via (y <= 1) : x >= {}",
+                              "E 2 via (y <= 2) : x <= {}"], [2, 3, 3, 2, 1]),
+        "neighbors only": (["E 2 via (y <= 1) : x >= {}", "E 1 via (y <= 2) : x <= {}",
+                            "E 1 via (y <= 2) : x >= {}"], [1, 2, 2, 1, 0]),
+    }
+
+    @pytest.mark.parametrize("shape", STACKED)
+    @pytest.mark.parametrize("thresholds", [
+        # each list has an alphabet with two equal thresholds: one cell fewer
+        [(0.3, 0.8, 1.5), (1.5, 0.5, 1.5)],
+        [(0.3, 0.8, 1.5), (0.8, 0.8, 1.2), (1.2, 0.5, 0.8)],
+        [(0.3, 0.8, 1.5), (1.5, 0.3, 0.8), (0.5, 1.2, 1.2), (0.8, 0.8, 0.8)],
+    ])
+    def test_stacked_tables(self, shape, thresholds):
+        g = LabeledGraph(["a", "b", "c", "d", "e"],
+                         [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d")])
+        prior = three_bin_prior(g, 3, np.random.default_rng(11),
+                                {"e1": 1.0, "e2": 1.0, "e3": 2.0})
+        texts, sources = self.STACKED[shape]
+        rows, tables = {}, []
+        for ts in thresholds:
+            table, preds = gtl.prior._letter_table(
+                prior, [parse(t.format(x)) for t, x in zip(texts, ts)], rows)
+            tables += table
+        assert len({truth.shape[1] for _, truth in tables}) > 1
+        assert np.array([r for _, r in preds]).any(axis=0).sum(axis=1).tolist() == sources
+        nodes = list(range(g.n_nodes))
+        got = gtl.prior._letters(tables, preds, nodes)
+        for p, table in enumerate(tables):
+            for vi in nodes:
+                assert np.array_equal(got[vi, p * prior.L:(p + 1) * prior.L],
+                                      letters_loop([table], preds, vi)), (p, vi)
+
+
+def grid_graph(n):
+    """The n x n four-neighbour grid, nodes g{row}_{col}."""
+    nodes = [f"g{i}_{j}" for i in range(n) for j in range(n)]
+    edges = [(f"h{i}_{j}", f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(n) for j in range(n - 1)]
+    edges += [(f"v{i}_{j}", f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(n - 1) for j in range(n)]
+    return LabeledGraph(nodes, edges)
+
+
+class TestSlotSteps:
+    """The letter DP steps once per reach slot, however large the graph."""
+
+    def test_steps_follow_reach_size_not_graph_size(self, monkeypatch):
+        g = grid_graph(20)
+        prior = PriorModel(g, 30, ((0.0, 4.0), (4.0, 8.0), (8.0, 12.0)), {},
+                           {e: 1.0 for e in g.edges}, default_pmf=np.array([0.2, 0.5, 0.3]))
+        table = gtl.prior._letter_table(prior, [parse("E 2 via (y <= 1) : x >= 5")], {})
+        [(_, truth)], [(_, reach_rows)] = table
+        sources = reach_rows.sum(axis=1).max()
+        patterns = len({tuple(cell) for cell in truth.T})
+        assert (sources, patterns) == (4, 2)
+        bump, steps = gtl.prior._bump, []
+
+        def counting_bump(dp, axis):
+            steps.append(axis)
+            return bump(dp, axis)
+
+        monkeypatch.setattr(gtl.prior, "_bump", counting_bump)
+        gtl.prior._letters(*table, list(range(g.n_nodes)))
+        assert 0 < len(steps) <= sources * patterns
+
+
+class TestLift:
+    """The padded one-call type-II lift against one tail per node."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_per_node_tails(self, n, seed):
+        rng = np.random.default_rng(700 + seed)
+        reached = rng.random((7, 6)) < 0.5
+        reached[0] = False  # an isolated node
+        reached[1] = np.arange(6) == 3  # one reached node
+        betas = rng.random(6)
+        betas[rng.integers(6)], betas[rng.integers(6)] = 0.0, 1.0
+        got = gtl.prior._lift(betas, n, reached)
+        want = np.array([gtl.prior._poisson_binomial_tail(betas[r], n) for r in reached])
+        assert np.array_equal(got, want)
+
+    def test_no_node_reaches_anything(self):
+        reached = np.zeros((3, 4), dtype=bool)
+        assert np.array_equal(gtl.prior._lift(np.full(4, 0.5), 0, reached), np.ones(3))
+        assert np.array_equal(gtl.prior._lift(np.full(4, 0.5), 1, reached), np.zeros(3))
+
 
 class TestLetterMemory:
     def test_peak_does_not_grow_with_the_horizon(self, monkeypatch):
@@ -452,6 +542,24 @@ class TestLetterMemory:
 
         base = peak(2)
         assert base > 10 ** 6 and peak(8) <= 1.5 * base
+
+    def test_dense_graph_peak_stays_at_the_per_node_route(self):
+        # on K_200 every node has 199 sources, so the slot DP steps once per
+        # graph node, as the per-node DP it replaced did; that DP peaked at
+        # 2.24 MB under tracemalloc (numpy 2.4), and the slot DP, which
+        # gathers one slot at a time, may not pass 1.25 times that
+        g = LabeledGraph.complete([f"n{i}" for i in range(200)])
+        prior = PriorModel(g, 200, THREE_BINS, {}, {e: 1.0 for e in g.edges},
+                           default_pmf=np.array([0.2, 0.5, 0.3]))
+        f, nodes = parse("G E 1 via (y <= 1) : x <= 0.5"), g.nodes[:20]
+        compute_ig(prior, f, nodes)  # first-call allocations are not the DP's
+        tracemalloc.start()
+        try:
+            compute_ig(prior, f, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2.24e6
 
 
 class TestSatisfactionProbability:

@@ -184,8 +184,8 @@ def gen_planted(separator, prior: PriorModel, n_pos: int, n_neg: int,
     """Labeled dataset where the separator votes +1 on at least 95% of the
     nodes of every +1 trajectory and -1 on at least 95% of every -1
     trajectory, so its misclassification rate is at most 0.05."""
-    if n_pos < 0 or n_neg < 0:
-        raise InputError("n_pos and n_neg must be >= 0")
+    for n in (n_pos, n_neg):
+        _check_int("n_pos and n_neg", n, 0)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     g = prior.graph

@@ -17,17 +17,17 @@ An evaluator can also be opened on such arrays directly, with one
 (|E|, L) edge block that all N share: its reach arrays then have a leading
 axis of 1 and serve any node labels, so a data generator checks block
 after block of proposals and walks each chain once.
-The evaluator's one query method, `tables`, evaluates a desugared formula
-at K valuations in one pass, each parameter slot a (K, 1, 1, 1) column, so
-a table that depends on one gains a leading (K,) axis.  A search compiles
-its template once, then makes one query per PSO iteration or coverage
-query.  A neighbor chain with parametric thresholds walks one `reach` per
-distinct literal chain among the valuations.
-Its second query method, `cuts`, shares that set-up and evaluates a
-formula at every value of one node-label threshold at once: per cell a
-critical value and a direction, from which the formula's truth at any
-value of the threshold is one comparison.  Subformulas without the
-threshold are evaluated as `tables` evaluates them.
+Both query methods are one recursive walk, `_eval`, over one memo.
+`tables` evaluates a desugared formula at K valuations in one pass, each
+parameter slot a (K, 1, 1, 1) column, so a table that depends on one gains
+a leading (K,) axis; a search compiles its template once, then makes one
+query per PSO iteration or coverage query.  A neighbor chain with
+parametric thresholds walks one `reach` per distinct literal chain among
+the valuations.  `cuts` names one node-label threshold p: a node with p
+beneath it gives per cell a critical value and a direction, so that its
+truth at any value of p is one comparison, and every other node gives its
+table.  A temporal node sets up its windows once for both kinds of result,
+and a window that runs to the trace end is one accumulate for both.
 Temporal quantifiers range over future time indices clipped to [1, L]:
 an unwitnessed co-safe obligation at the trace end is false, an unviolated
 safe obligation is true.  Until requires the left operand to hold at the
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import InputError, UsageError
 from .formula import (
     Always, And, Atom, EdgeAtom, Eventually, Exists, FalseF, Formula, Not, Or,
-    Param, TrueF, Until, _checked_value, _children, desugar, is_ground,
+    Param, TrueF, Until, _checked_value, desugar, is_ground,
 )
 from .graph import GraphTemporalTrajectory, reach
 
@@ -104,7 +104,7 @@ class _Evaluator:
         cut is a float array of the table's shape, with a leading axis of
         length K if it depends on a column; s is +1 or -1.
         """
-        return _cut(self.x, g, Param(name), {}, *self._query(values))
+        return _eval(self.x, g, {}, *self._query(values), p=Param(name))
 
     def _query(self, values):
         """The reach_of and value functions of one query at the valuations values."""
@@ -125,53 +125,85 @@ class _Evaluator:
         return reach_of, value
 
 
-def _eval(x, f, cache, reach_of, value):
-    """Table of the desugared formula f over the (N, |V|, L) labels x.
+def _eval(x, f, cache, reach_of, value, p=None):
+    """Table of the desugared formula f over the (N, |V|, L) labels x, or,
+    if the parameter p, a node-label threshold, lies beneath f, its cut
+    table (cut, s): f holds at a cell for p = v exactly when s*v >= cut there.
 
     value(slot, kind) gives a slot's literal, or a parameter's (K, 1, 1, 1)
     column of per-valuation values; a table that depends on a column has a
     leading (K,) axis, so every operation below works on the trailing axes.
+    p fills a single slot of a template, and desugaring copies a slot only
+    under `&` and with its polarity, so f is monotone in p and a cut table
+    is exact.  Under `&` or `|` an operand's table B keeps or settles the
+    other's cut: where(B, cut, +inf) for `&`, where(B, -inf, cut) for `|`.
     """
     def rec(g):
         if g not in cache:
-            cache[g] = _eval(x, g, cache, reach_of, value)
+            cache[g] = _eval(x, g, cache, reach_of, value, p)
         return cache[g]
 
-    if isinstance(f, TrueF):
+    cls = type(f)
+    if cls is TrueF:
         return np.ones(x.shape, dtype=bool)
-    if isinstance(f, FalseF):
+    if cls is FalseF:
         return np.zeros(x.shape, dtype=bool)
-    if isinstance(f, Atom):
+    if cls is Atom:
+        if p is not None and f.threshold == p:
+            return (x, 1) if f.op == "<=" else (-x, -1)
         t = value(f.threshold, "continuous")
         return x <= t if f.op == "<=" else x >= t
-    if isinstance(f, Not):
-        return ~rec(f.sub)
-    if isinstance(f, And):
-        return rec(f.left) & rec(f.right)
-    if isinstance(f, Or):
-        return rec(f.left) | rec(f.right)
-    if isinstance(f, Exists):
-        body = rec(f.body).astype(np.float32)
-        if not any(isinstance(e.threshold, Param) for e in f.chain):
-            counts = _counts(reach_of(f.chain), body)
-        else:  # one reach per distinct literal chain among the valuations
-            chains = _literal_chains(f.chain, value)
-            groups = {}
-            for k, chain in enumerate(chains):
-                groups.setdefault(chain, []).append(k)
-            counts = np.empty((len(chains),) + x.shape, dtype=np.float32)
-            for chain, ks in groups.items():
-                counts[ks] = _counts(reach_of(chain), body[ks] if body.ndim > x.ndim else body)
-        return counts >= value(f.count, "integer")
-    if isinstance(f, (Eventually, Always, Until)):
+    if cls is Not:
+        a = rec(f.sub)
+        if type(a) is not tuple:
+            return ~a
+        cut, s = a  # s*v < cut, over floats; +inf (never) becomes -inf (always)
+        out = np.negative(cut)
+        with np.errstate(over="ignore"):  # the successor of the largest float is +inf
+            np.nextafter(out, np.inf, out=out)
+        out[cut == np.inf] = -np.inf
+        return out, -s
+    if cls is And or cls is Or:
+        a, b = rec(f.left), rec(f.right)
+        if type(a) is not tuple and type(b) is not tuple:
+            return a & b if cls is And else a | b
+        if type(a) is not tuple:
+            a, b = b, a
+        if type(b) is tuple:
+            return (np.maximum(a[0], b[0]) if cls is And else np.minimum(a[0], b[0])), a[1]
+        return (np.where(b, a[0], np.inf) if cls is And else np.where(b, -np.inf, a[0])), a[1]
+    if cls is Exists:  # its lambdas take their arrays as defaults: no cells on every _eval call
+        body, n = rec(f.body), value(f.count, "integer")
+        if type(body) is tuple:
+            cut, s = body
+            return _per_chain(f.chain, reach_of, value, x.shape, float, lambda R, ks, cut=cut, n=n:
+                              _nth_smallest(R, cut[ks] if cut.ndim > x.ndim else cut,
+                                            n[ks] if np.ndim(n) else n)), s
+        body = body.astype(np.float32)
+        counts = _per_chain(f.chain, reach_of, value, x.shape, np.float32, lambda R, ks, body=body:
+                            _counts(R, body[ks] if body.ndim > x.ndim else body))
+        return counts >= n
+    if cls is Eventually or cls is Always or cls is Until:
         return _temporal(f, rec, value)
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _literal_chains(chain, value):
-    """The literal chain of each valuation, for a chain with parametric thresholds."""
-    cols = np.broadcast_arrays(*(np.ravel(value(e.threshold, "continuous")) for e in chain))
-    return [tuple(EdgeAtom(e.op, float(t)) for e, t in zip(chain, row)) for row in zip(*cols)]
+def _per_chain(chain, reach_of, value, shape, dtype, count):
+    """count(R, ks) under the reach array R of a literal chain, ks = slice(None);
+    for a chain with parametric thresholds, one call per distinct literal chain
+    among the valuations, ks the valuations that share it, stacked in order
+    into a (K,) + shape array of dtype."""
+    if not any(isinstance(e.threshold, Param) for e in chain):
+        return count(reach_of(chain), slice(None))
+    cols = [np.ravel(value(e.threshold, "continuous")).tolist() for e in chain]
+    K = max(map(len, cols))
+    groups = {}  # threshold row -> the valuations that have it
+    for k, row in enumerate(zip(*(c * K if len(c) == 1 else c for c in cols), strict=True)):
+        groups.setdefault(row, []).append(k)
+    out = np.empty((K,) + shape, dtype=dtype)
+    for row, ks in groups.items():
+        out[ks] = count(reach_of(tuple(EdgeAtom(e.op, float(t)) for e, t in zip(chain, row))), ks)
+    return out
 
 
 def _counts(R, body):
@@ -184,34 +216,53 @@ def _counts(R, body):
 
 
 def _temporal(f, rec, value):
-    """Table of F b, G b or a U b, the node f with its operands' tables read
-    through rec, under a single-sided bound.
+    """Table or cut table of F b, G b or a U b, the node f with its
+    operands' results read through rec, under a single-sided bound.
 
     At time k the window is [k+lo, min(k+hi, j-1, L-1)], where j is the
     first index >= k at which U's left operand fails.  F and U hold when b
     holds somewhere in the window, G when b holds all over it, so an empty
-    window holds for G alone.  A window of F or G that runs to the trace end
-    is one reversed or/and accumulate of b, read at k+lo; any other is a
-    difference of one cumulative sum along time: of b's hits for F and U,
-    of its misses for G.  A per-valuation bound gives (K, 1, 1, L) windows.
+    window holds for G alone; over cuts, F and U take the window's least
+    cut and G its greatest.  A window of F or G that runs to the trace end
+    is one reversed accumulate of b read at k+lo: or/and over a table,
+    min/max over a cut table (exact: the values `_extreme` gives, but for
+    the sign of a zero where 0.0 and -0.0 tie).  Any other window is a
+    difference of one cumulative sum along time, of b's hits for F and U,
+    of its misses for G; over cuts, an `_extreme`.  With p in U's left
+    operand, a U b needs a from k through the first witness of b in the
+    window: the greatest cut of a over [k, that witness], +inf if none.
+    A per-valuation bound gives (K, 1, 1, L) windows.
     """
-    always, until = isinstance(f, Always), isinstance(f, Until)
+    always, until = type(f) is Always, type(f) is Until
     a = rec(f.left) if until else None
     b = rec(f.right if until else f.sub)
     lo, hi = (None, None) if f.bound is None else (f.bound.lo, f.bound.hi)
-    L = b.shape[-1]
-    k = np.arange(L)
-    lo = None if lo is None else np.minimum(k + value(lo, "integer"), L)
+    cut = type(b) is tuple
+    L = (b[0] if cut else b).shape[-1]
+    lo = None if lo is None else np.minimum(np.arange(L) + value(lo, "integer"), L)
     if hi is None and not until:
-        s = np.empty(b.shape[:-1] + (L + 1,), dtype=bool)
-        s[..., L] = always  # the empty window past the trace end
-        op = np.logical_and if always else np.logical_or
-        op.accumulate(b[..., ::-1], axis=-1, out=s[..., L - 1::-1])
-        return _at(s, lo)
+        if cut:
+            c, fill, op = (b[0], -np.inf, np.maximum) if always else (b[0], np.inf, np.minimum)
+        else:
+            c, fill, op = b, always, (np.logical_and if always else np.logical_or)
+        acc = np.empty(c.shape[:-1] + (L + 1,), dtype=c.dtype)
+        acc[..., L] = fill  # the empty window past the trace end
+        op.accumulate(c[..., ::-1], axis=-1, out=acc[..., L - 1::-1])
+        return (_at(acc, lo), b[1]) if cut else _at(acc, lo)
+    k = np.arange(L)
     hi = np.minimum(k + (L if hi is None else value(hi, "integer")), L - 1)
+    if until and type(a) is tuple:
+        witness = np.full(b.shape[:-1] + (L + 1,), L)  # first index >= i where b holds, L if none
+        np.minimum.accumulate(np.where(b, k, L)[..., ::-1], axis=-1, out=witness[..., L - 1::-1])
+        first = _at(witness, lo)
+        return np.where(first <= hi, _extreme(a[0], k, np.minimum(first, L - 1), np.maximum),
+                        np.inf), a[1]
     if until:
         fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
         hi = np.minimum(hi, fails - 1)
+    if cut:
+        return _extreme(b[0], k if lo is None else lo, hi,
+                        np.maximum if always else np.minimum), b[1]
     # c counts the misses of b for G, its hits for F and U; an empty window
     # (lo > hi) reads a count <= 0
     c = np.zeros(b.shape[:-1] + (L + 1,), dtype=np.int64)
@@ -230,58 +281,6 @@ def _at(c, i):
         return c[..., i]
     n = max(c.ndim, i.ndim)
     return np.take_along_axis(c[(None,) * (n - c.ndim)], i[(None,) * (n - i.ndim)], axis=-1)
-
-
-def _cut(x, f, p, cache, reach_of, value):
-    """f's table over the labels x if f does not depend on the parameter p,
-    a node-label threshold; else its cut table (cut, s), with f holding at a
-    cell for p = v exactly when s*v >= cut there.
-
-    p fills a single slot of a template, and desugaring copies a slot only
-    under `&` and with its polarity, so f is monotone in p and a cut table
-    is exact.  A node without p is evaluated by `_eval`, which reads its
-    operands from the same memo; under `&` or `|` its table B keeps or
-    settles the other operand's cut: where(B, cut, +inf) for `&`,
-    where(B, -inf, cut) for `|`.
-    """
-    def rec(g):
-        if g not in cache:
-            cache[g] = _cut(x, g, p, cache, reach_of, value)
-        return cache[g]
-
-    if isinstance(f, Atom) and f.threshold == p:
-        return (x, 1) if f.op == "<=" else (-x, -1)
-    parts = [rec(g) for g in _children(f)]
-    if not any(isinstance(t, tuple) for t in parts):
-        return _eval(x, f, cache, reach_of, value)
-    s = next(t[1] for t in parts if isinstance(t, tuple))
-    if isinstance(f, Not):  # s*v < cut, over floats; +inf (never) becomes -inf (always)
-        cut = parts[0][0]
-        out = np.negative(cut)
-        with np.errstate(over="ignore"):  # the successor of the largest float is +inf
-            np.nextafter(out, np.inf, out=out)
-        out[cut == np.inf] = -np.inf
-        return out, -s
-    if isinstance(f, (And, Or)):
-        a, b = parts if isinstance(parts[0], tuple) else parts[::-1]
-        if isinstance(b, tuple):
-            return (np.maximum(a[0], b[0]) if isinstance(f, And) else np.minimum(a[0], b[0])), s
-        return (np.where(b, a[0], np.inf) if isinstance(f, And)
-                else np.where(b, -np.inf, a[0])), s
-    if isinstance(f, Exists):
-        body, n = parts[0][0], value(f.count, "integer")
-        if not any(isinstance(e.threshold, Param) for e in f.chain):
-            return _nth_smallest(reach_of(f.chain), body, n), s
-        chains = _literal_chains(f.chain, value)  # one reach per distinct one, as in `_eval`
-        groups = {}
-        for k, chain in enumerate(chains):
-            groups.setdefault(chain, []).append(k)
-        out = np.empty((len(chains),) + x.shape)
-        for chain, ks in groups.items():
-            out[ks] = _nth_smallest(reach_of(chain), body[ks] if body.ndim > x.ndim else body,
-                                    n[ks] if np.ndim(n) else n)
-        return out, s
-    return _temporal_cut(f, parts, value, x.shape[-1]), s
 
 
 def _nth_smallest(R, cut, n):
@@ -311,30 +310,6 @@ def _nth_smallest(R, cut, n):
             ranked.sort(axis=-1)
             out[ks, m] = np.take(ranked, at, axis=-1).transpose(2, 1, 0)
     return out if cut.ndim > 3 or np.ndim(n) > 0 else out[0]
-
-
-def _temporal_cut(f, parts, value, L):
-    """Cut table of F b, G b or a U b from its operands' tables `parts`,
-    over the windows of `_temporal`: F takes the least cut in its window
-    and G the greatest.  With p in U's right operand, the window ends where
-    the left one fails; with p in the left one, a U b needs a from k through
-    the first witness of b in the window, so it takes the greatest cut of a
-    over [k, that witness], and +inf if there is none."""
-    k = np.arange(L)
-    lo = k if f.bound is None or f.bound.lo is None else np.minimum(
-        k + value(f.bound.lo, "integer"), L)
-    hi = np.minimum(k + (L if f.bound is None or f.bound.hi is None
-                         else value(f.bound.hi, "integer")), L - 1)
-    if not isinstance(f, Until):
-        return _extreme(parts[0][0], lo, hi, np.maximum if isinstance(f, Always) else np.minimum)
-    a, b = parts
-    if isinstance(b, tuple):
-        fails = np.minimum.accumulate(np.where(a, L, k)[..., ::-1], axis=-1)[..., ::-1]
-        return _extreme(b[0], lo, np.minimum(hi, fails - 1), np.minimum)
-    witness = np.full(b.shape[:-1] + (L + 1,), L)  # first index >= i where b holds, L if none
-    np.minimum.accumulate(np.where(b, k, L)[..., ::-1], axis=-1, out=witness[..., L - 1::-1])
-    first = _at(witness, lo)
-    return np.where(first <= hi, _extreme(a[0], k, np.minimum(first, L - 1), np.maximum), np.inf)
 
 
 def _extreme(c, lo, hi, op):

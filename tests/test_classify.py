@@ -451,6 +451,7 @@ _CUT_SHAPES = [
     "x <= ?c U[>=?i0][<=3] x >= 1", "x >= ?c U[>=2] F x >= 1.5", "!(x <= 1.2 U[<=1] x <= ?c)",
     "(x <= ?c) -> F[<=?i0] x >= 1",
     "E 1 via (y <= ?d) : x >= ?c", "E ?i0 via (y <= ?d) : F[<=?i1] x <= ?c",
+    "G x >= ?c", "F !(x <= ?c)", "G (x <= ?c | F x >= 1)",
 ]
 
 
@@ -488,6 +489,19 @@ class TestCutTables:
     def test_random_formulas(self, seed):
         rng = np.random.default_rng(seed)
         self.check(_random_text(rng, int(rng.integers(1, 5)), True, []), rng)
+
+    def test_to_end_windows_build_no_sparse_table(self, monkeypatch):
+        # a window of F or G that runs to the trace end is one accumulate
+        calls = []
+        extreme = gtl.semantics._extreme
+        monkeypatch.setattr(gtl.semantics, "_extreme", lambda *a: calls.append(a) or extreme(*a))
+        evaluator = _Evaluator.of(_cut_data(np.random.default_rng(0)))
+        for text in ("G x >= ?c", "F[>=1] x <= ?c"):
+            evaluator.cuts(desugar(parse(text)), "c", {})
+        evaluator.cuts(desugar(parse("G[>=?i0] x >= ?c")), "c", {"i0": np.array([0, 1, 2])})
+        assert calls == []
+        evaluator.cuts(desugar(parse("G[<=1] x >= ?c")), "c", {})
+        assert len(calls) == 1  # a bounded window still takes the sparse table
 
 
 def _brute_force(template, data):

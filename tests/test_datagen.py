@@ -360,7 +360,7 @@ class TestGenPlanted:
         with pytest.raises(InfeasibleError):
             gen_planted(parse("TRUE"), prior, 1, 1, seed=0)
 
-    @pytest.mark.parametrize("n_pos, n_neg", [(-1, 1), (1, -1)])
+    @pytest.mark.parametrize("n_pos, n_neg", [(-1, 1), (1, -1), (1.5, 1), (True, 1), (1, 2.0)])
     def test_negative_count_rejected(self, n_pos, n_neg):
         prior = two_bin_prior(LabeledGraph(["a"], []), 1)
         with pytest.raises(InputError, match="n_pos and n_neg must be >= 0"):

@@ -140,6 +140,33 @@ class TestTemporalOperators:
             for got, want in self.windows(a, b, bounds, value):
                 assert got.shape == (L + 3, 2, 3, L) and np.array_equal(got, want), L
 
+    def test_to_end_cut_windows_match_sparse_table(self):
+        # over cuts, a window of F or G that runs to the trace end is one
+        # min/max accumulate: it must give `_extreme`'s bits, sign bits too;
+        # zeros are all +0.0, since where 0.0 and -0.0 tie the two routes
+        # may keep different ones
+        rng = np.random.default_rng(7)
+        for L in range(1, 9):
+            k = np.arange(L)
+
+            def value(v, kind):
+                return np.arange(L + 3).reshape(-1, 1, 1, 1) if isinstance(v, Param) else v
+
+            for shape in [(2, 3, L), (L + 3, 2, 3, L)] * 10:
+                c = np.round(rng.normal(size=shape), 1) + 0.0
+                c[rng.random(shape) < 0.15] = np.inf
+                c[rng.random(shape) < 0.15] = -np.inf
+                rec = {self.B: (c, 1)}.__getitem__
+                for lo in [None, 0, 1, 2, L, L + 2, Param("i")]:
+                    first = k if lo is None else np.minimum(k + value(lo, "integer"), L)
+                    bound = None if lo is None else Bound(lo, None)
+                    for node, op in ((Eventually, np.minimum), (Always, np.maximum)):
+                        got, s = gtl.semantics._temporal(node(self.B, bound), rec, value)
+                        want = gtl.semantics._extreme(c, first, L - 1, op)
+                        assert s == 1 and got.shape == want.shape, L
+                        assert np.array_equal(got, want), L
+                        assert np.array_equal(np.signbit(got), np.signbit(want)), L
+
     def test_ungrounded_rejected(self, six_node):
         with pytest.raises(UsageError):
             sat(six_node, parse("x >= ?c"), "v1", 1)

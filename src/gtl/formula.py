@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive)::
     until    := unary [ "U" [bound] until ]
     unary    := "!" unary | ("G"|"F") [bound] unary | exists
               | atom | "(" formula ")" | "TRUE" | "FALSE"
-    bound    := "[>=" int "]" | "[<=" int "]" | "[>=" int "][<=" int "]"
+    bound    := "[>=" intval "]" | "[<=" intval "]" | "[>=" intval "][<=" intval "]"
     exists   := "E" intval { "via" "(" edgeatom ")" } ":" unary
     atom     := "x" ("<="|">=") numval     edgeatom := "y" ("<="|">=") numval
     intval   := integer | "?" name         numval   := number | "?" name
@@ -234,8 +234,10 @@ FALSE = FalseF()
 
 
 # ---------------------------------------------------------------------------
-# structure: the only place that knows which fields are subformulas or slots.
-# Node kinds are matched exactly; formula nodes are not meant to be subclassed.
+# structure: _children, _rebuild and _signed_slots (with its direction table
+# _SLOT_SIGN) are the only places that know which fields are subformulas or
+# slots.  Node kinds are matched exactly; formula nodes are not meant to be
+# subclassed.
 
 def _children(f):
     """Direct subformulas of f, in slot order."""
@@ -301,6 +303,27 @@ def _rebuild(f, sub, param):
     raise TypeError(f"not a formula node: {f!r}")
 
 
+#: what raising a slot's value does to satisfaction of its node, the node's
+#: subformulas held fixed: 1 eases it, -1 hardens it, 0 can do either.  A
+#: threshold's sign follows its comparison; a neighbor count's and a time
+#: bound's (lo, hi) follow the node kind.
+_SLOT_SIGN = {"<=": 1, ">=": -1, Exists: -1,
+              Eventually: (-1, 1), Always: (1, -1), Until: (0, 0)}
+
+
+def _signed_slots(f):
+    """(value, sign) of each slot of node f, literal or parameter; see _SLOT_SIGN."""
+    cls = type(f)
+    if cls is Atom:
+        return ((f.threshold, _SLOT_SIGN[f.op]),)
+    if cls is Exists:
+        return ((f.count, _SLOT_SIGN[Exists]), *((e.threshold, _SLOT_SIGN[e.op]) for e in f.chain))
+    if (cls is Eventually or cls is Always or cls is Until) and f.bound is not None:
+        lo, hi = _SLOT_SIGN[cls]
+        return ((f.bound.lo, lo), (f.bound.hi, hi))
+    return ()
+
+
 def _subformulas(f):
     """f and all its subformulas, in pre-order."""
     out, stack = [], [f]
@@ -334,37 +357,30 @@ def print_formula(f: Formula) -> str:
     return _print(f, _LEVEL_IMPLIC)
 
 
+#: binary kinds: operator, own level, and the levels of the left and right operands
+_INFIX = {Implies: ("->", _LEVEL_IMPLIC, _LEVEL_OR, _LEVEL_IMPLIC),
+          Or: ("|", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+          And: ("&", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNTIL),
+          Until: ("U", _LEVEL_UNTIL, _LEVEL_UNARY, _LEVEL_UNTIL)}
+_PREFIX = {Not: "!", Eventually: "F", Always: "G"}
+
+
 def _print(f, ctx):
-    if isinstance(f, TrueF):
-        return "TRUE"
-    if isinstance(f, FalseF):
-        return "FALSE"
-    if isinstance(f, Atom):
+    cls = type(f)
+    bound = getattr(f, "bound", None) or ""
+    if cls in _INFIX:
+        op, level, left, right = _INFIX[cls]
+        text = f"{_print(f.left, left)} {op}{bound} {_print(f.right, right)}"
+        return f"({text})" if ctx > level else text
+    if cls in _PREFIX:
+        return f"{_PREFIX[cls]}{bound} {_print(f.sub, _LEVEL_UNARY)}"
+    if cls is Atom:
         return f"x {f.op} {_fmt_value(f.threshold)}"
-    if isinstance(f, Implies):
-        text = f"{_print(f.left, _LEVEL_OR)} -> {_print(f.right, _LEVEL_IMPLIC)}"
-        return f"({text})" if ctx > _LEVEL_IMPLIC else text
-    if isinstance(f, Or):
-        text = f"{_print(f.left, _LEVEL_OR)} | {_print(f.right, _LEVEL_AND)}"
-        return f"({text})" if ctx > _LEVEL_OR else text
-    if isinstance(f, And):
-        text = f"{_print(f.left, _LEVEL_AND)} & {_print(f.right, _LEVEL_UNTIL)}"
-        return f"({text})" if ctx > _LEVEL_AND else text
-    if isinstance(f, Until):
-        b = str(f.bound) if f.bound else ""
-        text = f"{_print(f.left, _LEVEL_UNARY)} U{b} {_print(f.right, _LEVEL_UNTIL)}"
-        return f"({text})" if ctx > _LEVEL_UNTIL else text
-    if isinstance(f, Not):
-        return f"! {_print(f.sub, _LEVEL_UNARY)}"
-    if isinstance(f, Eventually):
-        b = str(f.bound) if f.bound else ""
-        return f"F{b} {_print(f.sub, _LEVEL_UNARY)}"
-    if isinstance(f, Always):
-        b = str(f.bound) if f.bound else ""
-        return f"G{b} {_print(f.sub, _LEVEL_UNARY)}"
-    if isinstance(f, Exists):
+    if cls is Exists:
         vias = " ".join(f"via ({e})" for e in f.chain)
         return f"E {_fmt_value(f.count)} {vias} : {_print(f.body, _LEVEL_UNARY)}"
+    if cls is TrueF or cls is FalseF:
+        return "TRUE" if cls is TrueF else "FALSE"
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -542,7 +558,7 @@ class _Parser:
             while self.peek()[1] == "via":
                 self.next()
                 self.expect("(")
-                chain.append(self.edgeatom())
+                chain.append(self.atom("y", EdgeAtom))
                 self.expect(")")
             if not chain:
                 self.error("'E' needs at least one 'via (...)' hop", expected=("via",))
@@ -555,7 +571,7 @@ class _Parser:
             self.next()
             return FALSE
         if val == "x":
-            return self.atom()
+            return self.atom("x", Atom)
         if val == "(":
             self.next()
             f = self.implic()
@@ -563,21 +579,14 @@ class _Parser:
             return f
         self.error("expected a formula", expected=("!", "G", "F", "E", "x", "(", "TRUE", "FALSE"))
 
-    def atom(self):
-        self.expect("x")
+    def atom(self, letter, cls):
+        """A threshold predicate on letter ("x" for a node, "y" for an edge)."""
+        self.expect(letter)
         op = self.peek()[1]
         if op not in ("<=", ">="):
-            self.error("expected '<=' or '>=' after 'x'", expected=("<=", ">="))
+            self.error(f"expected '<=' or '>=' after {letter!r}", expected=("<=", ">="))
         self.next()
-        return Atom(op, self.numval())
-
-    def edgeatom(self):
-        self.expect("y")
-        op = self.peek()[1]
-        if op not in ("<=", ">="):
-            self.error("expected '<=' or '>=' after 'y'", expected=("<=", ">="))
-        self.next()
-        return EdgeAtom(op, self.numval())
+        return cls(op, self.numval())
 
 
 def parse(text: str) -> Formula:
@@ -689,37 +698,29 @@ def _norm_bound(bound):
 
 def nnf(f: Formula) -> Formula:
     """Push negations inward; Not survives only on Atom, Exists, and Until."""
-    f = desugar(f)
-    return _nnf(f, False)
+    return _nnf(desugar(f))
 
 
-def _nnf(f, neg):
-    if isinstance(f, TrueF):
-        return FALSE if neg else TRUE
-    if isinstance(f, FalseF):
-        return TRUE if neg else FALSE
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if isinstance(f, And):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if isinstance(f, Or):
-        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if isinstance(f, Eventually):
-        sub = _nnf(f.sub, neg)
-        return Always(sub, f.bound) if neg else Eventually(sub, f.bound)
-    if isinstance(f, Always):
-        sub = _nnf(f.sub, neg)
-        return Eventually(sub, f.bound) if neg else Always(sub, f.bound)
-    if isinstance(f, Until):
-        g = Until(_nnf(f.left, False), _nnf(f.right, False), f.bound)
-        return Not(g) if neg else g
-    if isinstance(f, (Atom, Exists)):
-        if isinstance(f, Exists):
-            f = Exists(f.count, f.chain, _nnf(f.body, False))
-        return Not(f) if neg else f
-    raise TypeError(f"not a formula node: {f!r}")
+#: the kind that a negation turns each kind into as it moves inward; a
+#: negation stays on the kinds absent here (Atom, Exists and Until)
+_DUAL = {And: Or, Or: And, Eventually: Always, Always: Eventually, TrueF: FalseF, FalseF: TrueF}
+
+
+def _nnf(f):
+    """Negation normal form of the desugared f."""
+    return _nnf_not(f.sub) if type(f) is Not else _rebuild(f, _nnf, _keep)
+
+
+def _nnf_not(f):
+    """Negation normal form of !f, for the desugared f."""
+    cls = type(f)
+    if cls is Not:
+        return _nnf(f.sub)
+    dual = _DUAL.get(cls)
+    if dual is None:
+        return Not(_nnf(f))
+    kids = map(_nnf_not, _children(f))
+    return dual(*kids, f.bound) if cls is Eventually or cls is Always else dual(*kids)
 
 
 # ---------------------------------------------------------------------------
@@ -728,68 +729,30 @@ def _nnf(f, neg):
 POL_U, POL_POS, POL_NEG, POL_MIX = "U", "+", "-", "M"
 
 
-def _pol_neg(a):
-    """Polarity under negation: + and - swap, U and M stay."""
-    return POL_NEG if a == POL_POS else POL_POS if a == POL_NEG else a
-
-
-def _pol_comp(a, b):
-    """Polarity of two parts combined: U is neutral, equal signs keep,
-    anything else is M."""
-    return b if a == POL_U or a == b else a if b == POL_U else POL_MIX
-
-
 def polarity(f: Formula, p: str) -> str:
     """Direction in which increasing parameter p eases satisfaction.
 
     Returns one of "U", "+", "-", "M".  Derived operators are desugared
-    first; an Until with a bound parameterized by p reports "M" (the rule
-    table does not cover it).
+    first.  Each slot that holds p gives its direction from _SLOT_SIGN,
+    reversed under an odd number of negations; the answer is "U" for no
+    slot, their common sign, or "M" if they disagree or one is an Until
+    bound.
     """
-    return _polarity(desugar(f), p)
-
-
-def _is_p(value, p):
-    return isinstance(value, Param) and value.name == p
-
-
-def _polarity(f, p):
-    if isinstance(f, (TrueF, FalseF)):
-        return POL_U
-    if isinstance(f, Atom):
-        if _is_p(f.threshold, p):
-            return POL_POS if f.op == "<=" else POL_NEG
-        return POL_U
-    if isinstance(f, Not):
-        return _pol_neg(_polarity(f.sub, p))
-    if isinstance(f, (And, Or)):
-        # a | b == !(!a & !b), and negation commutes with combining
-        return _pol_comp(_polarity(f.left, p), _polarity(f.right, p))
-    if isinstance(f, Until):
-        if f.bound is not None and (_is_p(f.bound.lo, p) or _is_p(f.bound.hi, p)):
-            return POL_MIX
-        return _pol_comp(_polarity(f.left, p), _polarity(f.right, p))
-    if isinstance(f, Eventually):
-        acc = _polarity(f.sub, p)
-        if f.bound is not None:
-            if _is_p(f.bound.hi, p):
-                acc = _pol_comp(POL_POS, acc)
-            if _is_p(f.bound.lo, p):
-                acc = _pol_comp(POL_NEG, acc)
-        return acc
-    if isinstance(f, Always):
-        # G~i a == ! F~i !a
-        inner = Eventually(Not(f.sub), f.bound)
-        return _pol_neg(_polarity(inner, p))
-    if isinstance(f, Exists):
-        acc = _polarity(f.body, p)
-        for e in f.chain:
-            if _is_p(e.threshold, p):
-                acc = _pol_comp(POL_POS if e.op == "<=" else POL_NEG, acc)
-        if _is_p(f.count, p):
-            acc = _pol_comp(POL_NEG, acc)
-        return acc
-    raise TypeError(f"not a formula node: {f!r}")
+    signs, stack = set(), [(desugar(f), 1)]
+    while stack:
+        g, parity = stack.pop()
+        for v, sign in _signed_slots(g):
+            if isinstance(v, Param) and v.name == p:
+                signs.add(parity * sign)
+        if type(g) is Not:
+            parity = -parity
+        for h in _children(g):
+            stack.append((h, parity))
+    if signs == {1}:
+        return POL_POS
+    if signs == {-1}:
+        return POL_NEG
+    return POL_MIX if signs else POL_U
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ class _Evaluator:
 
         def value(v, kind):
             if isinstance(v, Param):
-                return np.reshape(_checked_value(v, kind, values), (-1, 1, 1, 1))
+                a = _checked_value(v, kind, values)  # a Python number for a scalar value
+                return a.reshape(-1, 1, 1, 1) if type(a) is np.ndarray else np.array(a, ndmin=4)
             return v
 
         return reach_of, value

@@ -432,9 +432,23 @@ class TestSeedFallback:
 
 _LEAVES = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-100, 100)
            | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6))
-_JSON = st.recursive(_LEAVES, lambda sub: st.lists(sub, max_size=4)
-                     | st.dictionaries(st.text(max_size=6), sub, max_size=4),
-                     max_leaves=8)
+
+
+def _json_containers(sub):
+    """Lists and objects of sub's values: one level of nesting for _JSON."""
+    return st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=6), sub, max_size=4)
+
+
+_JSON = st.recursive(_LEAVES, _json_containers, max_leaves=8)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=_JSON)
+def test_json_strategy_draws_without_warnings(doc):
+    # any warning from validating or drawing the strategy fails the test
+    _JSON.validate()
+    json.dumps(doc)
 
 
 @st.composite

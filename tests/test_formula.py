@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from gtl.errors import InputError, ParseError, UsageError
 from gtl.formula import (
-    Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, FALSE, Implies,
-    Not, Or, Param, TRUE, Until, _children, classify_subtype, desugar,
-    formula_size, free_parameters, instantiate, is_ground, nnf, parse,
-    polarity, print_formula, rename_parameters,
+    Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, FALSE, FalseF, Implies,
+    Not, Or, Param, TRUE, TrueF, Until, _children, _fmt_value, _subformulas,
+    classify_subtype, desugar, formula_size, free_parameters, instantiate, is_ground,
+    nnf, parse, polarity, print_formula, rename_parameters,
 )
+from gtl.semantics import _Evaluator, sat_table
+from gtl.templates import builtin_templates, default_box
 
-from conftest import random_formula
+from conftest import random_formula, random_graph, random_trajectory
 
 
 class TestParsePrint:
@@ -72,6 +74,17 @@ class TestParsePrint:
     def test_largest_integer_literal_accepted(self):
         f = parse("F[<=9007199254740992] x <= -9007199254740992")
         assert f.bound.hi == 2 ** 53 and f.sub.threshold == -2 ** 53
+
+    @pytest.mark.parametrize("text, letter, col", [
+        ("x -> 1", "x", 3),
+        ("G x", "x", 4),
+        ("E 1 via (y & 1) : x <= 1", "y", 12),
+        ("E 1 via (y) : x <= 1", "y", 11),
+    ])
+    def test_predicate_needs_a_comparison(self, text, letter, col):
+        with pytest.raises(ParseError, match=f"expected '<=' or '>=' after '{letter}'") as err:
+            parse(text)
+        assert (err.value.line, err.value.col, err.value.expected) == (1, col, ("<=", ">="))
 
     def test_unknown_character(self):
         with pytest.raises(ParseError):
@@ -265,9 +278,11 @@ class TestPolarity:
         assert polarity(parse(text), param) == want
 
     def test_mixed(self):
-        # p eases the left conjunct and hardens the right one
-        f = And(Atom("<=", Param("p")), Not(Atom("<=", Param("p2"))))
-        # same-name reuse is rejected upstream, so emulate via Until bound
+        # p eases the left conjunct and hardens the right one; parse rejects
+        # the reuse of a name, so the formula is built from the AST
+        f = And(Atom("<=", Param("p")), Not(Atom("<=", Param("p"))))
+        assert polarity(f, "p") == "M"
+        assert polarity(Always(Atom(">=", Param("p")), Bound(None, Param("p"))), "p") == "-"
         assert polarity(parse("(x <= ?p) U[>=?p2] (x >= 1)"), "p2") == "M"
 
     def test_paired_bound_duplication_is_safe(self):
@@ -412,3 +427,232 @@ class TestCachedHash:
         a, b = parse("F[<=1] x >= 1"), parse("F[<=2] x >= 1")
         hash(a)
         assert len({a, b, parse("F[<=1] x >= 1")}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the per-kind dispatches that printing, nnf and polarity replaced, kept
+# verbatim as the reference they must match
+
+_LEVEL_IMPLIC, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY = range(5)
+
+
+def _print(f, ctx):
+    if isinstance(f, TrueF):
+        return "TRUE"
+    if isinstance(f, FalseF):
+        return "FALSE"
+    if isinstance(f, Atom):
+        return f"x {f.op} {_fmt_value(f.threshold)}"
+    if isinstance(f, Implies):
+        text = f"{_print(f.left, _LEVEL_OR)} -> {_print(f.right, _LEVEL_IMPLIC)}"
+        return f"({text})" if ctx > _LEVEL_IMPLIC else text
+    if isinstance(f, Or):
+        text = f"{_print(f.left, _LEVEL_OR)} | {_print(f.right, _LEVEL_AND)}"
+        return f"({text})" if ctx > _LEVEL_OR else text
+    if isinstance(f, And):
+        text = f"{_print(f.left, _LEVEL_AND)} & {_print(f.right, _LEVEL_UNTIL)}"
+        return f"({text})" if ctx > _LEVEL_AND else text
+    if isinstance(f, Until):
+        b = str(f.bound) if f.bound else ""
+        text = f"{_print(f.left, _LEVEL_UNARY)} U{b} {_print(f.right, _LEVEL_UNTIL)}"
+        return f"({text})" if ctx > _LEVEL_UNTIL else text
+    if isinstance(f, Not):
+        return f"! {_print(f.sub, _LEVEL_UNARY)}"
+    if isinstance(f, Eventually):
+        b = str(f.bound) if f.bound else ""
+        return f"F{b} {_print(f.sub, _LEVEL_UNARY)}"
+    if isinstance(f, Always):
+        b = str(f.bound) if f.bound else ""
+        return f"G{b} {_print(f.sub, _LEVEL_UNARY)}"
+    if isinstance(f, Exists):
+        vias = " ".join(f"via ({e})" for e in f.chain)
+        return f"E {_fmt_value(f.count)} {vias} : {_print(f.body, _LEVEL_UNARY)}"
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _nnf(f, neg):
+    if isinstance(f, TrueF):
+        return FALSE if neg else TRUE
+    if isinstance(f, FalseF):
+        return TRUE if neg else FALSE
+    if isinstance(f, Not):
+        return _nnf(f.sub, not neg)
+    if isinstance(f, And):
+        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
+        return Or(l, r) if neg else And(l, r)
+    if isinstance(f, Or):
+        l, r = _nnf(f.left, neg), _nnf(f.right, neg)
+        return And(l, r) if neg else Or(l, r)
+    if isinstance(f, Eventually):
+        sub = _nnf(f.sub, neg)
+        return Always(sub, f.bound) if neg else Eventually(sub, f.bound)
+    if isinstance(f, Always):
+        sub = _nnf(f.sub, neg)
+        return Eventually(sub, f.bound) if neg else Always(sub, f.bound)
+    if isinstance(f, Until):
+        g = Until(_nnf(f.left, False), _nnf(f.right, False), f.bound)
+        return Not(g) if neg else g
+    if isinstance(f, (Atom, Exists)):
+        if isinstance(f, Exists):
+            f = Exists(f.count, f.chain, _nnf(f.body, False))
+        return Not(f) if neg else f
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+POL_U, POL_POS, POL_NEG, POL_MIX = "U", "+", "-", "M"
+
+
+def _pol_neg(a):
+    """Polarity under negation: + and - swap, U and M stay."""
+    return POL_NEG if a == POL_POS else POL_POS if a == POL_NEG else a
+
+
+def _pol_comp(a, b):
+    """Polarity of two parts combined: U is neutral, equal signs keep,
+    anything else is M."""
+    return b if a == POL_U or a == b else a if b == POL_U else POL_MIX
+
+
+def _is_p(value, p):
+    return isinstance(value, Param) and value.name == p
+
+
+def _polarity(f, p):
+    if isinstance(f, (TrueF, FalseF)):
+        return POL_U
+    if isinstance(f, Atom):
+        if _is_p(f.threshold, p):
+            return POL_POS if f.op == "<=" else POL_NEG
+        return POL_U
+    if isinstance(f, Not):
+        return _pol_neg(_polarity(f.sub, p))
+    if isinstance(f, (And, Or)):
+        # a | b == !(!a & !b), and negation commutes with combining
+        return _pol_comp(_polarity(f.left, p), _polarity(f.right, p))
+    if isinstance(f, Until):
+        if f.bound is not None and (_is_p(f.bound.lo, p) or _is_p(f.bound.hi, p)):
+            return POL_MIX
+        return _pol_comp(_polarity(f.left, p), _polarity(f.right, p))
+    if isinstance(f, Eventually):
+        acc = _polarity(f.sub, p)
+        if f.bound is not None:
+            if _is_p(f.bound.hi, p):
+                acc = _pol_comp(POL_POS, acc)
+            if _is_p(f.bound.lo, p):
+                acc = _pol_comp(POL_NEG, acc)
+        return acc
+    if isinstance(f, Always):
+        # G~i a == ! F~i !a
+        inner = Eventually(Not(f.sub), f.bound)
+        return _pol_neg(_polarity(inner, p))
+    if isinstance(f, Exists):
+        acc = _polarity(f.body, p)
+        for e in f.chain:
+            if _is_p(e.threshold, p):
+                acc = _pol_comp(POL_POS if e.op == "<=" else POL_NEG, acc)
+        if _is_p(f.count, p):
+            acc = _pol_comp(POL_NEG, acc)
+        return acc
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+#: formulas with TRUE and FALSE, which neither random generator draws
+_CONSTANT_TEXTS = [
+    "G[>=1][<=3] (x >= 0.5 -> !(x <= 1 U[<=2] E 2 via (y <= 1) via (y >= 0.5) : x >= 2)) "
+    "| F TRUE & FALSE",
+    "! (TRUE & ! FALSE) -> F[>=2] ! TRUE",
+    "!! (x <= ?a) U[>=?i] G[<=?j] ! F[>=1][<=?k] FALSE",
+    "! G[>=?i][<=?j] (TRUE | E ?N via (y >= ?d) : ! x <= ?c)",
+]
+
+
+def _reference_corpus(group):
+    """(formula, parameter names to query) pairs of one group."""
+    rng = random.Random(31)
+    if group == "random_formula":
+        return [(random_formula(rng, depth), []) for depth in range(5) for _ in range(400)]
+    if group == "random_template":
+        fs = [random_template(rng, depth, []) for depth in range(4) for _ in range(500)]
+        return [(f, list(free_parameters(f))) for f in fs]
+    if group == "reused_names":
+        # two names shared by every slot, which parse would reject
+        fs = [random_template(rng, depth, []) for depth in (1, 2, 3) for _ in range(200)]
+        return [(rename_parameters(f, {n: f"q{i % 2}" for i, n in enumerate(free_parameters(f))}),
+                 ["q0", "q1"]) for f in fs]
+    fs = [t.formula for kind in ("type-I", "type-II") for op in ("<=", ">=")
+          for t in builtin_templates(kind, default_box(8), pi_op=op)]
+    fs += [parse("G (x >= ?a -> G[<=?i3] E ?N via (y <= ?d) : x <= ?c)"),
+           parse("E ?N via (y <= 2) : x >= ?c"), parse("E ?N via (y <= 2) : x <= ?c"),
+           parse("E 15 via (y <= 2) : x >= 1 & E 1 via (y <= 2) : x <= 0.9")]
+    fs += [parse(text) for text in _CONSTANT_TEXTS]
+    return [(f, list(free_parameters(f))) for f in fs]
+
+
+class TestReplacedDispatches:
+    """print_formula, nnf and polarity against the dispatches they replaced."""
+
+    @pytest.mark.parametrize("group", ["random_formula", "random_template", "reused_names",
+                                       "library"])
+    def test_matches_reference(self, group):
+        corpus = _reference_corpus(group)
+        assert len(corpus) >= (24 if group == "library" else 600)
+        for f, names in corpus:
+            text = print_formula(f)
+            assert text == _print(f, _LEVEL_IMPLIC)
+            d = desugar(f)
+            assert nnf(f) == _nnf(d, False), text
+            for name in names + ["absent"]:
+                assert polarity(f, name) == _polarity(d, name), (text, name)
+
+
+# ---------------------------------------------------------------------------
+# nnf and polarity against the semantics, independent of both implementations
+
+class TestAnalysesAgainstSemantics:
+    def test_polarity_direction_holds_on_tables(self):
+        """Raising a "+" parameter never turns a true cell false, and
+        raising a "-" one never turns a false cell true."""
+        rng, rng_np = random.Random(8), np.random.default_rng(8)
+
+        def draw(kind):
+            return rng.randint(0, 5) if kind == "integer" else rng.uniform(-0.5, 3.5)
+
+        checked = {"+": 0, "-": 0}
+        changed = 0
+        for trial in range(40):
+            g = random_graph(rng, 4, 0.6)
+            evaluator = _Evaluator.of([random_trajectory(rng_np, g, 5) for _ in range(3)])
+            for _ in range(5):
+                f = random_template(rng, rng.choice([1, 2, 3]), [])
+                params = free_parameters(f)
+                base = {n: draw(p.kind) for n, p in params.items()}
+                for name, info in params.items():
+                    sign = polarity(f, name)
+                    if sign not in checked:
+                        continue
+                    raised = sorted(draw(info.kind) for _ in range(6))
+                    values = {n: np.full(len(raised), v) for n, v in base.items()}
+                    values[name] = np.array(raised)
+                    t = np.broadcast_to(evaluator.tables(desugar(f), values),
+                                        (len(raised),) + evaluator.x.shape)
+                    before, after = t[:-1], t[1:]
+                    lost = before & ~after if sign == "+" else after & ~before
+                    assert not lost.any(), (print_formula(f), name, sign, raised)
+                    checked[sign] += 1
+                    changed += bool((before != after).any())
+        assert min(checked.values()) >= 100 and changed >= 100, (checked, changed)
+
+    def test_nnf_keeps_tables_and_negates_only_leaves(self):
+        rng, rng_np = random.Random(9), np.random.default_rng(9)
+        ground = [instantiate(parse(text), {"a": 0.5, "i": 1, "j": 2, "k": 3, "N": 1,
+                                            "d": 1.0, "c": 0.4})
+                  for text in _CONSTANT_TEXTS]
+        for trial in range(40):
+            traj = random_trajectory(rng_np, random_graph(rng, 4, 0.6), 5)
+            for f in ground + [random_formula(rng, rng.choice([1, 2, 3, 4])) for _ in range(6)]:
+                n = nnf(f)
+                for h in _subformulas(n):
+                    assert type(h) is not Implies
+                    assert type(h) is not Not or type(h.sub) in (Atom, Exists, Until), \
+                        print_formula(n)
+                assert np.array_equal(sat_table(traj, n), sat_table(traj, f)), print_formula(f)

@@ -96,7 +96,7 @@ def label_word(traj, v: str, aps: list[Formula]) -> list[int]:
 # ---------------------------------------------------------------------------
 # the automaton
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: numpy arrays have no single truth value
 class Dfa:
     aps: list  # ordered atomic predicates; alphabet is bitmasks over them
     transitions: np.ndarray  # (K, 2^|aps|) int

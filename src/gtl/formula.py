@@ -14,12 +14,13 @@ Grammar (whitespace-insensitive)::
     unary    := "!" unary | ("G"|"F") [bound] unary | exists
               | atom | "(" formula ")" | "TRUE" | "FALSE"
     bound    := "[>=" intval "]" | "[<=" intval "]" | "[>=" intval "][<=" intval "]"
-    exists   := "E" intval { "via" "(" edgeatom ")" } ":" unary
+    exists   := "E" intval "via" "(" edgeatom ")" { "via" "(" edgeatom ")" } ":" unary
     atom     := "x" ("<="|">=") numval     edgeatom := "y" ("<="|">=") numval
     intval   := integer | "?" name         numval   := number | "?" name
 
 An integer literal is at most 2^53 in magnitude, so it is exact as a float.
-A time bound and a neighbor count are never negative.
+A time bound and a neighbor count are never negative.  Text nests at most
+200 levels deep (_MAX_DEPTH).
 """
 
 from __future__ import annotations
@@ -363,6 +364,7 @@ _INFIX = {Implies: ("->", _LEVEL_IMPLIC, _LEVEL_OR, _LEVEL_IMPLIC),
           And: ("&", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNTIL),
           Until: ("U", _LEVEL_UNTIL, _LEVEL_UNARY, _LEVEL_UNTIL)}
 _PREFIX = {Not: "!", Eventually: "F", Always: "G"}
+_CONSTANTS = {TrueF: "TRUE", FalseF: "FALSE"}
 
 
 def _print(f, ctx):
@@ -379,13 +381,14 @@ def _print(f, ctx):
     if cls is Exists:
         vias = " ".join(f"via ({e})" for e in f.chain)
         return f"E {_fmt_value(f.count)} {vias} : {_print(f.body, _LEVEL_UNARY)}"
-    if cls is TrueF or cls is FalseF:
-        return "TRUE" if cls is TrueF else "FALSE"
+    if cls in _CONSTANTS:
+        return _CONSTANTS[cls]
     raise TypeError(f"not a formula node: {f!r}")
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: the parser reads the printer's tables, so parse(print_formula(f)) == f
+# follows from one statement of precedence and grouping
 
 _TOKEN_RE = re.compile(
     r"""
@@ -394,30 +397,28 @@ _TOKEN_RE = re.compile(
   | (?P<param>\?[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|->|[()\[\]|&!:])
   | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<bad>.)
 """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
+def _parse_error(text, pos, message, expected=()):
+    """A ParseError at offset pos of text, with its line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos), expected)
+
+
 def _tokenize(text):
+    """(kind, text, offset) of each token, then an "eof" token at the end."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        val = m.group()
+        if kind == "bad":
+            raise _parse_error(text, m.start(), f"unexpected character {m.group()!r}")
         if kind != "ws":
-            tokens.append((kind, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -425,9 +426,25 @@ def _tokenize(text):
 #: to it, counts, time bounds and thresholds are exact as floats
 _MAX_INT = 2 ** 53
 
+#: how deep formula text may nest: the number of operators and parentheses
+#: around any part of it, and so the height of the tree parse builds.  Passes
+#: over a formula recurse once per level, up to three frames each; every
+#: command runs formulas this deep under Python's default limit of 1,000
+#: frames with 360 frames to spare, and the first fail between 320 and 330.
+_MAX_DEPTH = 200
+
+#: the node kind of each operator and constant, from the printer's tables
+_KIND_OF = {op: cls for cls, (op, *_) in _INFIX.items()}
+_KIND_OF.update({word: cls for cls, word in (_PREFIX | _CONSTANTS).items()})
+
 
 class _Parser:
+    """Recursive descent over the token list.  binary and unary take the
+    nesting depth of what they read and return (formula, height), the
+    height counting operator levels above the leaves."""
+
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -440,120 +457,99 @@ class _Parser:
         return tok
 
     def error(self, msg, expected=()):
-        kind, val, line, col = self.peek()
+        kind, val, pos = self.peek()
         shown = val if kind != "eof" else "end of input"
-        raise ParseError(f"{msg}, got {shown!r}", line, col, expected)
+        raise _parse_error(self.text, pos, f"{msg}, got {shown!r}", expected)
 
-    def expect(self, val):
-        kind, v, line, col = self.peek()
-        if v != val:
-            self.error(f"expected {val!r}", expected=(val,))
+    def expect(self, *vals, where=""):
+        """Consume the token at the cursor, which must be one of vals."""
+        if self.peek()[1] not in vals:
+            self.error("expected " + " or ".join(map(repr, vals)) + where, expected=vals)
         return self.next()
 
+    def check_depth(self, depth, tok):
+        if depth > _MAX_DEPTH:
+            raise _parse_error(self.text, tok[2], f"formula nested deeper than {_MAX_DEPTH} levels")
+
     def parse(self):
-        f = self.implic()
+        f, _ = self.binary(_LEVEL_IMPLIC, 0)
         if self.peek()[0] != "eof":
             self.error("trailing input after formula")
         return f
 
-    def implic(self):
-        left = self.orexpr()
-        if self.peek()[1] == "->":
+    def binary(self, ctx, depth):
+        """The formula whose infix operators bind at level ctx or tighter;
+        levels and grouping are _INFIX's."""
+        left, height = self.unary(depth)
+        level = _LEVEL_UNARY
+        while True:
+            tok = self.peek()
+            cls = _KIND_OF.get(tok[1])
+            if cls not in _INFIX:
+                return left, height
+            _, own, left_level, right_level = _INFIX[cls]
+            if own < ctx or level < left_level:
+                return left, height
             self.next()
-            return Implies(left, self.implic())
-        return left
+            bound = self.bound() if cls is Until else None
+            right, right_height = self.binary(right_level, depth + 1)
+            height = max(height, right_height) + 1
+            self.check_depth(depth + height, tok)
+            left = Until(left, right, bound) if cls is Until else cls(left, right)
+            level = own
 
-    def orexpr(self):
-        f = self.andexpr()
-        while self.peek()[1] == "|":
-            self.next()
-            f = Or(f, self.andexpr())
-        return f
-
-    def andexpr(self):
-        f = self.untilexpr()
-        while self.peek()[1] == "&":
-            self.next()
-            f = And(f, self.untilexpr())
-        return f
-
-    def untilexpr(self):
-        left = self.unary()
-        if self.peek()[1] == "U":
-            self.next()
-            bound = self.maybe_bound()
-            return Until(left, self.untilexpr(), bound)
-        return left
-
-    def maybe_bound(self):
+    def bound(self):
+        """The time bound at the cursor, or None if there is none."""
         if self.peek()[1] != "[":
             return None
-        lo = hi = None
-        self.expect("[")
-        op = self.peek()[1]
-        if op not in ("<=", ">="):
-            self.error("expected '>=' or '<=' inside bound", expected=(">=", "<="))
         self.next()
-        val = self.intval()
-        self.expect("]")
-        if op == ">=":
-            lo = val
-        else:
-            hi = val
-        if self.peek()[1] == "[" and lo is not None:
-            self.expect("[")
-            if self.peek()[1] != "<=":
-                self.error("expected '<=' in second bound", expected=("<=",))
-            self.next()
-            hi = self.intval()
+        lo = None
+        if self.expect(">=", "<=", where=" inside bound")[1] == ">=":
+            lo = self.value("integer")
             self.expect("]")
+            if self.peek()[1] != "[":
+                return Bound(lo, None)
+            self.next()
+            self.expect("<=", where=" in second bound")
+        hi = self.value("integer")
+        self.expect("]")
         return Bound(lo, hi)
 
-    def intval(self):
-        kind, val, line, col = self.peek()
+    def value(self, what):
+        """The literal or ?parameter at the cursor; what is "integer" or
+        "number".  An integer literal that a float cannot hold exactly is
+        out of range."""
+        kind, val, pos = self.peek()
+        if kind != "param" and kind != "num":
+            self.error(f"expected {what} or parameter", expected=(what, "?name"))
+        self.next()
         if kind == "param":
-            self.next()
             return Param(val[1:])
-        if kind == "num":
-            if "." in val or "e" in val or "E" in val:
-                raise ParseError("expected an integer", line, col)
-            return self.integer()
-        self.error("expected integer or parameter", expected=("integer", "?name"))
-
-    def numval(self):
-        kind, val, _, _ = self.peek()
-        if kind == "param":
-            self.next()
-            return Param(val[1:])
-        if kind == "num":
-            if "." in val or "e" in val or "E" in val:
-                self.next()
-                return float(val)
-            return self.integer()
-        self.error("expected number or parameter", expected=("number", "?name"))
-
-    def integer(self):
-        """The integer literal at the cursor; one that a float cannot hold
-        exactly is out of range."""
-        _, val, line, col = self.next()
+        if "." in val or "e" in val or "E" in val:
+            if what == "integer":
+                raise _parse_error(self.text, pos, "expected an integer")
+            return float(val)
         # the length test comes first: int() refuses strings of over 4,300 digits
         if len(val.lstrip("-0")) > 16 or abs(int(val)) > _MAX_INT:
-            raise ParseError("integer literal out of range (magnitude above 2**53)", line, col)
+            raise _parse_error(self.text, pos, "integer literal out of range (magnitude above 2**53)")
         return int(val)
 
-    def unary(self):
-        kind, val, _, _ = self.peek()
-        if val == "!":
+    def unary(self, depth):
+        tok = self.peek()
+        self.check_depth(depth, tok)
+        val = tok[1]
+        cls = _KIND_OF.get(val)
+        if cls in _PREFIX:
             self.next()
-            return Not(self.unary())
-        if val in ("G", "F"):
+            bound = None if cls is Not else self.bound()
+            sub, height = self.unary(depth + 1)
+            return (Not(sub) if cls is Not else cls(sub, bound)), height + 1
+        if cls in _CONSTANTS:
             self.next()
-            bound = self.maybe_bound()
-            sub = self.unary()
-            return Always(sub, bound) if val == "G" else Eventually(sub, bound)
+            return cls(), 0
         if val == "E":
             self.next()
-            count = self.intval()
+            count = self.value("integer")
             chain = []
             while self.peek()[1] == "via":
                 self.next()
@@ -563,30 +559,22 @@ class _Parser:
             if not chain:
                 self.error("'E' needs at least one 'via (...)' hop", expected=("via",))
             self.expect(":")
-            return Exists(count, tuple(chain), self.unary())
-        if val == "TRUE":
-            self.next()
-            return TRUE
-        if val == "FALSE":
-            self.next()
-            return FALSE
+            body, height = self.unary(depth + 1)
+            return Exists(count, tuple(chain), body), height + 1
         if val == "x":
-            return self.atom("x", Atom)
+            return self.atom("x", Atom), 0
         if val == "(":
             self.next()
-            f = self.implic()
+            f, height = self.binary(_LEVEL_IMPLIC, depth + 1)
             self.expect(")")
-            return f
+            return f, height
         self.error("expected a formula", expected=("!", "G", "F", "E", "x", "(", "TRUE", "FALSE"))
 
     def atom(self, letter, cls):
         """A threshold predicate on letter ("x" for a node, "y" for an edge)."""
         self.expect(letter)
-        op = self.peek()[1]
-        if op not in ("<=", ">="):
-            self.error(f"expected '<=' or '>=' after {letter!r}", expected=("<=", ">="))
-        self.next()
-        return cls(op, self.numval())
+        op = self.expect("<=", ">=", where=f" after {letter!r}")[1]
+        return cls(op, self.value("number"))
 
 
 def parse(text: str) -> Formula:

@@ -55,7 +55,7 @@ MAX_DP_STATES = 10 ** 6
 MAX_MASS_CELLS = 10 ** 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, like LabeledGraph
 class PriorModel:
     """Independent per-(node, time) histograms over shared bins.
 
@@ -72,7 +72,7 @@ class PriorModel:
     pmf: dict
     static_edge_labels: dict
     default_pmf: np.ndarray | None = None
-    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.L < 1:

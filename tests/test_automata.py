@@ -68,6 +68,12 @@ class TestToDfa:
         dfa, _ = to_dfa(parse("G (x <= 0 -> F[<=1] x >= 1)"))
         assert dfa.n_states <= 4
 
+    def test_compared_by_identity(self):
+        # field-wise == would compare the transition arrays and raise
+        dfa, twin = to_dfa(parse("F x <= 1"))[0], to_dfa(parse("F x <= 1"))[0]
+        assert dfa == dfa and dfa != twin
+        assert dfa in [twin, dfa] and twin not in [dfa]
+
     def test_empty_acceptance_constants(self):
         dfa, _ = to_dfa(parse("FALSE"))
         assert not dfa.run_word([0, 0])

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gtl import __version__
 from gtl.cli import main
-from gtl.formula import parse
+from gtl.formula import _MAX_DEPTH, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph, load_graph, save_trajectories
 from gtl.prior import compute_ig, load_prior
 from gtl.templates import ParamSpec, Template, save_templates
@@ -467,6 +467,15 @@ def _mutated(draw, doc):
 
 
 _FORMULA_CHARS = "xy<=>0123456789.?c! &|->()[]FGUE via:TRUEFALS "
+#: formula text of each shape nested n levels deep
+_DEEP = {
+    "parentheses": lambda n: "(" * n + "x >= 1" + ")" * n,
+    "not": lambda n: "! " * n + "x >= 1",
+    "always": lambda n: "G " * n + "x >= 1",
+    "conjunction": lambda n: " & ".join(["x >= 1"] * (n + 1)),
+    "implication": lambda n: " -> ".join(["x >= 1"] * (n + 1)),
+    "until": lambda n: " U[<=1] ".join(["x >= 1"] * (n + 1)),
+}
 # command -> files it reads and whether it takes a formula
 _COMMANDS = {
     "eval": (("trajs", "graph"), True),
@@ -492,8 +501,12 @@ def test_malformed_input_exits_cleanly(workspace, capsys, command, data):
     files, takes_formula = _COMMANDS[command]
     paths = dict(workspace)
     bad = data.draw(st.sampled_from(files + ("formula",) if takes_formula else files))
-    formula = "F x >= 1"
-    if bad == "formula":
+    formula, depth = "F x >= 1", 0
+    if bad == "formula" and data.draw(st.integers(0, 3)) == 0:
+        # at, just past and far past the depth limit
+        depth = data.draw(st.sampled_from([_MAX_DEPTH, _MAX_DEPTH + 1, 3000]))
+        formula = _DEEP[data.draw(st.sampled_from(sorted(_DEEP)))](depth)
+    elif bad == "formula":
         formula = data.draw(st.text(_FORMULA_CHARS, max_size=30)
                             | st.builds(lambda a, b: a + formula + b,
                                         st.text(_FORMULA_CHARS, max_size=3),
@@ -511,3 +524,8 @@ def test_malformed_input_exits_cleanly(workspace, capsys, command, data):
     assert code in (0, 1, 2)
     if code and not err.startswith(("Error:", "Usage:")):  # click's own usage errors
         assert re.fullmatch(r"error \[[a-z]+\]: [^\n]*\n", err), err
+    if err.startswith("error [parse]"):
+        assert re.fullmatch(r"[^\n]* at line \d+, column \d+( \(expected [^\n]*\))?\n", err), err
+    if depth:
+        deep_err = "error [parse]: formula nested deeper than"
+        assert (code, err[:len(deep_err)]) == ((0, "") if depth <= _MAX_DEPTH else (1, deep_err))

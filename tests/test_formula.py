@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gtl.errors import InputError, ParseError, UsageError
 from gtl.formula import (
     Always, And, Atom, Bound, EdgeAtom, Eventually, Exists, FALSE, FalseF, Implies,
-    Not, Or, Param, TRUE, TrueF, Until, _children, _fmt_value, _subformulas,
+    Not, Or, Param, TRUE, TrueF, Until, _MAX_INT, _children, _fmt_value, _subformulas,
     classify_subtype, desugar, formula_size, free_parameters, instantiate, is_ground,
     nnf, parse, polarity, print_formula, rename_parameters,
 )
@@ -656,3 +657,280 @@ class TestAnalysesAgainstSemantics:
                     assert type(h) is not Not or type(h.sub) in (Atom, Exists, Until), \
                         print_formula(n)
                 assert np.array_equal(sat_table(traj, n), sat_table(traj, f)), print_formula(f)
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer and hand-written precedence parser that the table-driven
+# parser replaced, kept verbatim as the reference it must match
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<num>-?\d+(\.\d+)?([eE][+-]?\d+)?)
+  | (?P<param>\?[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op><=|>=|->|[()\[\]|&!:])
+  | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+""",
+    re.VERBOSE,
+)
+
+
+def _tokenize(text):
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        val = m.group()
+        if kind != "ws":
+            tokens.append((kind, val, line, col))
+        nl = val.count("\n")
+        if nl:
+            line += nl
+            col = len(val) - val.rfind("\n")
+        else:
+            col += len(val)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, msg, expected=()):
+        kind, val, line, col = self.peek()
+        shown = val if kind != "eof" else "end of input"
+        raise ParseError(f"{msg}, got {shown!r}", line, col, expected)
+
+    def expect(self, val):
+        kind, v, line, col = self.peek()
+        if v != val:
+            self.error(f"expected {val!r}", expected=(val,))
+        return self.next()
+
+    def parse(self):
+        f = self.implic()
+        if self.peek()[0] != "eof":
+            self.error("trailing input after formula")
+        return f
+
+    def implic(self):
+        left = self.orexpr()
+        if self.peek()[1] == "->":
+            self.next()
+            return Implies(left, self.implic())
+        return left
+
+    def orexpr(self):
+        f = self.andexpr()
+        while self.peek()[1] == "|":
+            self.next()
+            f = Or(f, self.andexpr())
+        return f
+
+    def andexpr(self):
+        f = self.untilexpr()
+        while self.peek()[1] == "&":
+            self.next()
+            f = And(f, self.untilexpr())
+        return f
+
+    def untilexpr(self):
+        left = self.unary()
+        if self.peek()[1] == "U":
+            self.next()
+            bound = self.maybe_bound()
+            return Until(left, self.untilexpr(), bound)
+        return left
+
+    def maybe_bound(self):
+        if self.peek()[1] != "[":
+            return None
+        lo = hi = None
+        self.expect("[")
+        op = self.peek()[1]
+        if op not in ("<=", ">="):
+            self.error("expected '>=' or '<=' inside bound", expected=(">=", "<="))
+        self.next()
+        val = self.intval()
+        self.expect("]")
+        if op == ">=":
+            lo = val
+        else:
+            hi = val
+        if self.peek()[1] == "[" and lo is not None:
+            self.expect("[")
+            if self.peek()[1] != "<=":
+                self.error("expected '<=' in second bound", expected=("<=",))
+            self.next()
+            hi = self.intval()
+            self.expect("]")
+        return Bound(lo, hi)
+
+    def intval(self):
+        kind, val, line, col = self.peek()
+        if kind == "param":
+            self.next()
+            return Param(val[1:])
+        if kind == "num":
+            if "." in val or "e" in val or "E" in val:
+                raise ParseError("expected an integer", line, col)
+            return self.integer()
+        self.error("expected integer or parameter", expected=("integer", "?name"))
+
+    def numval(self):
+        kind, val, _, _ = self.peek()
+        if kind == "param":
+            self.next()
+            return Param(val[1:])
+        if kind == "num":
+            if "." in val or "e" in val or "E" in val:
+                self.next()
+                return float(val)
+            return self.integer()
+        self.error("expected number or parameter", expected=("number", "?name"))
+
+    def integer(self):
+        """The integer literal at the cursor; one that a float cannot hold
+        exactly is out of range."""
+        _, val, line, col = self.next()
+        # the length test comes first: int() refuses strings of over 4,300 digits
+        if len(val.lstrip("-0")) > 16 or abs(int(val)) > _MAX_INT:
+            raise ParseError("integer literal out of range (magnitude above 2**53)", line, col)
+        return int(val)
+
+    def unary(self):
+        kind, val, _, _ = self.peek()
+        if val == "!":
+            self.next()
+            return Not(self.unary())
+        if val in ("G", "F"):
+            self.next()
+            bound = self.maybe_bound()
+            sub = self.unary()
+            return Always(sub, bound) if val == "G" else Eventually(sub, bound)
+        if val == "E":
+            self.next()
+            count = self.intval()
+            chain = []
+            while self.peek()[1] == "via":
+                self.next()
+                self.expect("(")
+                chain.append(self.atom("y", EdgeAtom))
+                self.expect(")")
+            if not chain:
+                self.error("'E' needs at least one 'via (...)' hop", expected=("via",))
+            self.expect(":")
+            return Exists(count, tuple(chain), self.unary())
+        if val == "TRUE":
+            self.next()
+            return TRUE
+        if val == "FALSE":
+            self.next()
+            return FALSE
+        if val == "x":
+            return self.atom("x", Atom)
+        if val == "(":
+            self.next()
+            f = self.implic()
+            self.expect(")")
+            return f
+        self.error("expected a formula", expected=("!", "G", "F", "E", "x", "(", "TRUE", "FALSE"))
+
+    def atom(self, letter, cls):
+        """A threshold predicate on letter ("x" for a node, "y" for an edge)."""
+        self.expect(letter)
+        op = self.peek()[1]
+        if op not in ("<=", ">="):
+            self.error(f"expected '<=' or '>=' after {letter!r}", expected=("<=", ">="))
+        self.next()
+        return cls(op, self.numval())
+
+
+def _reference_parse(text):
+    f = _Parser(text).parse()
+    free_parameters(f)  # validates parameter uniqueness
+    return f
+
+
+#: characters that mutations insert: the grammar's, varied whitespace and
+#: line ends, and non-ASCII letters and digits (\d matches Arabic-Indic ones)
+_TEXT_CHARS = list("xy<=>-0123456789.eE?abN!&|()[]:FGUE via TRUEFALSE  ") + [
+    "\n", "\t", "\r\n", "\r", "é", "٣", " ", " "]
+
+
+def _mutated_text(rng, text):
+    """text with one to three random character or token edits."""
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+        edit = rng.randrange(4)
+        if edit == 0:  # delete a span
+            text = text[:i] + text[j:]
+        elif edit == 1:  # insert a character
+            text = text[:i] + rng.choice(_TEXT_CHARS) + text[i:]
+        elif edit == 2:  # replace a character
+            text = text[:i] + rng.choice(_TEXT_CHARS) + text[i + 1:]
+        else:  # duplicate a span
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _parser_corpus(seed, n):
+    """n texts: printed random_formula and random_template draws, mutations
+    of them, and random strings over _TEXT_CHARS."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < n:
+        if rng.random() < 0.5:
+            f = random_formula(rng, rng.randrange(5))
+        else:
+            f = random_template(rng, rng.randrange(4), [])
+        text = print_formula(f)
+        roll = rng.random()
+        if roll < 0.3:
+            texts.append(text)
+        elif roll < 0.85:
+            texts.append(_mutated_text(rng, text))
+        else:
+            texts.append("".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randrange(30))))
+    return texts
+
+
+def _parse_outcome(parse_text, text):
+    """The formula parse_text builds from text, or its error's type, message,
+    line, column and expected tokens."""
+    try:
+        return parse_text(text)
+    except ParseError as err:
+        return ParseError, str(err), err.line, err.col, err.expected
+    except InputError as err:  # a literal that a node's constructor refuses
+        return InputError, str(err)
+
+
+class TestReplacedParser:
+    """parse against the tokenizer and parser it replaced, on texts well
+    below the depth limit, which the replaced parser did not have."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, seed):
+        texts = _parser_corpus(seed, 10_000)
+        kinds = {"formula": 0, ParseError: 0, InputError: 0}
+        for text in texts:
+            want = _parse_outcome(_reference_parse, text)
+            assert _parse_outcome(parse, text) == want, repr(text)
+            kinds[want[0] if isinstance(want, tuple) else "formula"] += 1
+        # InputError comes from a negative bound or count, or a name used twice
+        assert kinds["formula"] >= 3_000 and kinds[ParseError] >= 3_000 and kinds[InputError], kinds

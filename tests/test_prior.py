@@ -117,6 +117,13 @@ class TestPriorModel:
         finally:
             tracemalloc.stop()
 
+    def test_compared_by_identity(self):
+        # field-wise == would compare the pmf arrays and raise
+        prior, twin = one_node_prior(), one_node_prior()
+        assert prior == prior and prior != twin
+        assert prior in [twin, prior] and twin not in [prior]
+        assert len({prior, twin, prior}) == 2
+
     def test_json_round_trip(self, tmp_path):
         prior = one_node_prior()
         path = tmp_path / "prior.json"

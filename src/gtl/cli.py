@@ -1,14 +1,18 @@
 """Command-line interface: evaluation, automata export, information gain,
 identification, classification, and data generation.
 
-Every command emits a JSON report (or a text rendering of the same
-structure) embedding the tool version, the effective configuration, the
-seed, and wall-clock timings.  Exit codes: 0 success, 1 input/usage error,
-2 constraint infeasibility.
+Every command leaves the process by one report path, the `_command`
+decorator.  It checks the seed before the command reads any input, times
+the command, and emits a JSON report (or a text rendering of the same
+structure) whose keys are the tool version, the command, the effective
+configuration, the seed, the wall-clock timings and the result.  Exit
+codes: 0 success, 1 input/usage error, 2 constraint infeasibility.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
 import sys
@@ -16,6 +20,7 @@ import time
 from dataclasses import asdict
 
 import click
+import numpy as np
 
 from . import __version__
 from .automata import to_dfa
@@ -43,74 +48,25 @@ def _seed(value):
     return value
 
 
-def _report(command, config, seed, started, result):
-    return {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "timings": {"wall_s": round(time.perf_counter() - started, 6)},
-        "result": result,
-    }
-
-
-def _emit(report, out, fmt):
-    if fmt == "json":
-        text = json.dumps(report, indent=2, default=_jsonable)
-    else:
-        text = _render_text(report)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    click.echo(text)
-
-
 def _jsonable(x):
-    import numpy as np
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.floating, np.integer, np.ndarray)):
         return x.tolist()
     return str(x)
 
 
-def _render_text(report, indent=0):
-    lines = []
-
-    def walk(obj, depth):
-        pad = "  " * depth
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, depth + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}-")
-                    walk(v, depth + 1)
-                else:
-                    lines.append(f"{pad}- {v}")
-        else:
-            lines.append(f"{pad}{obj}")
-
-    walk(report, indent)
+def _render_text(obj, pad=""):
+    """`key: value` lines for an object and `- value` lines for a list, a
+    nested container on the lines after its key or dash, two spaces in."""
+    if not isinstance(obj, (dict, list)):
+        return f"{pad}{obj}"
+    keyed, lines = isinstance(obj, dict), []
+    for k, v in obj.items() if keyed else enumerate(obj):
+        head = f"{pad}{k}:" if keyed else f"{pad}-"
+        if not isinstance(v, (dict, list)):
+            lines.append(f"{head} {v}")
+        else:  # an empty container has no lines under its head
+            lines += [head, _render_text(v, pad + "  ")] if v else [head]
     return "\n".join(lines)
-
-
-_common = [
-    click.option("--out", type=click.Path(), default=None, help="write the report here as well"),
-    click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json"),
-    click.option("--seed", type=int, default=None, help="RNG seed (falls back to GTL_SEED, then 0)"),
-]
-
-
-def common_options(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
 
 
 @click.group()
@@ -119,16 +75,58 @@ def cli():
     """Graph temporal logic toolkit."""
 
 
-@cli.command("eval")
+cli.add_command(click.Group("gen", help="Synthetic data generators."))
+
+
+def _command(name):
+    """Register `gtl <name>` on the one report path.  The body gets its own
+    options, and the checked seed and ``--out`` if it names them (then
+    ``--out`` is its data file).  It returns ``(config, result)``, or
+    ``(config, result, failure)`` to exit 2 once the report is printed."""
+    group_name, _, leaf = name.rpartition(" ")
+
+    def register(body):
+        wants = inspect.signature(body).parameters
+
+        @functools.wraps(body)
+        def run(out, fmt, seed, **inputs):
+            started, seed = time.perf_counter(), _seed(seed)
+            given = {k: v for k, v in (("seed", seed), ("out", out)) if k in wants}
+            config, result, *failure = body(**inputs, **given)
+            report = {"version": __version__, "command": name, "config": config, "seed": seed,
+                      "timings": {"wall_s": round(time.perf_counter() - started, 6)},
+                      "result": result}
+            text = (json.dumps(report, indent=2, default=_jsonable) if fmt == "json"
+                    else _render_text(report))
+            if out and "out" not in wants:
+                with open(out, "w") as fh:
+                    fh.write(text + "\n")
+            click.echo(text)
+            if any(failure):
+                raise InfeasibleError(*failure)
+
+        command = (cli.commands[group_name] if group_name else cli).command(leaf)(run)
+        command.params += [
+            click.Option(["--out"], type=click.Path(), default=None, help=(
+                "write the generated trajectories here" if "out" in wants
+                else "write the report here as well")),
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]), default="json"),
+            click.Option(["--seed"], type=int, default=None,
+                         help="RNG seed (falls back to GTL_SEED, then 0)"),
+        ]
+        return command
+
+    return register
+
+
+@_command("eval")
 @click.option("--trajectories", "traj_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
 @click.option("--formula", required=True)
 @click.option("--node", default=None, help="restrict output to one node")
 @click.option("--per-node", is_flag=True, help="include the full per-node satisfaction table")
-@common_options
-def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
+def eval_cmd(traj_path, graph_path, formula, node, per_node):
     """Evaluate a formula on trajectories: signatures, coverage, and MR."""
-    started = time.perf_counter()
     f = parse(formula)
     g = load_graph(graph_path) if graph_path else None
     trajs = load_trajectories(traj_path, g)
@@ -150,22 +148,20 @@ def eval_cmd(traj_path, graph_path, formula, node, per_node, out, fmt, seed):
     result["trajectories"] = rows
     if all(t.label in (1, -1) for t in trajs):
         result["misclassification_rate"] = _misclassification(table, _positive(trajs))
-    _emit(_report("eval", {"formula": formula, "node": node}, _seed(seed), started, result), out, fmt)
+    return {"formula": formula, "node": node}, result
 
 
-@cli.command("dfa")
+@_command("dfa")
 @click.option("--formula", required=True)
 @click.option("--dot", "dot_path", type=click.Path(), default=None)
-@common_options
-def dfa_cmd(formula, dot_path, out, fmt, seed):
+def dfa_cmd(formula, dot_path):
     """Build the automaton of a formula and optionally export DOT."""
-    started = time.perf_counter()
     f = parse(formula)
     dfa, aps = to_dfa(f)
     if dot_path:
         with open(dot_path, "w") as fh:
             fh.write(dfa.to_dot() + "\n")
-    result = {
+    return {"formula": formula}, {
         "formula": print_formula(f),
         "states": dfa.n_states,
         "letters": dfa.n_letters,
@@ -173,28 +169,23 @@ def dfa_cmd(formula, dot_path, out, fmt, seed):
         "accepting": [int(q) for q in range(dfa.n_states) if dfa.accepting[q]],
         "atomic_predicates": [str(a) for a in aps],
     }
-    _emit(_report("dfa", {"formula": formula}, _seed(seed), started, result), out, fmt)
 
 
-@cli.command("ig")
+@_command("ig")
 @click.option("--prior", "prior_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--formula", required=True)
-@common_options
-def ig_cmd(prior_path, graph_path, formula, out, fmt, seed):
+def ig_cmd(prior_path, graph_path, formula):
     """Information gain of a formula under a prior."""
-    started = time.perf_counter()
-    g = load_graph(graph_path)
-    prior = load_prior(prior_path, g)
+    prior = load_prior(prior_path, load_graph(graph_path))
     f = parse(formula)
     rep = compute_ig(prior, f)
     result = {"probabilities": rep.probabilities, "info_gain": rep.info_gain,
-              "average_ig": rep.average_ig, "units": rep.units}
-    result["formula"] = print_formula(f)
-    _emit(_report("ig", {"formula": formula}, _seed(seed), started, result), out, fmt)
+              "average_ig": rep.average_ig, "units": rep.units, "formula": print_formula(f)}
+    return {"formula": formula}, result
 
 
-@cli.command("identify")
+@_command("identify")
 @click.option("--trajectories", "traj_path", required=True, type=click.Path(exists=True))
 @click.option("--prior", "prior_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
@@ -202,11 +193,8 @@ def ig_cmd(prior_path, graph_path, formula, out, fmt, seed):
 @click.option("--pth", type=float, default=0.98, show_default=True)
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--budget", type=int, default=500, show_default=True)
-@common_options
-def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget,
-                 out, fmt, seed):
+def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget):
     """Identify coverage-feasible, information-maximal template parameters."""
-    started = time.perf_counter()
     g = load_graph(graph_path) if graph_path else None
     trajs = load_trajectories(traj_path, g)
     if not trajs:
@@ -237,30 +225,24 @@ def identify_cmd(traj_path, prior_path, graph_path, tpl_path, pth, eps, budget,
             row["queries"] = r.n_queries
         rows.append(row)
     best = report.best
-    result = {"results": rows,
-              "best": print_formula(best.formula) if best else None}
-    cfg = {"pth": pth, "eps": eps, "budget": budget}
-    rep = _report("identify", cfg, _seed(seed), started, result)
-    _emit(rep, out, fmt)
-    if best is None:
-        raise InfeasibleError("no template satisfies the coverage constraint")
+    result = {"results": rows, "best": print_formula(best.formula) if best else None}
+    failure = None if best else "no template satisfies the coverage constraint"
+    return {"pth": pth, "eps": eps, "budget": budget}, result, failure
 
 
-@cli.command("classify")
+@_command("classify")
 @click.option("--trajectories", "traj_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", type=click.Path(exists=True), default=None)
 @click.option("--templates", "tpl_path", required=True, type=click.Path(exists=True))
 @click.option("--mth", type=float, default=0.02, show_default=True)
 @click.option("--eta", type=int, default=3, show_default=True)
 @click.option("--mhat", type=float, default=0.1, show_default=True)
-@common_options
-def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, out, fmt, seed):
+def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, seed):
     """Infer a classifying formula from labeled trajectories."""
-    started = time.perf_counter()
     g = load_graph(graph_path) if graph_path else None
     data = load_trajectories(traj_path, g)
     templates = load_templates(tpl_path)
-    cfg = PsoConfig(seed=_seed(seed))
+    cfg = PsoConfig(seed=seed)
     res = infer_classifier(data, templates, m_th=mth, eta_th=eta, mhat_th=mhat, cfg=cfg)
     result = {
         "success": res.success,
@@ -272,84 +254,62 @@ def classify_cmd(traj_path, graph_path, tpl_path, mth, eta, mhat, out, fmt, seed
     }
     # the seed is reported once, at the top level of the report
     pso = {k: v for k, v in asdict(cfg).items() if k != "seed"}
-    config = {"mth": mth, "eta": eta, "mhat": mhat, "pso": pso}
-    _emit(_report("classify", config, _seed(seed), started, result), out, fmt)
-    if not res.success:
-        raise InfeasibleError(f"no formula reached MR <= {mth} "
-                              f"(best {res.train_mr:.4f})")
+    failure = None if res.success else f"no formula reached MR <= {mth} (best {res.train_mr:.4f})"
+    return {"mth": mth, "eta": eta, "mhat": mhat, "pso": pso}, result, failure
 
 
-@cli.group("gen")
-def gen_group():
-    """Synthetic data generators."""
-
-
-@gen_group.command("swarm")
+@_command("gen swarm")
 @click.option("--n", type=int, default=10, show_default=True)
 @click.option("--L", "horizon", type=int, default=12, show_default=True)
-@common_options
-def gen_swarm_cmd(n, horizon, out, fmt, seed):
+def gen_swarm_cmd(n, horizon, out, seed):
     """Density trajectories satisfying the swarm constraint."""
-    started = time.perf_counter()
-    sc = SwarmScenario(L=horizon, seed=_seed(seed))
-    trajs = gen_swarm(sc, n)
+    trajs = gen_swarm(SwarmScenario(L=horizon, seed=seed), n)
     if out:
         save_trajectories(out, trajs)
     result = {"n": len(trajs), "L": horizon, "nodes": trajs[0].graph.n_nodes if trajs else 0,
               "written": out}
-    _emit(_report("gen swarm", {"n": n, "L": horizon}, _seed(seed), started, result), None, fmt)
+    return {"n": n, "L": horizon}, result
 
 
-@gen_group.command("planted")
+@_command("gen planted")
 @click.option("--formula", required=True)
 @click.option("--prior", "prior_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--npos", type=int, default=5, show_default=True)
 @click.option("--nneg", type=int, default=5, show_default=True)
-@common_options
-def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, fmt, seed):
+def gen_planted_cmd(formula, prior_path, graph_path, npos, nneg, out, seed):
     """Labeled dataset split by a planted separator formula."""
-    started = time.perf_counter()
-    g = load_graph(graph_path)
-    prior = load_prior(prior_path, g)
+    prior = load_prior(prior_path, load_graph(graph_path))
     f = parse(formula)
-    data = gen_planted(f, prior, npos, nneg, seed=_seed(seed))
+    data = gen_planted(f, prior, npos, nneg, seed=seed)
     if out:
         save_trajectories(out, data)
     # an empty set has no misclassification rate
     result = {"npos": npos, "nneg": nneg,
               "separator_mr": misclassification_rate(data, f) if data else None,
               "written": out}
-    _emit(_report("gen planted", {"formula": formula, "npos": npos, "nneg": nneg},
-                  _seed(seed), started, result), None, fmt)
+    return {"formula": formula, "npos": npos, "nneg": nneg}, result
 
 
-@gen_group.command("prior-sample")
+@_command("gen prior-sample")
 @click.option("--prior", "prior_path", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("--n", type=int, default=16, show_default=True)
-@common_options
-def gen_prior_sample_cmd(prior_path, graph_path, n, out, fmt, seed):
+def gen_prior_sample_cmd(prior_path, graph_path, n, out, seed):
     """Independent draws from a prior model."""
-    started = time.perf_counter()
-    g = load_graph(graph_path)
-    prior = load_prior(prior_path, g)
-    trajs = sample_prior(prior, n, seed=_seed(seed))
+    prior = load_prior(prior_path, load_graph(graph_path))
+    trajs = sample_prior(prior, n, seed=seed)
     if out:
         save_trajectories(out, trajs)
-    result = {"n": n, "written": out}
-    _emit(_report("gen prior-sample", {"n": n}, _seed(seed), started, result), None, fmt)
+    return {"n": n}, {"n": n, "written": out}
 
 
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except InfeasibleError as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        return 2
     except GtlError as exc:
         click.echo(f"error [{exc.code}]: {exc}", err=True)
-        return 1
+        return 2 if isinstance(exc, InfeasibleError) else 1
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:

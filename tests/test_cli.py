@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gtl.cli as cli_module
 from gtl import __version__
-from gtl.cli import main
+from gtl.cli import _render_text, main
 from gtl.formula import _MAX_DEPTH, parse
 from gtl.graph import GraphTemporalTrajectory, LabeledGraph, load_graph, save_trajectories
 from gtl.prior import compute_ig, load_prior
@@ -427,6 +428,76 @@ class TestSeedFallback:
         assert "identify" in out
 
 
+# every command, with arguments that run it to exit 0 on the workspace
+_EVERY_COMMAND = {
+    "eval": ["--trajectories", "{trajs}", "--formula", "F x >= 1"],
+    "dfa": ["--formula", "F[<=1] x >= 1"],
+    "ig": ["--prior", "{prior}", "--graph", "{graph}", "--formula", "F x >= 1.5"],
+    "identify": ["--trajectories", "{trajs}", "--prior", "{prior}",
+                 "--templates", "{templates}", "--pth", "0.5", "--eps", "0.1"],
+    "classify": ["--trajectories", "{trajs}", "--templates", "{templates}", "--mhat", "0.5"],
+    "gen swarm": ["--n", "2", "--L", "4"],
+    "gen planted": ["--formula", "F x >= 1", "--prior", "{prior}", "--graph", "{graph}",
+                    "--npos", "2", "--nneg", "2"],
+    "gen prior-sample": ["--prior", "{prior}", "--graph", "{graph}", "--n", "4"],
+}
+# what the commands read or run before they report
+_INPUT_STEPS = ("parse", "load_graph", "load_trajectories", "load_prior", "load_templates",
+                "identify_op", "infer_classifier", "gen_swarm")
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    def test_envelope(self, workspace, capsys, monkeypatch, tmp_path, command, fmt):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command.split(), *(a.format(**workspace) for a in _EVERY_COMMAND[command])]
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        keys = ["version", "command", "config", "seed", "timings", "result"]
+        if fmt == "json":
+            rep = json.loads(out)
+            assert list(rep) == keys
+            assert rep["command"] == command
+        else:
+            top = [line for line in out.splitlines() if not line.startswith(" ")]
+            assert [line.split(":")[0] for line in top] == keys
+            assert f"command: {command}" in top
+
+    @pytest.mark.parametrize("seed", ["abc", "7"])
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    def test_seed_is_checked_before_any_input(self, workspace, capsys, monkeypatch, tmp_path,
+                                              command, seed):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def spy(step, real):
+            return lambda *a, **k: calls.append(step) or real(*a, **k)
+
+        for step in _INPUT_STEPS:
+            monkeypatch.setattr(cli_module, step, spy(step, getattr(cli_module, step)))
+        monkeypatch.setenv("GTL_SEED", seed)
+        argv = [*command.split(), *(a.format(**workspace) for a in _EVERY_COMMAND[command])]
+        code = main([*argv, "--out", str(workspace["out"])])
+        err = capsys.readouterr().err
+        if seed == "7":  # the spies see each command's work
+            assert (code, err, bool(calls)) == (0, "", True)
+        else:
+            assert (code, err) == (1, "error [usage]: GTL_SEED must be an integer, got 'abc'\n")
+            assert calls == [] and not workspace["out"].exists()
+
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    def test_help_lists_the_common_options_last(self, capsys, command):
+        code, out = run(capsys, *command.split(), "--help")
+        assert code == 0
+        options = re.findall(r"^  (--[A-Za-z-]+)", out, re.M)
+        assert options[-4:] == ["--out", "--format", "--seed", "--help"]
+        # the gen commands write their data to --out, the others their report
+        what = ("write the generated trajectories here" if command.startswith("gen ")
+                else "write the report here as well")
+        assert re.search(rf"^  --out PATH +{what}$", out, re.M), out
+
+
 # ---------------------------------------------------------------------------
 # exit codes on malformed input
 
@@ -529,3 +600,39 @@ def test_malformed_input_exits_cleanly(workspace, capsys, command, data):
     if depth:
         deep_err = "error [parse]: formula nested deeper than"
         assert (code, err[:len(deep_err)]) == ((0, "") if depth <= _MAX_DEPTH else (1, deep_err))
+
+
+# ---------------------------------------------------------------------------
+# the text renderer that _render_text replaced, kept verbatim as the
+# reference it must match, on lists and objects at the top level
+
+def _reference_render_text(report, indent=0):
+    lines = []
+
+    def walk(obj, depth):
+        pad = "  " * depth
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                if isinstance(v, (dict, list)):
+                    lines.append(f"{pad}{k}:")
+                    walk(v, depth + 1)
+                else:
+                    lines.append(f"{pad}{k}: {v}")
+        elif isinstance(obj, list):
+            for v in obj:
+                if isinstance(v, (dict, list)):
+                    lines.append(f"{pad}-")
+                    walk(v, depth + 1)
+                else:
+                    lines.append(f"{pad}- {v}")
+        else:
+            lines.append(f"{pad}{obj}")
+
+    walk(report, indent)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_json_containers(_JSON))
+def test_render_text_matches_reference(doc):
+    assert _render_text(doc) == _reference_render_text(doc)
